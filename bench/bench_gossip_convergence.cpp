@@ -32,7 +32,8 @@ Result MeasurePropagation(node::Cluster* cluster, int n) {
   }
   double bytes = 0;
   for (int i = 0; i < n; ++i) {
-    bytes += static_cast<double>(cluster->gossip(i).stats().initiator.bytes_sent);
+    bytes += static_cast<double>(cluster->telemetry(i).metrics.CounterValue(
+        "recon.initiator.bytes_sent"));
   }
   benchio::Collector().Merge(cluster->AggregateSnapshot());
   return {(cluster->simulator().now() - start) / 1000.0, bytes / n,

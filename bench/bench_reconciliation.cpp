@@ -9,7 +9,7 @@
 //   full-dag   — naive baseline: ship everything, every time
 //   block-push — Algorithm 1 exactly as published
 //   hash-first — the future-work ablation (hashes first, bodies on
-//                demand)
+//                demand): setdiff at protocol version 1
 // in two divergence shapes: a linear chain (deep) and a bush of
 // concurrent branches (wide, as after a many-way partition).
 //
@@ -95,10 +95,8 @@ struct Row {
   std::uint64_t blocks;
 };
 
-Row RunFrontier(recon::ReconConfig::Mode mode, int shared, int d, bool bush) {
+Row RunFrontier(const recon::ReconConfig& cfg, int shared, int d, bool bush) {
   Pair p = MakePair(shared, d, bush);
-  recon::ReconConfig cfg;
-  cfg.mode = mode;
   recon::SessionStats stats;
   recon::RunLocalSession(p.initiator.get(), p.responder.get(), cfg, &stats);
   return Row{stats.bytes_received + stats.bytes_sent, stats.rounds,
@@ -109,8 +107,6 @@ const char* StrategyName(recon::ReconConfig::Mode mode) {
   switch (mode) {
     case recon::ReconConfig::Mode::kBlockPush:
       return "paper";
-    case recon::ReconConfig::Mode::kHashFirst:
-      return "hashfirst";
     case recon::ReconConfig::Mode::kBloom:
       return "bloom";
     case recon::ReconConfig::Mode::kSetDiff:
@@ -200,15 +196,18 @@ int main() {
   std::printf("%-6s %-6s | %12s | %12s %7s | %12s %7s | %12s %7s\n", "shape",
               "d", "full-dag B", "block-push B", "rounds", "hash-first B",
               "rounds", "bloom B", "rounds");
+  recon::ReconConfig block_push;
+  recon::ReconConfig hash_first;  // setdiff at protocol v1 never probes
+  hash_first.mode = recon::ReconConfig::Mode::kSetDiff;
+  hash_first.protocol_version = 1;
+  recon::ReconConfig bloom_cfg;
+  bloom_cfg.mode = recon::ReconConfig::Mode::kBloom;
   for (const bool bush : {false, true}) {
     for (const int d : {1, 2, 4, 8, 16, 32, 64}) {
       const Row full = RunFull(kShared, d, bush);
-      const Row paper =
-          RunFrontier(recon::ReconConfig::Mode::kBlockPush, kShared, d, bush);
-      const Row hashed =
-          RunFrontier(recon::ReconConfig::Mode::kHashFirst, kShared, d, bush);
-      const Row bloom =
-          RunFrontier(recon::ReconConfig::Mode::kBloom, kShared, d, bush);
+      const Row paper = RunFrontier(block_push, kShared, d, bush);
+      const Row hashed = RunFrontier(hash_first, kShared, d, bush);
+      const Row bloom = RunFrontier(bloom_cfg, kShared, d, bush);
       std::printf(
           "%-6s %-6d | %12llu | %12llu %7llu | %12llu %7llu | %12llu %7llu\n",
           bush ? "bush" : "chain", d,

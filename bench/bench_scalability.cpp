@@ -59,9 +59,10 @@ Result Run(int n, recon::ReconConfig::Mode mode) {
   result.converged = cluster.Converged();
   double bytes = 0, mj = 0;
   for (int i = 0; i < n; ++i) {
+    const telemetry::MetricsRegistry& m = cluster.telemetry(i).metrics;
     bytes += static_cast<double>(
-        cluster.gossip(i).stats().initiator.bytes_sent +
-        cluster.gossip(i).stats().initiator.bytes_received);
+        m.CounterValue("recon.initiator.bytes_sent") +
+        m.CounterValue("recon.initiator.bytes_received"));
     mj += cluster.meter(i).total_mj();
   }
   result.bytes_per_node_tx =
@@ -75,8 +76,8 @@ Result Run(int n, recon::ReconConfig::Mode mode) {
 const char* ModeName(recon::ReconConfig::Mode mode) {
   switch (mode) {
     case recon::ReconConfig::Mode::kBlockPush: return "block-push";
-    case recon::ReconConfig::Mode::kHashFirst: return "hash-first";
     case recon::ReconConfig::Mode::kBloom: return "bloom";
+    case recon::ReconConfig::Mode::kSetDiff: return "setdiff";
   }
   return "?";
 }
@@ -89,7 +90,8 @@ int main() {
               "conv", "committed", "gossip B/node/tx", "mJ/node", "blocks");
   for (const int n : {4, 8, 16, 32}) {
     for (const auto mode : {recon::ReconConfig::Mode::kBlockPush,
-                            recon::ReconConfig::Mode::kBloom}) {
+                            recon::ReconConfig::Mode::kBloom,
+                            recon::ReconConfig::Mode::kSetDiff}) {
       const Result r = Run(n, mode);
       std::printf("%-6d %-11s | %-6s %-9d | %14.0f | %10.1f | %8zu\n", n,
                   ModeName(mode), r.converged ? "yes" : "NO", r.committed,
@@ -99,7 +101,8 @@ int main() {
   std::printf(
       "\nExpected shape: convergence holds at every size; per-transaction\n"
       "gossip cost grows mildly with n (each block crosses more links);\n"
-      "bloom mode trims the steady-state reconciliation bytes.\n");
+      "bloom mode trims the steady-state reconciliation bytes; setdiff\n"
+      "pays a digest probe plus a minimum-size sketch on every idle tick.\n");
   benchio::WriteBench("scalability");
   return 0;
 }

@@ -99,8 +99,8 @@ int main() {
                 inst.config.label, dag.StoredBytes(), dag.StoredCount(),
                 dag.Size(),
                 static_cast<unsigned long long>(
-                    inst.config.offload ? inst.storage->stats().evictions
-                                        : 0));
+                    inst.cluster->telemetry(1).metrics.CounterValue(
+                        "support.evictions")));
   }
   for (auto& inst : instances) {
     benchio::Collector().Merge(inst.cluster->AggregateSnapshot());

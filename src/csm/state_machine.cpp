@@ -33,15 +33,6 @@ StateMachine::StateMachine(StateMachineConfig config,
           telem_->metrics.GetCounter("csm.duplicate_creates")),
       meta_(crdt::ValueType::kStr) {}
 
-StateMachine::Stats StateMachine::stats() const {
-  Stats s;
-  s.applied_blocks = c_applied_blocks_.value();
-  s.applied_txns = c_applied_txns_.value();
-  s.rejected_txns = c_rejected_txns_.value();
-  s.duplicate_creates = c_duplicate_creates_.value();
-  return s;
-}
-
 void StateMachine::ApplyBlock(const chain::Block& block) {
   const chain::BlockHash h = block.hash();
   if (!applied_blocks_.insert(h).second) return;  // idempotent

@@ -95,19 +95,10 @@ class StateMachine {
   const crdt::LwwMap& meta() const { return meta_; }
   std::string ChainName() const;
 
-  // Operational counters, routed through the telemetry registry
-  // (csm.applied_blocks, csm.applied_txns, csm.rejected_txns,
-  // csm.duplicate_creates). They count what this process did and are
-  // monotonic — LoadSnapshot does not rewind them; use
-  // AppliedBlockCount() for the state's lineage.
-  struct Stats {
-    std::uint64_t applied_blocks = 0;
-    std::uint64_t applied_txns = 0;    // accepted and applied
-    std::uint64_t rejected_txns = 0;   // failed a deterministic check
-    std::uint64_t duplicate_creates = 0;
-  };
-  Stats stats() const;
-
+  // Operational counters live in this registry (csm.applied_blocks,
+  // csm.applied_txns, csm.rejected_txns, csm.duplicate_creates). They
+  // count what this process did and are monotonic — LoadSnapshot does
+  // not rewind them; use AppliedBlockCount() for the state's lineage.
   telemetry::Telemetry* telemetry() const { return telem_; }
 
   // Operations waiting for their CRDT's create to arrive.
@@ -129,8 +120,8 @@ class StateMachine {
   // metadata, every CRDT instance, the per-name operation logs
   // (needed for create-race replays and parked ops) and the
   // applied-block set — so a device can restart without replaying the
-  // whole DAG. Stats counters are operational, not state, and are not
-  // persisted. The snapshot is checksummed; LoadSnapshot rejects
+  // whole DAG. The csm.* counters are operational, not state, and are
+  // not persisted. The snapshot is checksummed; LoadSnapshot rejects
   // corrupted input and replaces the current state on success.
   Bytes SaveSnapshot() const;
   Status LoadSnapshot(ByteSpan data);

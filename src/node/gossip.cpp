@@ -138,11 +138,10 @@ void GossipEngine::StartSessionWith(sim::NodeId peer) {
   if (const auto it = resume_level_.find(peer); it != resume_level_.end()) {
     session_cfg.start_level = it->second;
   }
-  if (session_cfg.mode == recon::ReconConfig::Mode::kSetDiff &&
-      legacy_peers_.count(peer) > 0) {
+  if (legacy_peers_.count(peer) > 0) {
     // This peer already rejected a setdiff probe; don't pay another
-    // handshake timeout just to learn it again.
-    session_cfg.mode = recon::ReconConfig::Mode::kHashFirst;
+    // handshake timeout just to learn it again (v1 runs hash-first).
+    session_cfg.protocol_version = 1;
   }
   ActiveSession active;
   active.session =
@@ -361,33 +360,6 @@ void GossipEngine::ExpireSessions() {
       ++it;
     }
   }
-}
-
-GossipStats GossipEngine::stats() const {
-  const telemetry::MetricsRegistry& m = node_->telemetry()->metrics;
-  GossipStats s;
-  s.ticks = m.CounterValue("gossip.ticks");
-  s.sessions_started = m.CounterValue("recon.initiator.sessions_started");
-  s.sessions_completed = m.CounterValue("recon.initiator.sessions_completed");
-  s.sessions_failed = m.CounterValue("recon.initiator.sessions_failed");
-  s.sessions_timed_out = m.CounterValue("gossip.sessions_timed_out");
-  s.sessions_aborted = m.CounterValue("gossip.sessions_aborted");
-  s.envelopes_rejected = m.CounterValue("gossip.envelopes_rejected");
-  s.retries = m.CounterValue("gossip.retries");
-  s.backoffs = m.CounterValue("gossip.backoffs");
-  s.cooldown_skips = m.CounterValue("gossip.cooldown_skips");
-  s.responder_orphaned =
-      m.CounterValue("recon.responder.sessions_orphaned");
-  s.peer_downgrades = m.CounterValue("setdiff.peer_downgrades");
-  s.initiator.rounds = m.CounterValue("recon.initiator.rounds");
-  s.initiator.bytes_sent = m.CounterValue("recon.initiator.bytes_sent");
-  s.initiator.bytes_received = m.CounterValue("recon.initiator.bytes_received");
-  s.initiator.blocks_received =
-      m.CounterValue("recon.initiator.blocks_received");
-  s.initiator.blocks_inserted =
-      m.CounterValue("recon.initiator.blocks_inserted");
-  s.initiator.blocks_pushed = m.CounterValue("recon.initiator.blocks_pushed");
-  return s;
 }
 
 }  // namespace vegvisir::node

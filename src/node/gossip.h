@@ -83,26 +83,9 @@ struct GossipConfig {
   std::size_t responder_session_cap = 64;
 };
 
-// Engine-level view over the node's telemetry registry: gossip.* for
-// the engine's own counters, recon.initiator.* for session traffic.
-// Assembled on demand; the initiator traffic counts *live*, i.e. it
-// includes sessions still in flight.
-struct GossipStats {
-  std::uint64_t ticks = 0;
-  std::uint64_t sessions_started = 0;
-  std::uint64_t sessions_completed = 0;
-  std::uint64_t sessions_failed = 0;
-  std::uint64_t sessions_timed_out = 0;
-  std::uint64_t sessions_aborted = 0;      // crash/unreachable teardown
-  std::uint64_t envelopes_rejected = 0;    // malformed/unknown envelopes
-  std::uint64_t retries = 0;               // direct post-backoff retries
-  std::uint64_t backoffs = 0;              // failure backoffs recorded
-  std::uint64_t cooldown_skips = 0;        // peers skipped while cooling
-  std::uint64_t responder_orphaned = 0;    // responder state reaped
-  std::uint64_t peer_downgrades = 0;       // setdiff peers marked legacy
-  recon::SessionStats initiator;
-};
-
+// The engine's counters live in the node's telemetry registry:
+// gossip.* for its own bookkeeping, recon.initiator.* (counted by the
+// sessions, live, including sessions still in flight) for traffic.
 class GossipEngine {
  public:
   // Consecutive-failure state for one peer; selection skips the peer
@@ -129,7 +112,6 @@ class GossipEngine {
   // be Start()ed again; the cluster builds a fresh one on restart.
   void Shutdown();
 
-  GossipStats stats() const;
   sim::NodeId id() const { return id_; }
 
   // ---- introspection for tests / invariant checks -----------------

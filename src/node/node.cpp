@@ -355,16 +355,6 @@ void Node::PreverifyQuarantine() {
   PreverifyBlocks(blocks);
 }
 
-NodeStats Node::stats() const {
-  NodeStats s;
-  s.blocks_created = c_blocks_created_.value();
-  s.blocks_accepted = c_blocks_accepted_.value();
-  s.blocks_rejected = c_blocks_rejected_.value();
-  s.blocks_quarantined = c_blocks_quarantined_.value();
-  s.foreign_dropped = c_foreign_dropped_.value();
-  return s;
-}
-
 Bytes Node::Fingerprint() const {
   serial::Writer w;
   w.WriteString("node");

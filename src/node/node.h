@@ -74,16 +74,6 @@ struct NodeConfig {
   exec::ThreadPool* exec_pool = nullptr;
 };
 
-// Node-level counters, assembled on demand from the telemetry
-// registry (node.blocks_* / node.foreign_dropped).
-struct NodeStats {
-  std::uint64_t blocks_created = 0;
-  std::uint64_t blocks_accepted = 0;   // foreign blocks inserted
-  std::uint64_t blocks_rejected = 0;   // deterministically invalid
-  std::uint64_t blocks_quarantined = 0;
-  std::uint64_t foreign_dropped = 0;   // adversarial drops
-};
-
 class Node final : public recon::ReconHost {
  public:
   // `genesis` must be the chain's genesis block; `keys` must match
@@ -181,10 +171,9 @@ class Node final : public recon::ReconHost {
   void PreverifyBlocks(
       const std::vector<const chain::Block*>& blocks) override;
 
-  NodeStats stats() const;
-
   // The node's telemetry bundle (never null): its metrics registry
-  // holds the node.*, csm.* and recon.* series for this node, and its
+  // holds the node.*, csm.* and recon.* series for this node (read by
+  // name: metrics.CounterValue("node.blocks_created")), and its
   // tracer records validation/apply/session events in sim time.
   telemetry::Telemetry* telemetry() const override { return telem_; }
 

@@ -92,8 +92,9 @@ struct DiffProbe {
   // pre-setdiff build would ("unknown message type").
   std::uint32_t version = 1;
   chain::BlockHash genesis{};
-  // SHA-256 over the initiator's sorted frontier — same identical-
-  // replica early exit as FrontierRequest.
+  // SHA-256 over the initiator's sorted frontier. Carried on the wire
+  // but not yet checked: unlike FrontierRequest, the responder takes
+  // no identical-replica early exit and always answers with a sketch.
   chain::BlockHash frontier_digest{};
   // 0: responder sizes the sketch from the digest delta estimate.
   // >0: escalation retry after a failed peel; the responder honours

@@ -8,15 +8,6 @@
 
 namespace vegvisir::recon {
 
-void SessionStats::Accumulate(const SessionStats& other) {
-  rounds += other.rounds;
-  bytes_sent += other.bytes_sent;
-  bytes_received += other.bytes_received;
-  blocks_received += other.blocks_received;
-  blocks_inserted += other.blocks_inserted;
-  blocks_pushed += other.blocks_pushed;
-}
-
 SessionMetrics SessionMetrics::Resolve(telemetry::Telemetry* sink,
                                        const char* side) {
   SessionMetrics m;
@@ -95,13 +86,11 @@ Bytes InitiatorSession::Send(Bytes message) {
 
 bool InitiatorSession::HashFirstActive() const {
   switch (config_.mode) {
-    case ReconConfig::Mode::kHashFirst:
-      return true;
     case ReconConfig::Mode::kBloom:
       return bloom_round_done_;
     case ReconConfig::Mode::kSetDiff:
       // The fallback rounds after an abandoned negotiation, and the
-      // whole session when this node is downgraded to version 1.
+      // whole session at version 1 (hash-first).
       return diff_phase_ == DiffPhase::kFellBack ||
              diff_phase_ == DiffPhase::kInactive;
     case ReconConfig::Mode::kBlockPush:
@@ -499,11 +488,7 @@ Status InitiatorSession::EscalateOrFail(std::vector<Bytes>* out) {
     metrics_.level_cap_hit.Inc();
     return ResourceExhaustedError("frontier level cap reached");
   }
-  if (config_.escalation == ReconConfig::Escalation::kExponential) {
-    level_ = std::min(level_ * 2, config_.max_level);
-  } else {
-    ++level_;
-  }
+  ++level_;
   out->push_back(MakeFrontierRequest());
   return Status::Ok();
 }

@@ -4,15 +4,12 @@
 // of recon/messages.h. They are transport-agnostic: the simulator (or
 // a real radio link) moves the bytes. The initiator pulls the
 // responder's level-n frontier set, escalating n until the gap to its
-// own DAG is bridged, then merges. Two modes:
+// own DAG is bridged, then merges. Three modes:
 //
 //   kBlockPush (paper-faithful): every frontier response carries full
 //     block bodies, re-sending the whole level-n set each round.
-//   kHashFirst (ablation E10, the paper's future-work direction):
-//     responses carry hashes; the initiator requests only the bodies
-//     it is missing.
-//   kBloom (a further future-work design): the first request carries
-//     a Bloom-filter summary of the initiator's block set; the
+//   kBloom (a future-work design): the first request carries a
+//     Bloom-filter summary of the initiator's block set; the
 //     responder sends the probably-missing blocks in topological
 //     order, typically finishing in one round. Bloom false positives
 //     can leave gaps; the session then falls back to hash-first
@@ -25,6 +22,10 @@
 //     the cell count once, then falls back to hash-first level
 //     escalation; a protocol-version-1 peer rejects the probe
 //     outright and the gossip engine downgrades future sessions.
+//
+// Hash-first (ablation E10, the paper's future-work direction) is
+// kSetDiff at protocol_version = 1: frontier responses carry hashes
+// and the initiator requests only the bodies it is missing.
 //
 // With `push_back` enabled the initiator finishes by pushing the
 // blocks the responder provably lacks (anti-entropy extension; off by
@@ -81,14 +82,15 @@ class ReconHost {
 };
 
 struct ReconConfig {
-  enum class Mode { kBlockPush, kHashFirst, kBloom, kSetDiff };
+  enum class Mode { kBlockPush, kBloom, kSetDiff };
   Mode mode = Mode::kBlockPush;
   // Highest setdiff protocol revision this node speaks. 1 = legacy
   // (pre-setdiff: never sends DiffProbe, rejects one as an unknown
-  // message the way an old build's PeekType would); 2 = setdiff
-  // capable. Both sides gate on their own version, so mixed fleets
-  // interoperate: a v2 initiator detects the rejection via the gossip
-  // engine and downgrades that peer to hash-first.
+  // message the way an old build's PeekType would; a kSetDiff
+  // initiator runs hash-first); 2 = setdiff capable. Both sides gate
+  // on their own version, so mixed fleets interoperate: a v2
+  // initiator detects the rejection via the gossip engine and
+  // downgrades that peer to version 1.
   std::uint32_t protocol_version = 2;
   // Ceiling on IBLT cells this node will build or request. Defaults
   // to the wire cap (serial::limits::kMaxIbltCells); tests lower it
@@ -98,22 +100,17 @@ struct ReconConfig {
   // escalation naturally stops once the set reaches the genesis).
   std::uint32_t max_level = 1u << 20;
   bool push_back = false;
-  // Level growth on escalation: kLinear is the paper's Algorithm 1
-  // (n <- n+1); kExponential doubles the level, reaching a depth-d
-  // gap in log2(d) round trips — far more robust on lossy links
-  // where each round trip may fail.
-  enum class Escalation { kLinear, kExponential };
-  Escalation escalation = Escalation::kLinear;
-  // First level to request (default 1). The gossip engine resumes a
-  // failed catch-up at the level the previous session reached, so
-  // multi-session progress accumulates even with linear escalation.
+  // First level to request (default 1); escalation is the paper's
+  // Algorithm 1 (n <- n+1). The gossip engine resumes a failed
+  // catch-up at the level the previous session reached, so
+  // multi-session progress accumulates across lossy links.
   std::uint32_t start_level = 1;
 };
 
-// Per-session counters. Sessions also mirror every field into the
-// host's metrics registry (recon.initiator.* / recon.responder.*), so
-// engine- and cluster-level totals come from the registry; this
-// struct remains the per-session result value.
+// One session's result value (what RunLocalSession reports). Sessions
+// also count every field into the host's metrics registry
+// (recon.initiator.* / recon.responder.*); engine- and cluster-level
+// totals are read from there by name.
 struct SessionStats {
   std::uint64_t rounds = 0;           // frontier requests sent/served
   std::uint64_t bytes_sent = 0;
@@ -121,8 +118,6 @@ struct SessionStats {
   std::uint64_t blocks_received = 0;  // bodies received over the wire
   std::uint64_t blocks_inserted = 0;  // newly added to the DAG
   std::uint64_t blocks_pushed = 0;    // bodies pushed to the peer
-
-  void Accumulate(const SessionStats& other);
 };
 
 // The pre-resolved registry handles one session side holds. Resolving
@@ -211,8 +206,8 @@ class InitiatorSession {
   Bytes MakeBloomRequest();
   Bytes MakeDiffProbe();
   // True when frontier responses should carry hashes only and gaps
-  // are closed with BlockRequest fetches (hash-first mode itself, the
-  // bloom and setdiff fallback paths, and the setdiff v1 downgrade).
+  // are closed with BlockRequest fetches (the bloom and setdiff
+  // fallback paths, and setdiff at version 1, i.e. hash-first).
   bool HashFirstActive() const;
   Status HandleFrontierResponse(ByteSpan data, std::vector<Bytes>* out);
   Status HandleDiffSketch(ByteSpan data, std::vector<Bytes>* out);

@@ -260,16 +260,4 @@ std::int64_t FaultInjector::ClockSkewFor(NodeId node, TimeMs now) const {
   return static_cast<std::int64_t>(sm.Next() % span) - plan_.clock_skew_max_ms;
 }
 
-FaultStats FaultInjector::stats() const {
-  FaultStats s;
-  s.messages_corrupted = c_corrupted_.value();
-  s.messages_truncated = c_truncated_.value();
-  s.messages_duplicated = c_duplicated_.value();
-  s.messages_dropped = c_dropped_.value();
-  s.messages_delayed = c_delayed_.value();
-  s.sends_flap_blocked = c_flap_blocked_.value();
-  s.bytes_truncated = c_bytes_truncated_.value();
-  return s;
-}
-
 }  // namespace vegvisir::sim

@@ -136,17 +136,6 @@ struct FaultPlan {
   static FaultPlan Io(IoFaultPlan io_plan);
 };
 
-// Assembled on demand from the fault.* series (see stats()).
-struct FaultStats {
-  std::uint64_t messages_corrupted = 0;
-  std::uint64_t messages_truncated = 0;
-  std::uint64_t messages_duplicated = 0;
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t messages_delayed = 0;
-  std::uint64_t sends_flap_blocked = 0;
-  std::uint64_t bytes_truncated = 0;  // bytes removed by truncation
-};
-
 class FaultInjector {
  public:
   // One delivery the network should schedule; OnSend may return zero
@@ -183,7 +172,6 @@ class FaultInjector {
   std::int64_t ClockSkewFor(NodeId node, TimeMs now) const;
 
   const FaultPlan& plan() const { return plan_; }
-  FaultStats stats() const;
   telemetry::Telemetry* telemetry() const { return telem_; }
 
  private:

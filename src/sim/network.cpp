@@ -87,16 +87,4 @@ void Network::ScheduleDelivery(NodeId from, NodeId to, Bytes payload,
       });
 }
 
-NetworkStats Network::stats() const {
-  NetworkStats s;
-  s.messages_sent = c_messages_sent_.value();
-  s.messages_delivered = c_messages_delivered_.value();
-  s.messages_dropped = c_messages_dropped_.value();
-  s.messages_unreachable = c_messages_unreachable_.value();
-  s.messages_dead_letter = c_messages_dead_letter_.value();
-  s.bytes_sent = c_bytes_sent_.value();
-  s.bytes_delivered = c_bytes_delivered_.value();
-  return s;
-}
-
 }  // namespace vegvisir::sim

@@ -27,18 +27,6 @@ struct LinkParams {
   double drop_probability = 0.0;
 };
 
-// Wire-level counters, assembled on demand from the network's
-// telemetry registry (net.*).
-struct NetworkStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_dropped = 0;     // random loss
-  std::uint64_t messages_unreachable = 0; // not connected at send time
-  std::uint64_t messages_dead_letter = 0; // receiver gone at delivery time
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_delivered = 0;
-};
-
 class Network {
  public:
   using Handler = std::function<void(NodeId from, const Bytes& payload)>;
@@ -75,7 +63,6 @@ class Network {
     return topology_->Connected(a, b, simulator_->now());
   }
 
-  NetworkStats stats() const;
   telemetry::Telemetry* telemetry() const { return telem_; }
   const Topology& topology() const { return *topology_; }
 

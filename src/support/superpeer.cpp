@@ -59,12 +59,4 @@ Status StorageManager::Refetch(const chain::BlockHash& h,
   return Status::Ok();
 }
 
-StorageManagerStats StorageManager::stats() const {
-  StorageManagerStats s;
-  s.evictions = c_evictions_.value();
-  s.bytes_reclaimed = c_bytes_reclaimed_.value();
-  s.refetches = c_refetches_.value();
-  return s;
-}
-
 }  // namespace vegvisir::support

@@ -40,17 +40,10 @@ class Superpeer {
   telemetry::Counter c_blocks_archived_;
 };
 
-// Storage-offload counters, assembled on demand from the node's
-// telemetry registry (support.*).
-struct StorageManagerStats {
-  std::uint64_t evictions = 0;
-  std::uint64_t bytes_reclaimed = 0;
-  std::uint64_t refetches = 0;
-};
-
 class StorageManager {
  public:
-  // `budget_bytes` is the device's storage cap for block bodies.
+  // `budget_bytes` is the device's storage cap for block bodies. The
+  // support.* offload counters land in the node's telemetry registry.
   StorageManager(node::Node* node, std::size_t budget_bytes)
       : node_(node),
         budget_bytes_(budget_bytes),
@@ -72,7 +65,6 @@ class StorageManager {
   // Brings an evicted block's body back from the support chain.
   Status Refetch(const chain::BlockHash& h, const SupportChain& support);
 
-  StorageManagerStats stats() const;
   std::size_t budget_bytes() const { return budget_bytes_; }
 
  private:

@@ -346,7 +346,7 @@ TEST(ChaosTest, MixedSetdiffFleetSurvivesCorruptionSoak) {
   cfg.seed = 90'210;
   cfg.node_template.recon.mode = recon::ReconConfig::Mode::kSetDiff;
   recon::ReconConfig legacy_hash_first;
-  legacy_hash_first.mode = recon::ReconConfig::Mode::kHashFirst;
+  legacy_hash_first.mode = recon::ReconConfig::Mode::kSetDiff;
   legacy_hash_first.protocol_version = 1;
   cfg.recon_overrides[4] = legacy_hash_first;
   recon::ReconConfig legacy_block_push;  // the paper's Algorithm 1

@@ -203,13 +203,13 @@ TEST_F(StateMachineTest, GenesisBootstrapsEverything) {
   EXPECT_TRUE(sm_.membership().ca_known());
   EXPECT_EQ(sm_.membership().RoleOf("owner"), chain::kOwnerRole);
   EXPECT_EQ(sm_.ChainName(), "sm-chain");
-  EXPECT_EQ(sm_.stats().applied_blocks, 1u);
-  EXPECT_EQ(sm_.stats().rejected_txns, 0u);
+  EXPECT_EQ(sm_.telemetry()->metrics.CounterValue("csm.applied_blocks"), 1u);
+  EXPECT_EQ(sm_.telemetry()->metrics.CounterValue("csm.rejected_txns"), 0u);
 }
 
 TEST_F(StateMachineTest, ApplyBlockIsIdempotent) {
   sm_.ApplyBlock(genesis_);
-  EXPECT_EQ(sm_.stats().applied_blocks, 1u);
+  EXPECT_EQ(sm_.telemetry()->metrics.CounterValue("csm.applied_blocks"), 1u);
 }
 
 TEST_F(StateMachineTest, EnrollmentViaBlock) {
@@ -228,7 +228,7 @@ TEST_F(StateMachineTest, RevocationRequiresRevokerRole) {
              "bob")),
          alice_, "alice");
   EXPECT_FALSE(sm_.membership().IsRevoked("bob"));
-  EXPECT_GT(sm_.stats().rejected_txns, 0u);
+  EXPECT_GT(sm_.telemetry()->metrics.CounterValue("csm.rejected_txns"), 0u);
   // The owner can.
   Append(StateMachine::MakeRevokeUserTx(*sm_.membership().FindCertificate(
              "bob")),
@@ -283,7 +283,7 @@ TEST_F(StateMachineTest, PermissionDeniedOpIsRejected) {
   Append(add, bob_, "bob");
   EXPECT_FALSE(sm_.FindCrdtAs<crdt::GSet>("H")->Contains(
       crdt::Value::OfStr("sneaky")));
-  EXPECT_GT(sm_.stats().rejected_txns, 0u);
+  EXPECT_GT(sm_.telemetry()->metrics.CounterValue("csm.rejected_txns"), 0u);
 }
 
 TEST_F(StateMachineTest, TypeErrorRejectedDeterministically) {
@@ -297,7 +297,7 @@ TEST_F(StateMachineTest, TypeErrorRejectedDeterministically) {
   bad.args = {crdt::Value::OfInt(42)};  // int into a set of strings
   Append(bad, owner_, "owner");
   EXPECT_EQ(sm_.FindCrdtAs<crdt::GSet>("S")->Size(), 0u);
-  EXPECT_GT(sm_.stats().rejected_txns, 0u);
+  EXPECT_GT(sm_.telemetry()->metrics.CounterValue("csm.rejected_txns"), 0u);
 }
 
 TEST_F(StateMachineTest, ReservedNamesCannotBeCreated) {
@@ -306,7 +306,7 @@ TEST_F(StateMachineTest, ReservedNamesCannotBeCreated) {
                                     AclPolicy::AllowAll()),
          owner_, "owner");
   EXPECT_EQ(sm_.FindCrdt("__evil__"), nullptr);
-  EXPECT_GT(sm_.stats().rejected_txns, 0u);
+  EXPECT_GT(sm_.telemetry()->metrics.CounterValue("csm.rejected_txns"), 0u);
 }
 
 TEST_F(StateMachineTest, OpBeforeCreateIsParkedThenApplied) {
@@ -379,7 +379,7 @@ TEST_F(StateMachineTest, CreateNameRaceResolvesDeterministically) {
   ASSERT_NE(sm2.FindCrdt("X"), nullptr);
   EXPECT_EQ(sm1.FindCrdt("X")->type(), sm2.FindCrdt("X")->type());
   EXPECT_EQ(sm1.StateFingerprint(), sm2.StateFingerprint());
-  EXPECT_GT(sm1.stats().duplicate_creates, 0u);
+  EXPECT_GT(sm1.telemetry()->metrics.CounterValue("csm.duplicate_creates"), 0u);
 }
 
 TEST_F(StateMachineTest, NonMemberCannotCreateCrdt) {

@@ -202,19 +202,21 @@ TEST(GossipTest, UnitDiskTopologyConverges) {
   EXPECT_TRUE(cluster.Converged());
 }
 
-TEST(GossipTest, GossipStatsAreCollected) {
+TEST(GossipTest, GossipCountersAreCollected) {
   sim::ExplicitTopology topo(4);
   topo.MakeClique();
   ClusterConfig cfg;
   cfg.node_count = 4;
   Cluster cluster(cfg, &topo);
   cluster.RunFor(30'000);
-  const GossipStats& stats = cluster.gossip(0).stats();
-  EXPECT_GT(stats.ticks, 0u);
-  EXPECT_GT(stats.sessions_started, 0u);
-  EXPECT_GT(stats.sessions_completed, 0u);
-  EXPECT_GT(stats.initiator.bytes_sent, 0u);
-  EXPECT_GT(cluster.network().stats().messages_delivered, 0u);
+  const telemetry::MetricsRegistry& m = cluster.telemetry(0).metrics;
+  EXPECT_GT(m.CounterValue("gossip.ticks"), 0u);
+  EXPECT_GT(m.CounterValue("recon.initiator.sessions_started"), 0u);
+  EXPECT_GT(m.CounterValue("recon.initiator.sessions_completed"), 0u);
+  EXPECT_GT(m.CounterValue("recon.initiator.bytes_sent"), 0u);
+  EXPECT_GT(cluster.network_telemetry().metrics.CounterValue(
+                "net.messages_delivered"),
+            0u);
 }
 
 TEST(GossipTest, IsolatedNodeCatchesUpWhenLinkReturns) {
@@ -248,10 +250,10 @@ TEST(GossipTest, TotalLossTimesOutSessionsWithoutLeaking) {
   cfg.link.drop_probability = 1.0;  // the air eats everything
   Cluster cluster(cfg, &topo);
   cluster.RunFor(120'000);
-  const GossipStats& stats = cluster.gossip(0).stats();
-  EXPECT_GT(stats.sessions_started, 0u);
-  EXPECT_EQ(stats.sessions_completed, 0u);
-  EXPECT_GT(stats.sessions_timed_out, 0u);  // expired, not leaked
+  const telemetry::MetricsRegistry& m = cluster.telemetry(0).metrics;
+  EXPECT_GT(m.CounterValue("recon.initiator.sessions_started"), 0u);
+  EXPECT_EQ(m.CounterValue("recon.initiator.sessions_completed"), 0u);
+  EXPECT_GT(m.CounterValue("gossip.sessions_timed_out"), 0u);  // not leaked
 }
 
 TEST(GossipTest, StoppedEngineInitiatesNothingNew) {
@@ -263,11 +265,15 @@ TEST(GossipTest, StoppedEngineInitiatesNothingNew) {
   cluster.RunFor(10'000);
   cluster.gossip(0).Stop();
   cluster.gossip(1).Stop();
-  const std::uint64_t started_0 = cluster.gossip(0).stats().sessions_started;
-  const std::uint64_t started_1 = cluster.gossip(1).stats().sessions_started;
+  const telemetry::MetricsRegistry& m0 = cluster.telemetry(0).metrics;
+  const telemetry::MetricsRegistry& m1 = cluster.telemetry(1).metrics;
+  const std::uint64_t started_0 =
+      m0.CounterValue("recon.initiator.sessions_started");
+  const std::uint64_t started_1 =
+      m1.CounterValue("recon.initiator.sessions_started");
   cluster.RunFor(30'000);
-  EXPECT_EQ(cluster.gossip(0).stats().sessions_started, started_0);
-  EXPECT_EQ(cluster.gossip(1).stats().sessions_started, started_1);
+  EXPECT_EQ(m0.CounterValue("recon.initiator.sessions_started"), started_0);
+  EXPECT_EQ(m1.CounterValue("recon.initiator.sessions_started"), started_1);
 }
 
 TEST(GossipTest, ClusterHonestListExcludesAdversaries) {
@@ -329,24 +335,23 @@ TEST(GossipTest, UnreachablePeerEntersExponentialBackoff) {
   Cluster cluster(cfg, &topo);
 
   cluster.RunFor(10'000);
-  const GossipStats early = cluster.gossip(0).stats();
-  EXPECT_GT(early.sessions_aborted, 0u);
-  EXPECT_GT(early.backoffs, 0u);
+  const telemetry::MetricsRegistry& m = cluster.telemetry(0).metrics;
+  EXPECT_GT(m.CounterValue("gossip.sessions_aborted"), 0u);
+  EXPECT_GT(m.CounterValue("gossip.backoffs"), 0u);
   const auto& backoff = cluster.gossip(0).peer_backoff();
   ASSERT_EQ(backoff.count(1), 1u);
   const std::uint32_t failures_early = backoff.at(1).failures;
   EXPECT_GE(failures_early, 1u);
 
   cluster.RunFor(110'000);  // 120 s total
-  const GossipStats late = cluster.gossip(0).stats();
   EXPECT_GT(backoff.at(1).failures, failures_early);
   // A naive engine would have attempted ~120 sessions (one per tick);
   // exponential backoff (base 2 s, cap 60 s) caps the attempt budget.
-  EXPECT_LT(late.sessions_started, 30u);
-  EXPECT_EQ(late.sessions_completed, 0u);
+  EXPECT_LT(m.CounterValue("recon.initiator.sessions_started"), 30u);
+  EXPECT_EQ(m.CounterValue("recon.initiator.sessions_completed"), 0u);
   // Ticks kept firing, but selection skipped the cooled-down peer.
-  EXPECT_GT(late.cooldown_skips, 0u);
-  EXPECT_GT(late.ticks, 100u);
+  EXPECT_GT(m.CounterValue("gossip.cooldown_skips"), 0u);
+  EXPECT_GT(m.CounterValue("gossip.ticks"), 100u);
   // Nothing leaked: aborted sessions were torn down on the spot.
   EXPECT_EQ(cluster.gossip(0).ActiveSessionCount(), 0u);
 }
@@ -366,18 +371,18 @@ TEST(GossipTest, TimeoutRetryCooldownLifecycleThenRecovery) {
   Cluster cluster(cfg, &topo);
 
   cluster.RunFor(90'000);
-  const GossipStats mid = cluster.gossip(0).stats();
-  EXPECT_GT(mid.sessions_started, 0u);
-  EXPECT_EQ(mid.sessions_completed, 0u);
-  EXPECT_GT(mid.sessions_timed_out, 0u);   // expired, not leaked
-  EXPECT_GT(mid.backoffs, 0u);             // every timeout backed off
-  EXPECT_GT(mid.retries, 0u);              // fast retries fired
-  EXPECT_LE(mid.retries, std::uint64_t{cfg.gossip.max_fast_retries});
+  const telemetry::MetricsRegistry& m = cluster.telemetry(0).metrics;
+  EXPECT_GT(m.CounterValue("recon.initiator.sessions_started"), 0u);
+  EXPECT_EQ(m.CounterValue("recon.initiator.sessions_completed"), 0u);
+  EXPECT_GT(m.CounterValue("gossip.sessions_timed_out"), 0u);  // not leaked
+  EXPECT_GT(m.CounterValue("gossip.backoffs"), 0u);  // every timeout backed off
+  EXPECT_GT(m.CounterValue("gossip.retries"), 0u);   // fast retries fired
+  EXPECT_LE(m.CounterValue("gossip.retries"),
+            std::uint64_t{cfg.gossip.max_fast_retries});
 
   cluster.RunFor(120'000);
   EXPECT_TRUE(cluster.Converged());
-  const GossipStats late = cluster.gossip(0).stats();
-  EXPECT_GT(late.sessions_completed, 0u);
+  EXPECT_GT(m.CounterValue("recon.initiator.sessions_completed"), 0u);
   // Success wipes the peer's failure history.
   EXPECT_TRUE(cluster.gossip(0).peer_backoff().empty());
 }
@@ -484,8 +489,9 @@ TEST(GossipTest, LevelCapHitIsSurfacedWhenCatchUpCannotBridge) {
   topo.MakeClique();
   ClusterConfig cfg;
   cfg.node_count = 2;
-  recon::ReconConfig capped;
-  capped.mode = recon::ReconConfig::Mode::kHashFirst;
+  recon::ReconConfig capped;  // hash-first: setdiff at protocol v1
+  capped.mode = recon::ReconConfig::Mode::kSetDiff;
+  capped.protocol_version = 1;
   capped.max_level = 2;
   cfg.recon_overrides[0] = capped;
   Cluster cluster(cfg, &topo);
@@ -526,8 +532,9 @@ TEST(GossipTest, ResumeLevelCarriesFailedCatchUpForward) {
   // Slow rounds (~300 ms RTT) so the mid-catch-up window below is
   // wide enough to hit deterministically.
   cfg.link.base_latency_ms = 150;
-  recon::ReconConfig hash_first;
-  hash_first.mode = recon::ReconConfig::Mode::kHashFirst;
+  recon::ReconConfig hash_first;  // setdiff at protocol v1
+  hash_first.mode = recon::ReconConfig::Mode::kSetDiff;
+  hash_first.protocol_version = 1;
   cfg.recon_overrides[0] = hash_first;
   cfg.recon_overrides[1] = hash_first;
   Cluster cluster(cfg, &topo);
@@ -553,10 +560,11 @@ TEST(GossipTest, ResumeLevelCarriesFailedCatchUpForward) {
   EXPECT_TRUE(cluster.Converged());
   // Success wipes the resume record along with the backoff history.
   EXPECT_EQ(cluster.gossip(0).ResumeLevelFor(1), 0u);
-  const GossipStats stats = cluster.gossip(0).stats();
-  EXPECT_GT(stats.sessions_completed, 0u);
-  EXPECT_GT(stats.sessions_failed + stats.sessions_aborted +
-                stats.sessions_timed_out,
+  const telemetry::MetricsRegistry& m = cluster.telemetry(0).metrics;
+  EXPECT_GT(m.CounterValue("recon.initiator.sessions_completed"), 0u);
+  EXPECT_GT(m.CounterValue("recon.initiator.sessions_failed") +
+                m.CounterValue("gossip.sessions_aborted") +
+                m.CounterValue("gossip.sessions_timed_out"),
             0u);
 }
 
@@ -572,7 +580,7 @@ TEST(GossipTest, LegacyPeerIsDowngradedAndMixedFleetConverges) {
   cfg.node_count = 3;
   cfg.node_template.recon.mode = recon::ReconConfig::Mode::kSetDiff;
   recon::ReconConfig legacy;
-  legacy.mode = recon::ReconConfig::Mode::kHashFirst;
+  legacy.mode = recon::ReconConfig::Mode::kSetDiff;
   legacy.protocol_version = 1;
   cfg.recon_overrides[2] = legacy;
   Cluster cluster(cfg, &topo);
@@ -584,8 +592,8 @@ TEST(GossipTest, LegacyPeerIsDowngradedAndMixedFleetConverges) {
   for (int i : {0, 1}) {
     EXPECT_TRUE(cluster.gossip(i).IsLegacyPeer(2)) << i;
     EXPECT_FALSE(cluster.gossip(i).IsLegacyPeer(1 - i)) << i;
-    EXPECT_GE(cluster.gossip(i).stats().peer_downgrades, 1u) << i;
     const telemetry::MetricsRegistry& m = cluster.telemetry(i).metrics;
+    EXPECT_GE(m.CounterValue("setdiff.peer_downgrades"), 1u) << i;
     EXPECT_GT(m.CounterValue("setdiff.probes"), 0u) << i;
     EXPECT_GT(m.CounterValue("setdiff.decode_success"), 0u) << i;
   }
@@ -596,8 +604,12 @@ TEST(GossipTest, LegacyPeerIsDowngradedAndMixedFleetConverges) {
             0u);
   // And it was never probed again after the downgrade stuck: every
   // v2 node carries at most one downgrade for it.
-  EXPECT_LE(cluster.gossip(0).stats().peer_downgrades, 1u);
-  EXPECT_LE(cluster.gossip(1).stats().peer_downgrades, 1u);
+  for (int i : {0, 1}) {
+    EXPECT_LE(cluster.telemetry(i).metrics.CounterValue(
+                  "setdiff.peer_downgrades"),
+              1u)
+        << i;
+  }
 }
 
 }  // namespace

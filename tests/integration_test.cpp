@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <tuple>
 
 #include "chain/audit.h"
 #include "chain/store.h"
@@ -117,7 +119,8 @@ TEST_P(ChaosTest, RandomWorkloadConvergesCleanly) {
                                         ? ""
                                         : report.issues[0].what);
     // And no honest transaction was rejected by the CSM.
-    EXPECT_EQ(node.state().stats().rejected_txns, 0u) << i;
+    EXPECT_EQ(node.telemetry()->metrics.CounterValue("csm.rejected_txns"), 0u)
+        << i;
   }
 }
 
@@ -394,10 +397,12 @@ TEST(IntegrationTest, NetworkRefetchOfEvictedBody) {
   EXPECT_NE(cluster.node(0).dag().Find(*h1), nullptr);
 }
 
-// All three reconciliation modes drive a gossiping cluster to
-// convergence (the gossip engine is mode-agnostic).
+// Every reconciliation mode drives a gossiping cluster to convergence
+// (the gossip engine is mode-agnostic). The parameter is (mode,
+// protocol_version); hash-first is setdiff at protocol version 1.
 class ReconModeClusterTest
-    : public ::testing::TestWithParam<recon::ReconConfig::Mode> {};
+    : public ::testing::TestWithParam<
+          std::tuple<recon::ReconConfig::Mode, std::uint32_t>> {};
 
 TEST_P(ReconModeClusterTest, ClusterConvergesUnderMode) {
   sim::ExplicitTopology topo(5);
@@ -405,7 +410,8 @@ TEST_P(ReconModeClusterTest, ClusterConvergesUnderMode) {
   node::ClusterConfig cfg;
   cfg.node_count = 5;
   cfg.seed = 77;
-  cfg.node_template.recon.mode = GetParam();
+  cfg.node_template.recon.mode = std::get<0>(GetParam());
+  cfg.node_template.recon.protocol_version = std::get<1>(GetParam());
   node::Cluster cluster(cfg, &topo);
   cluster.RunFor(30'000);
   const auto h = cluster.node(2).AddWitnessBlock();
@@ -417,14 +423,18 @@ TEST_P(ReconModeClusterTest, ClusterConvergesUnderMode) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ReconModeClusterTest,
-    ::testing::Values(recon::ReconConfig::Mode::kBlockPush,
-                      recon::ReconConfig::Mode::kHashFirst,
-                      recon::ReconConfig::Mode::kBloom),
-    [](const ::testing::TestParamInfo<recon::ReconConfig::Mode>& info) {
-      switch (info.param) {
+    ::testing::Values(
+        std::make_tuple(recon::ReconConfig::Mode::kBlockPush, 2u),
+        std::make_tuple(recon::ReconConfig::Mode::kSetDiff, 1u),
+        std::make_tuple(recon::ReconConfig::Mode::kBloom, 2u),
+        std::make_tuple(recon::ReconConfig::Mode::kSetDiff, 2u)),
+    [](const ::testing::TestParamInfo<ReconModeClusterTest::ParamType>& info)
+        -> std::string {
+      switch (std::get<0>(info.param)) {
         case recon::ReconConfig::Mode::kBlockPush: return "BlockPush";
-        case recon::ReconConfig::Mode::kHashFirst: return "HashFirst";
         case recon::ReconConfig::Mode::kBloom: return "Bloom";
+        case recon::ReconConfig::Mode::kSetDiff:
+          return std::get<1>(info.param) == 1 ? "HashFirst" : "SetDiff";
       }
       return "Unknown";
     });

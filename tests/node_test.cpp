@@ -74,7 +74,8 @@ TEST(NodeTest, SubmitBuildsOnFrontierAndApplies) {
   const auto h2 = owner->AddWitnessBlock();
   ASSERT_TRUE(h2.ok());
   EXPECT_EQ(owner->dag().ParentsOf(*h2), std::vector<chain::BlockHash>{*h1});
-  EXPECT_EQ(owner->stats().blocks_created, 2u);
+  EXPECT_EQ(owner->telemetry()->metrics.CounterValue("node.blocks_created"),
+            2u);
 }
 
 TEST(NodeTest, SubmitTimestampsStrictlyIncrease) {
@@ -206,7 +207,8 @@ TEST(NodeTest, ForgedBlockRejectedPermanently) {
   h.parents = {f.genesis.hash()};
   const Block forged = Block::Create(std::move(h), {}, TestKeys(99));
   EXPECT_EQ(owner->OfferBlock(forged), BlockVerdict::kReject);
-  EXPECT_EQ(owner->stats().blocks_rejected, 1u);
+  EXPECT_EQ(owner->telemetry()->metrics.CounterValue("node.blocks_rejected"),
+            1u);
   EXPECT_EQ(owner->QuarantineSize(), 0u);
 }
 
@@ -231,7 +233,8 @@ TEST(NodeTest, AdversaryDropsForeignBlocks) {
   // The adversary claims success but stores nothing.
   EXPECT_EQ(evil->OfferBlock(*owner->dag().Find(*h)), BlockVerdict::kValid);
   EXPECT_FALSE(evil->dag().Contains(*h));
-  EXPECT_EQ(evil->stats().foreign_dropped, 1u);
+  EXPECT_EQ(evil->telemetry()->metrics.CounterValue("node.foreign_dropped"),
+            1u);
 }
 
 TEST(NodeTest, WitnessFlowReachesPersistence) {

@@ -201,8 +201,9 @@ TEST(SessionTest, HashFirstModeTransfersLessOnDeepGaps) {
   SessionStats block_mode, hash_mode;
   ReconConfig cfg_block;
   cfg_block.mode = ReconConfig::Mode::kBlockPush;
-  ReconConfig cfg_hash;
-  cfg_hash.mode = ReconConfig::Mode::kHashFirst;
+  ReconConfig cfg_hash;  // hash-first: setdiff at protocol v1
+  cfg_hash.mode = ReconConfig::Mode::kSetDiff;
+  cfg_hash.protocol_version = 1;
   ASSERT_EQ(RunLocalSession(a1.get(), b1.get(), cfg_block, &block_mode),
             SessionState::kDone);
   ASSERT_EQ(RunLocalSession(a2.get(), b2.get(), cfg_hash, &hash_mode),
@@ -212,31 +213,6 @@ TEST(SessionTest, HashFirstModeTransfersLessOnDeepGaps) {
   EXPECT_EQ(a2->dag().Size(), b2->dag().Size());
   // Same sync, fewer bytes with hash-first.
   EXPECT_LT(hash_mode.bytes_received, block_mode.bytes_received);
-}
-
-TEST(SessionTest, ExponentialEscalationUsesLogRounds) {
-  Cluster c;
-  auto a_lin = c.MakeNode("owner", 1);
-  auto b_lin = c.MakeNode("owner", 1);
-  auto a_exp = c.MakeNode("owner", 1);
-  auto b_exp = c.MakeNode("owner", 1);
-  for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(b_lin->AddWitnessBlock().ok());
-    ASSERT_EQ(b_exp->OfferBlock(*b_lin->dag().Find(b_lin->dag().Frontier()[0])),
-              chain::BlockVerdict::kValid);
-  }
-  SessionStats lin, exp;
-  ReconConfig cfg_lin;  // Algorithm 1: n <- n+1
-  ReconConfig cfg_exp;
-  cfg_exp.escalation = ReconConfig::Escalation::kExponential;
-  ASSERT_EQ(RunLocalSession(a_lin.get(), b_lin.get(), cfg_lin, &lin),
-            SessionState::kDone);
-  ASSERT_EQ(RunLocalSession(a_exp.get(), b_exp.get(), cfg_exp, &exp),
-            SessionState::kDone);
-  EXPECT_EQ(a_lin->dag().Size(), b_lin->dag().Size());
-  EXPECT_EQ(a_exp->dag().Size(), b_exp->dag().Size());
-  EXPECT_EQ(lin.rounds, 32u);     // linear: one round per level
-  EXPECT_LE(exp.rounds, 7u);      // exponential: ~log2(32) + 1
 }
 
 TEST(SessionTest, StartLevelResumesDeepCatchUp) {
@@ -431,11 +407,13 @@ class ReconModeEquivalenceTest
 
 TEST_P(ReconModeEquivalenceTest, AllModesReachSameState) {
   const std::uint64_t seed = GetParam().seed;
-  const ReconConfig::Mode modes[] = {ReconConfig::Mode::kBlockPush,
-                                     ReconConfig::Mode::kHashFirst,
-                                     ReconConfig::Mode::kBloom};
+  // Block-push, hash-first (setdiff at protocol v1) and bloom.
+  std::vector<ReconConfig> configs(3);
+  configs[1].mode = ReconConfig::Mode::kSetDiff;
+  configs[1].protocol_version = 1;
+  configs[2].mode = ReconConfig::Mode::kBloom;
   Bytes reference_a, reference_b;
-  for (std::size_t m = 0; m < 3; ++m) {
+  for (std::size_t m = 0; m < configs.size(); ++m) {
     Cluster c;
     auto a = c.MakeNode("owner", 1);
     auto b = c.MakeNode("owner", 1);
@@ -458,8 +436,7 @@ TEST_P(ReconModeEquivalenceTest, AllModesReachSameState) {
           break;
       }
     }
-    ReconConfig cfg;
-    cfg.mode = modes[m];
+    ReconConfig cfg = configs[m];
     cfg.push_back = true;  // symmetric: both end identical
     ASSERT_EQ(RunLocalSession(a.get(), b.get(), cfg), SessionState::kDone)
         << "mode " << m;
@@ -564,12 +541,13 @@ TEST(SessionTest, SessionBytesReconcileWithNetworkBytes) {
       m0.CounterValue("recon.responder.bytes_received") +
       m1.CounterValue("recon.responder.bytes_received");
 
-  const sim::NetworkStats net = cluster.network().stats();
-  EXPECT_EQ(net.messages_dropped, 0u);
-  EXPECT_EQ(net.messages_unreachable, 0u);
-  EXPECT_EQ(net.bytes_sent, session_sent + 9 * net.messages_sent);
-  EXPECT_EQ(net.bytes_delivered,
-            session_received + 9 * net.messages_delivered);
+  const telemetry::MetricsRegistry& net = cluster.network_telemetry().metrics;
+  EXPECT_EQ(net.CounterValue("net.messages_dropped"), 0u);
+  EXPECT_EQ(net.CounterValue("net.messages_unreachable"), 0u);
+  EXPECT_EQ(net.CounterValue("net.bytes_sent"),
+            session_sent + 9 * net.CounterValue("net.messages_sent"));
+  EXPECT_EQ(net.CounterValue("net.bytes_delivered"),
+            session_received + 9 * net.CounterValue("net.messages_delivered"));
 }
 
 TEST(SessionTest, LevelCapFailsGracefully) {

@@ -59,7 +59,7 @@ TEST(SecurityTest, SelfIssuedCertificateRejected) {
   ASSERT_EQ(owner->OfferBlock(enrol), BlockVerdict::kValid);  // block is real
   // ...but the transaction inside was rejected.
   EXPECT_EQ(owner->state().membership().FindCertificate("eve"), nullptr);
-  EXPECT_GT(owner->state().stats().rejected_txns, 0u);
+  EXPECT_GT(owner->telemetry()->metrics.CounterValue("csm.rejected_txns"), 0u);
 }
 
 TEST(SecurityTest, KeySubstitutionOnCertificateFails) {

@@ -216,7 +216,8 @@ TEST(NetworkTest, DeliversWithLatency) {
   s.RunAll();
   EXPECT_EQ(received, (Bytes{1, 2, 3, 4, 5}));
   EXPECT_EQ(delivered_at, 15u);  // 10 latency + 5 bytes at 1 B/ms
-  EXPECT_EQ(net.stats().messages_delivered, 1u);
+  const telemetry::MetricsRegistry& net_metrics = net.telemetry()->metrics;
+  EXPECT_EQ(net_metrics.CounterValue("net.messages_delivered"), 1u);
 }
 
 TEST(NetworkTest, DisconnectedSendFails) {
@@ -226,7 +227,8 @@ TEST(NetworkTest, DisconnectedSendFails) {
   net.Register(1, [](NodeId, const Bytes&) { FAIL(); });
   EXPECT_FALSE(net.Send(0, 1, Bytes{1}));
   s.RunAll();
-  EXPECT_EQ(net.stats().messages_unreachable, 1u);
+  const telemetry::MetricsRegistry& net_metrics = net.telemetry()->metrics;
+  EXPECT_EQ(net_metrics.CounterValue("net.messages_unreachable"), 1u);
 }
 
 TEST(NetworkTest, DropProbabilityLosesMessages) {
@@ -241,9 +243,10 @@ TEST(NetworkTest, DropProbabilityLosesMessages) {
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(net.Send(0, 1, Bytes{1}));
   s.RunAll();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(net.stats().messages_dropped, 10u);
+  const telemetry::MetricsRegistry& net_metrics = net.telemetry()->metrics;
+  EXPECT_EQ(net_metrics.CounterValue("net.messages_dropped"), 10u);
   // The radio still transmitted: bytes_sent is charged.
-  EXPECT_EQ(net.stats().bytes_sent, 10u);
+  EXPECT_EQ(net_metrics.CounterValue("net.bytes_sent"), 10u);
 }
 
 TEST(NetworkTest, EnergyChargedToBothEnds) {
@@ -299,7 +302,8 @@ TEST(FaultInjectorTest, LossDropsAndCounts) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(inj.OnSend(0, 1, 0, Bytes{1, 2}).empty());
   }
-  EXPECT_EQ(inj.stats().messages_dropped, 10u);
+  const telemetry::MetricsRegistry& fault_metrics = inj.telemetry()->metrics;
+  EXPECT_EQ(fault_metrics.CounterValue("fault.messages_dropped"), 10u);
 }
 
 TEST(FaultInjectorTest, CorruptionMutatesBytesButNotSize) {
@@ -313,7 +317,8 @@ TEST(FaultInjectorTest, CorruptionMutatesBytesButNotSize) {
     if (out[0].payload != original) mutated = true;
   }
   EXPECT_TRUE(mutated);
-  EXPECT_EQ(inj.stats().messages_corrupted, 8u);
+  const telemetry::MetricsRegistry& fault_metrics = inj.telemetry()->metrics;
+  EXPECT_EQ(fault_metrics.CounterValue("fault.messages_corrupted"), 8u);
 }
 
 TEST(FaultInjectorTest, TruncationShrinksAndAccountsBytes) {
@@ -325,8 +330,9 @@ TEST(FaultInjectorTest, TruncationShrinksAndAccountsBytes) {
     EXPECT_LT(out[0].payload.size(), 100u);
     removed += 100 - out[0].payload.size();
   }
-  EXPECT_EQ(inj.stats().messages_truncated, 8u);
-  EXPECT_EQ(inj.stats().bytes_truncated, removed);
+  const telemetry::MetricsRegistry& fault_metrics = inj.telemetry()->metrics;
+  EXPECT_EQ(fault_metrics.CounterValue("fault.messages_truncated"), 8u);
+  EXPECT_EQ(fault_metrics.CounterValue("fault.bytes_truncated"), removed);
 }
 
 TEST(FaultInjectorTest, DuplicationDeliversTwiceWithTrailingCopy) {
@@ -336,7 +342,8 @@ TEST(FaultInjectorTest, DuplicationDeliversTwiceWithTrailingCopy) {
   EXPECT_EQ(out[0].payload, out[1].payload);
   // The copy must trail the original, else it is not a reorder hazard.
   EXPECT_GT(out[0].extra_delay_ms, out[1].extra_delay_ms);
-  EXPECT_EQ(inj.stats().messages_duplicated, 1u);
+  const telemetry::MetricsRegistry& fault_metrics = inj.telemetry()->metrics;
+  EXPECT_EQ(fault_metrics.CounterValue("fault.messages_duplicated"), 1u);
 }
 
 TEST(FaultInjectorTest, FlapIsSymmetricWindowedAndEventuallyDown) {
@@ -408,8 +415,9 @@ TEST(NetworkTest, DeregisteredReceiverBecomesDeadLetter) {
   net.Deregister(1);  // receiver powers off with the message in flight
   s.RunAll();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(net.stats().messages_dead_letter, 1u);
-  EXPECT_EQ(net.stats().messages_delivered, 0u);
+  const telemetry::MetricsRegistry& net_metrics = net.telemetry()->metrics;
+  EXPECT_EQ(net_metrics.CounterValue("net.messages_dead_letter"), 1u);
+  EXPECT_EQ(net_metrics.CounterValue("net.messages_delivered"), 0u);
 }
 
 TEST(NetworkTest, FaultInjectorInterposesOnSends) {
@@ -428,11 +436,14 @@ TEST(NetworkTest, FaultInjectorInterposesOnSends) {
   ASSERT_TRUE(net.Send(0, 1, Bytes(10, 7)));
   s.RunAll();
   EXPECT_EQ(delivered, 2);  // original + duplicate
-  EXPECT_EQ(net.stats().messages_sent, 1u);
-  EXPECT_EQ(net.stats().bytes_sent, 10u);   // the radio sent one copy
-  EXPECT_EQ(net.stats().messages_delivered, 2u);
-  EXPECT_EQ(net.stats().bytes_delivered, delivered_bytes);
-  EXPECT_EQ(inj.stats().messages_duplicated, 1u);
+  const telemetry::MetricsRegistry& net_metrics = net.telemetry()->metrics;
+  EXPECT_EQ(net_metrics.CounterValue("net.messages_sent"), 1u);
+  // The radio sent one copy.
+  EXPECT_EQ(net_metrics.CounterValue("net.bytes_sent"), 10u);
+  EXPECT_EQ(net_metrics.CounterValue("net.messages_delivered"), 2u);
+  EXPECT_EQ(net_metrics.CounterValue("net.bytes_delivered"), delivered_bytes);
+  const telemetry::MetricsRegistry& fault_metrics = inj.telemetry()->metrics;
+  EXPECT_EQ(fault_metrics.CounterValue("fault.messages_duplicated"), 1u);
 }
 
 TEST(NetworkTest, FlappedLinkRefusesSends) {
@@ -445,8 +456,10 @@ TEST(NetworkTest, FlappedLinkRefusesSends) {
   net.Register(1, [](NodeId, const Bytes&) { FAIL(); });
   EXPECT_FALSE(net.Send(0, 1, Bytes{1}));
   s.RunAll();
-  EXPECT_EQ(net.stats().messages_unreachable, 1u);
-  EXPECT_EQ(inj.stats().sends_flap_blocked, 1u);
+  const telemetry::MetricsRegistry& net_metrics = net.telemetry()->metrics;
+  EXPECT_EQ(net_metrics.CounterValue("net.messages_unreachable"), 1u);
+  const telemetry::MetricsRegistry& fault_metrics = inj.telemetry()->metrics;
+  EXPECT_EQ(fault_metrics.CounterValue("fault.sends_flap_blocked"), 1u);
 }
 
 // ----------------------------------------------------------------- Energy

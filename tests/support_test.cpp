@@ -120,8 +120,9 @@ TEST(StorageManagerTest, EnforcesBudgetByEvictingOldestArchived) {
   const std::size_t evicted = mgr.Enforce(&sc);
   EXPECT_GT(evicted, 0u);
   EXPECT_LE(owner->dag().StoredBytes(), full / 2);
-  EXPECT_EQ(mgr.stats().evictions, evicted);
-  EXPECT_GT(mgr.stats().bytes_reclaimed, 0u);
+  const telemetry::MetricsRegistry& m = owner->telemetry()->metrics;
+  EXPECT_EQ(m.CounterValue("support.evictions"), evicted);
+  EXPECT_GT(m.CounterValue("support.bytes_reclaimed"), 0u);
   // The DAG still knows all blocks (stubs), nothing lost.
   EXPECT_EQ(owner->dag().Size(), 21u);
 }
@@ -154,7 +155,7 @@ TEST(StorageManagerTest, RefetchRestoresEvictedBody) {
 
   ASSERT_TRUE(mgr.Refetch(*h1, sc).ok());
   EXPECT_EQ(owner->dag().PresenceOf(*h1), chain::Presence::kStored);
-  EXPECT_EQ(mgr.stats().refetches, 1u);
+  EXPECT_EQ(owner->telemetry()->metrics.CounterValue("support.refetches"), 1u);
   // Refetching something never archived fails cleanly.
   BlockHash phantom{};
   phantom.fill(9);

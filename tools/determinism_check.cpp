@@ -120,7 +120,7 @@ RunResult RunOnce(std::uint64_t seed, sim::TimeMs duration_ms, int nodes,
   cfg.node_template.recon.mode = recon::ReconConfig::Mode::kSetDiff;
   if (nodes > 1) {
     recon::ReconConfig legacy;
-    legacy.mode = recon::ReconConfig::Mode::kHashFirst;
+    legacy.mode = recon::ReconConfig::Mode::kSetDiff;
     legacy.protocol_version = 1;
     cfg.recon_overrides[nodes - 1] = legacy;
   }

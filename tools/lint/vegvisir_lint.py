@@ -18,7 +18,10 @@ Seven repo-specific invariants that clang-tidy cannot express:
      dynamically must carry a `// lint: metric-name <pattern>...`
      annotation on one of the three preceding lines naming the
      patterns they can produce (each pattern must itself resolve
-     against the table, `*` matching a suffix).
+     against the table, `*` matching a suffix). This is the one rule
+     that also scans tests/: CounterValue returns 0 for a name that
+     was never registered, so a misspelt name in an `EXPECT_EQ(...,
+     0u)` would otherwise pass silently.
 
   3. checked-decode: every function named Decode*/Parse*/Deserialize*
      must return Status or StatusOr (decoding hostile bytes must not
@@ -101,6 +104,13 @@ METRIC_MACHINERY = {
     "src/telemetry/metrics.cpp",
     "src/telemetry/trace.h",
     "src/telemetry/trace.cpp",
+}
+
+# metric-names: test files that exercise the registry itself with
+# synthetic names (not the declared production series).
+METRIC_TEST_FIXTURES = {
+    "tests/telemetry_test.cpp",  # registry/tracer/exporter unit tests
+    "tests/exec_test.cpp",       # concurrent counter hammer
 }
 
 # no-wall-clock: directory allowed to own time (trailing slash).
@@ -283,7 +293,7 @@ def check_wall_clock(rel, stripped, findings):
 
 
 def check_metric_names(rel, text, stripped, tables, findings):
-    if rel in METRIC_MACHINERY:
+    if rel in METRIC_MACHINERY or rel in METRIC_TEST_FIXTURES:
         return
     raw_lines = text.splitlines()
     for m in re.finditer(r"\b(" + "|".join(METRIC_METHODS) + r")\s*\(",
@@ -517,18 +527,22 @@ def check_taint_suppressions(rel, text, findings):
         )
 
 
+def sources(root, subdir):
+    """Yields (rel, text, stripped) for every C++ file under subdir."""
+    for path in sorted((root / subdir).rglob("*")):
+        if path.suffix not in (".h", ".cpp"):
+            continue
+        text = path.read_text()
+        yield str(path.relative_to(root)), text, strip_code(text)
+
+
 def main():
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     if not (root / "src/telemetry/metric_names.h").exists():
         sys.exit(f"{root} does not look like the repo root")
     tables = parse_metric_tables(root)
     findings = []
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in (".h", ".cpp"):
-            continue
-        rel = str(path.relative_to(root))
-        text = path.read_text()
-        stripped = strip_code(text)
+    for rel, text, stripped in sources(root, "src"):
         check_wall_clock(rel, stripped, findings)
         check_metric_names(rel, text, stripped, tables, findings)
         check_decode_status(rel, stripped, findings)
@@ -536,12 +550,14 @@ def main():
         check_thread_containment(rel, text, stripped, findings)
         check_mutex_annotation(rel, text, stripped, findings)
         check_taint_suppressions(rel, text, findings)
+    for rel, text, stripped in sources(root, "tests"):
+        check_metric_names(rel, text, stripped, tables, findings)
     for rel, line, rule, message in sorted(findings):
         print(f"{rel}:{line}: {rule}: {message}")
     if findings:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print(f"vegvisir_lint: src/ clean "
+    print(f"vegvisir_lint: src/ and tests/ clean "
           f"({sum(len(v) for v in tables.values())} declared metric names)")
     return 0
 
