@@ -98,12 +98,12 @@ bool Verify(const PublicKey& public_key, ByteSpan message,
   const Sha512Digest k_hash = h.Finish();
   const Scalar k = ScFromBytesModL(ByteSpan(k_hash.data(), k_hash.size()));
 
-  // Accept iff [s]B == R + [k]A.
+  // Accept iff [s]B == R + [k]A, checked as [k](-A) + [s]B == R.
   std::array<std::uint8_t, 32> s_bytes;
   std::memcpy(s_bytes.data(), s_enc.data(), 32);
-  const GePoint lhs = GeScalarMultBase(s_bytes);
-  const GePoint rhs = GeAdd(*r_point, GeScalarMult(*a_point, ScToBytes(k)));
-  return GeEqual(lhs, rhs);
+  const GePoint check =
+      GeDoubleScalarMultBase(ScToBytes(k), GeNeg(*a_point), s_bytes);
+  return GeEqual(check, *r_point);
 }
 
 }  // namespace vegvisir::crypto

@@ -55,7 +55,9 @@ class KeyPair {
 };
 
 // Signature verification (RFC 8032 §5.1.7): checks canonical s,
-// decompresses A and R, and tests [s]B == R + [k]A.
+// decompresses A and R, and tests the cofactorless [s]B == R + [k]A,
+// computed as [k](-A) + [s]B in one joint loop and compared with R by
+// projective equality.
 bool Verify(const PublicKey& public_key, ByteSpan message,
             const Signature& signature);
 

@@ -1,6 +1,193 @@
 #include "crypto/ge25519.h"
 
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <vector>
+
+#include "crypto/sc25519.h"
+
 namespace vegvisir::crypto {
+namespace {
+
+// ref10's point forms. GePoint is the extended form ("P3").
+//
+// Projective (X : Y : Z), x = X/Z, y = Y/Z: what doubling reads.
+struct P2 {
+  Fe x, y, z;
+};
+
+// Completed ((X : Z), (Y : T)), x = X/Z, y = Y/T: what doubling and
+// addition produce before the caller picks the form it needs next.
+struct P1P1 {
+  Fe x, y, z, t;
+};
+
+// Cached (Y + X, Y - X, Z, 2dT): an addend reused many times.
+struct Cached {
+  Fe y_plus_x, y_minus_x, z, t2d;
+};
+
+// Affine cached (y + x, y - x, 2dxy) with Z = 1: table entries built
+// once; adding one saves the Z multiplication.
+struct AffineCached {
+  Fe y_plus_x, y_minus_x, xy2d;
+};
+
+P2 ToP2(const P1P1& p) {
+  return P2{FeMul(p.x, p.t), FeMul(p.y, p.z), FeMul(p.z, p.t)};
+}
+
+GePoint ToP3(const P1P1& p) {
+  return GePoint{FeMul(p.x, p.t), FeMul(p.y, p.z), FeMul(p.z, p.t),
+                 FeMul(p.x, p.y)};
+}
+
+Cached ToCached(const GePoint& p) {
+  return Cached{FeAdd(p.y, p.x), FeSub(p.y, p.x), p.z,
+                FeMul(p.t, FeConstD2())};
+}
+
+// -q: negating x swaps y + x with y - x and flips the sign of 2dT.
+Cached Neg(const Cached& q) {
+  return Cached{q.y_minus_x, q.y_plus_x, q.z, FeNeg(q.t2d)};
+}
+
+AffineCached Neg(const AffineCached& q) {
+  return AffineCached{q.y_minus_x, q.y_plus_x, FeNeg(q.xy2d)};
+}
+
+// 2p (ref10 ge_p2_dbl).
+P1P1 Dbl(const P2& p) {
+  const Fe xx = FeSquare(p.x);
+  const Fe yy = FeSquare(p.y);
+  const Fe zz = FeSquare(p.z);
+  const Fe sum_sq = FeSquare(FeAdd(p.x, p.y));
+  const Fe y = FeAdd(yy, xx);
+  const Fe z = FeSub(yy, xx);
+  return P1P1{FeSub(sum_sq, y), y, z, FeSub(FeAdd(zz, zz), z)};
+}
+
+P1P1 Dbl(const GePoint& p) { return Dbl(P2{p.x, p.y, p.z}); }
+
+// p + q given q's y + x, y - x, 2dxy-term and the product of the two
+// Z coordinates (ref10 ge_add / ge_madd).
+P1P1 AddTerms(const GePoint& p, const Fe& y_plus_x, const Fe& y_minus_x,
+              const Fe& t2d, const Fe& zz) {
+  const Fe a = FeMul(FeAdd(p.y, p.x), y_plus_x);
+  const Fe b = FeMul(FeSub(p.y, p.x), y_minus_x);
+  const Fe c = FeMul(p.t, t2d);
+  const Fe d = FeAdd(zz, zz);
+  return P1P1{FeSub(a, b), FeAdd(a, b), FeAdd(d, c), FeSub(d, c)};
+}
+
+P1P1 Add(const GePoint& p, const Cached& q) {
+  return AddTerms(p, q.y_plus_x, q.y_minus_x, q.t2d, FeMul(p.z, q.z));
+}
+
+P1P1 Add(const GePoint& p, const AffineCached& q) {
+  return AddTerms(p, q.y_plus_x, q.y_minus_x, q.xy2d, p.z);
+}
+
+// Converts points to affine cached form with a single field inversion
+// (Montgomery's trick): prefix products of the Z coordinates, one
+// inversion of the total, then a backward pass peeling off each 1/Z.
+std::vector<AffineCached> ToAffineCached(const std::vector<GePoint>& points) {
+  std::vector<Fe> prefix(points.size());  // Z_0 * ... * Z_(i-1)
+  Fe acc = FeOne();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    prefix[i] = acc;
+    acc = FeMul(acc, points[i].z);
+  }
+  Fe inv = FeInvert(acc);
+  std::vector<AffineCached> out(points.size());
+  for (std::size_t i = points.size(); i-- > 0;) {
+    const Fe z_inv = FeMul(inv, prefix[i]);
+    inv = FeMul(inv, points[i].z);
+    const Fe x = FeMul(points[i].x, z_inv);
+    const Fe y = FeMul(points[i].y, z_inv);
+    out[i] = AffineCached{FeAdd(y, x), FeSub(y, x),
+                          FeMul(FeMul(x, y), FeConstD2())};
+  }
+  return out;
+}
+
+// p, 3p, 5p, ..., (2n - 1)p.
+std::vector<GePoint> OddMultiples(const GePoint& p, int n) {
+  const Cached p2 = ToCached(ToP3(Dbl(p)));
+  std::vector<GePoint> out{p};
+  while (static_cast<int>(out.size()) < n) out.push_back(ToP3(Add(out.back(), p2)));
+  return out;
+}
+
+// NAF window widths of the joint verify loop. A width-w table holds
+// the 2^(w-2) odd multiples 1, 3, ..., 2^(w-1) - 1 of its point: built
+// per call for P, once for B.
+constexpr int kPointWindow = 5;
+constexpr int kBaseWindow = 8;
+
+// Odd multiples B, 3B, ..., 127B for GeDoubleScalarMultBase.
+const std::vector<AffineCached>& BaseOddMultiples() {
+  static const std::vector<AffineCached> table = ToAffineCached(
+      OddMultiples(GeBasePoint(), 1 << (kBaseWindow - 2)));
+  return table;
+}
+
+// Row i holds j * 16^i * B for j = 1..8, for GeScalarMultBase.
+const std::vector<AffineCached>& BaseRadix16Table() {
+  static const std::vector<AffineCached> table = [] {
+    std::vector<GePoint> points;
+    points.reserve(64 * 8);
+    GePoint row_base = GeBasePoint();  // 16^i * B
+    for (int i = 0; i < 64; ++i) {
+      const Cached step = ToCached(row_base);
+      points.push_back(row_base);
+      for (int j = 1; j < 8; ++j) points.push_back(ToP3(Add(points.back(), step)));
+      row_base = ToP3(Dbl(points.back()));  // 2 * (8 * 16^i * B)
+    }
+    return ToAffineCached(points);
+  }();
+  return table;
+}
+
+// Width-w NAF of a scalar below 2^255: every digit is 0 or odd with
+// |digit| < 2^(w-1), nonzero digits are at least w positions apart,
+// and the sum of digit[i] * 2^i is the scalar.
+std::array<int, 256> Wnaf(const std::array<std::uint8_t, 32>& scalar_le, int w) {
+  std::uint64_t words[5] = {0, 0, 0, 0, 0};
+  std::memcpy(words, scalar_le.data(), 32);  // little-endian host
+  const int width = 1 << w;
+  std::array<int, 256> naf{};
+  int carry = 0;
+  int pos = 0;
+  while (pos < 256) {
+    const int word = pos / 64, shift = pos % 64;
+    std::uint64_t bits = words[word] >> shift;
+    if (shift + w > 64) bits |= words[word + 1] << (64 - shift);
+    const int window = carry + static_cast<int>(bits & (width - 1));
+    if ((window & 1) == 0) {  // lowest bit 0: no digit here
+      ++pos;
+      continue;
+    }
+    if (window < width / 2) {
+      carry = 0;
+      naf[pos] = window;
+    } else {
+      carry = 1;
+      naf[pos] = window - width;
+    }
+    pos += w;
+  }
+  return naf;
+}
+
+// The table entry for an odd digit d: table[|d| / 2], negated if d < 0.
+template <typename Entry>
+Entry Select(const std::vector<Entry>& table, int digit) {
+  return digit > 0 ? table[digit / 2] : Neg(table[-digit / 2]);
+}
+
+}  // namespace
 
 GePoint GeIdentity() {
   return GePoint{FeZero(), FeOne(), FeOne(), FeZero()};
@@ -54,8 +241,63 @@ GePoint GeScalarMult(const GePoint& p,
   return r;
 }
 
+GePoint GeNeg(const GePoint& p) {
+  return GePoint{FeNeg(p.x), p.y, p.z, FeNeg(p.t)};
+}
+
 GePoint GeScalarMultBase(const std::array<std::uint8_t, 32>& scalar_le) {
-  return GeScalarMult(GeBasePoint(), scalar_le);
+  // The recoding below needs a scalar below 2^255; B has order L, so
+  // reducing a larger one mod L gives the same point.
+  std::array<std::uint8_t, 32> s = scalar_le;
+  if (s[31] & 0x80) s = ScToBytes(ScFromBytesModL(ByteSpan(s.data(), 32)));
+
+  // Signed radix-16 digits e[i] in [-8, 8] with scalar = sum e[i] 16^i.
+  int e[64];
+  for (int i = 0; i < 32; ++i) {
+    e[2 * i] = s[i] & 15;
+    e[2 * i + 1] = s[i] >> 4;
+  }
+  int carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    e[i] += carry;
+    carry = (e[i] + 8) >> 4;
+    e[i] -= carry << 4;
+  }
+  e[63] += carry;  // at most 7 + 1, as the scalar is below 2^255
+
+  const std::vector<AffineCached>& table = BaseRadix16Table();
+  GePoint r = GeIdentity();
+  for (int i = 0; i < 64; ++i) {
+    if (e[i] == 0) continue;
+    const AffineCached& entry = table[8 * i + std::abs(e[i]) - 1];
+    r = ToP3(Add(r, e[i] > 0 ? entry : Neg(entry)));
+  }
+  return r;
+}
+
+GePoint GeDoubleScalarMultBase(const std::array<std::uint8_t, 32>& a_le,
+                               const GePoint& p,
+                               const std::array<std::uint8_t, 32>& b_le) {
+  const auto a_naf = Wnaf(a_le, kPointWindow);
+  const auto b_naf = Wnaf(b_le, kBaseWindow);
+  std::vector<Cached> p_table;
+  for (const GePoint& m : OddMultiples(p, 1 << (kPointWindow - 2))) {
+    p_table.push_back(ToCached(m));
+  }
+  const std::vector<AffineCached>& b_table = BaseOddMultiples();
+
+  int top = 255;
+  while (top >= 0 && a_naf[top] == 0 && b_naf[top] == 0) --top;
+
+  // Horner over the digits, most significant first; t starts as the
+  // identity in completed form.
+  P1P1 t{FeZero(), FeOne(), FeOne(), FeOne()};
+  for (int i = top; i >= 0; --i) {
+    t = Dbl(ToP2(t));
+    if (a_naf[i] != 0) t = Add(ToP3(t), Select(p_table, a_naf[i]));
+    if (b_naf[i] != 0) t = Add(ToP3(t), Select(b_table, b_naf[i]));
+  }
+  return ToP3(t);
 }
 
 std::array<std::uint8_t, 32> GeCompress(const GePoint& p) {

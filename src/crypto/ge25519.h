@@ -2,8 +2,27 @@
 //
 // Points on -x^2 + y^2 = 1 + d x^2 y^2 over GF(2^255 - 19), held in
 // extended coordinates (X : Y : Z : T) with x = X/Z, y = Y/Z,
-// x*y = T/Z. Formulas are the EFD "add-2008-hwcd-3" (a = -1) addition
-// and "dbl-2008-hwcd" doubling.
+// x*y = T/Z.
+//
+// Two layers live here:
+//   - GeAdd, GeDouble and GeScalarMult: the EFD "add-2008-hwcd-3"
+//     (a = -1) addition, "dbl-2008-hwcd" doubling and a plain
+//     double-and-add loop. They are the readable reference that the
+//     tests check the fast paths against; the signing and verifying
+//     code does not call them.
+//   - GeScalarMultBase and GeDoubleScalarMultBase: the fast paths.
+//     Internally they use ref10's point forms (projective, completed,
+//     cached and affine-cached; private to ge25519.cpp) so that
+//     doublings and additions skip the multiplications whose results
+//     the next step discards.
+//       * [s]B for signing is a fixed-base signed radix-16 walk over
+//         a table of j * 16^i * B (i < 64, j <= 8) built once: about
+//         64 mixed additions and no doublings.
+//       * [a]P + [b]B for verifying is one joint width-w NAF loop
+//         (Straus): ~253 doublings shared by both scalars, with odd
+//         multiples of P (w = 5) built per call and of B (w = 8)
+//         built once; about 70 additions.
+// All of it is variable-time; see the fe25519.h timing note.
 #pragma once
 
 #include <array>
@@ -26,14 +45,24 @@ const GePoint& GeBasePoint();
 
 GePoint GeAdd(const GePoint& p, const GePoint& q);
 GePoint GeDouble(const GePoint& p);
+// -p = (-x, y).
+GePoint GeNeg(const GePoint& p);
 
-// [scalar] * p, scalar given as 32 little-endian bytes (values up to
-// 2^255 accepted — the clamped secret scalar is not reduced mod L).
-// Variable-time double-and-add; see the fe25519.h timing note.
+// [scalar] * p, scalar given as 32 little-endian bytes (any 256-bit
+// value). Reference double-and-add: 256 doublings, one addition per
+// set bit.
 GePoint GeScalarMult(const GePoint& p, const std::array<std::uint8_t, 32>& scalar_le);
 
-// [scalar] * B.
+// [scalar] * B for any 256-bit scalar; callers pass the clamped
+// secret scalar unreduced. A scalar with bit 255 set is reduced mod L
+// first (B has order L). Fixed-base table walk, no doublings.
 GePoint GeScalarMultBase(const std::array<std::uint8_t, 32>& scalar_le);
+
+// [a] * p + [b] * B in one joint loop. Both scalars must be below
+// 2^255; Verify passes values reduced mod L.
+GePoint GeDoubleScalarMultBase(const std::array<std::uint8_t, 32>& a_le,
+                               const GePoint& p,
+                               const std::array<std::uint8_t, 32>& b_le);
 
 // RFC 8032 point compression: 32 bytes = y with sign(x) in bit 255.
 std::array<std::uint8_t, 32> GeCompress(const GePoint& p);

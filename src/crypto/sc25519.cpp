@@ -25,7 +25,7 @@ bool GreaterEqual256(const u64 a[4], const u64 b[4]) {
   return true;  // equal
 }
 
-// a -= b, assuming a >= b.
+// a -= b mod 2^256.
 void Sub256(u64 a[4], const u64 b[4]) {
   u64 borrow = 0;
   for (int i = 0; i < 4; ++i) {
@@ -35,17 +35,49 @@ void Sub256(u64 a[4], const u64 b[4]) {
   }
 }
 
-// Reduces an n-word little-endian value mod L into `out`.
-// Processes bits most-significant first: r = 2r + bit; if r >= L, r -= L.
-void ReduceModL(const u64* words, int n, u64 out[4]) {
-  u64 r[4] = {0, 0, 0, 0};
-  for (int bit = n * 64 - 1; bit >= 0; --bit) {
-    // r <<= 1 (r < L < 2^253 so no overflow past word 3).
-    for (int i = 3; i > 0; --i) r[i] = (r[i] << 1) | (r[i - 1] >> 63);
-    r[0] <<= 1;
-    r[0] |= (words[bit / 64] >> (bit % 64)) & 1;
-    if (GreaterEqual256(r, kL)) Sub256(r, kL);
+// mu = floor(2^512 / L), the Barrett constant, little-endian words.
+constexpr u64 kMu[5] = {
+    0xed9ce5a30a2c131bULL,
+    0x2106215d086329a7ULL,
+    0xffffffffffffffebULL,
+    0xffffffffffffffffULL,
+    0x000000000000000fULL,
+};
+
+// Reduces a 512-bit little-endian value mod L into `out` by Barrett
+// reduction in base 2^64 (HAC 14.42 with k = 4 words): the quotient
+// estimate q = ((x >> 192) * mu) >> 320 is at most 2 below
+// floor(x / L), so x - q*L lies in [0, 3L) and at most two
+// subtractions of L finish.
+void ReduceModL(const u64 x[8], u64 out[4]) {
+  // q = ((x >> 192) * mu) >> 320: the top 5 words of a 10-word product.
+  u64 prod[10] = {0};
+  for (int i = 0; i < 5; ++i) {
+    u64 carry = 0;
+    for (int j = 0; j < 5; ++j) {
+      const u128 t = (u128)x[3 + i] * kMu[j] + prod[i + j] + carry;
+      prod[i + j] = (u64)t;
+      carry = (u64)(t >> 64);
+    }
+    prod[i + 5] = carry;
   }
+  const u64* q = prod + 5;
+
+  // r = x - q*L. Its true value is below 3L < 2^256, so computing it
+  // mod 2^256 loses nothing.
+  u64 ql[4] = {0, 0, 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    u64 carry = 0;
+    for (int j = 0; i + j < 4; ++j) {
+      const u128 t = (u128)q[i] * kL[j] + ql[i + j] + carry;
+      ql[i + j] = (u64)t;
+      carry = (u64)(t >> 64);
+    }
+  }
+  u64 r[4];
+  std::memcpy(r, x, sizeof(r));
+  Sub256(r, ql);
+  while (GreaterEqual256(r, kL)) Sub256(r, kL);
   std::memcpy(out, r, sizeof(r));
 }
 
@@ -61,7 +93,7 @@ Scalar ScFromBytesModL(ByteSpan bytes) {
     std::memcpy(&words[i], buf + 8 * i, 8);  // little-endian host
   }
   Scalar s;
-  ReduceModL(words, 8, s.w);
+  ReduceModL(words, s.w);
   return s;
 }
 
@@ -108,7 +140,7 @@ Scalar ScMulAdd(const Scalar& a, const Scalar& b, const Scalar& c) {
     prod[i] = with_carry;
   }
   Scalar r;
-  ReduceModL(prod, 8, r.w);
+  ReduceModL(prod, r.w);
   return r;
 }
 

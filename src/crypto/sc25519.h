@@ -1,9 +1,9 @@
 // Scalar arithmetic modulo the Ed25519 group order
 // L = 2^252 + 27742317777372353535851937790883648493.
 //
-// Scalars are 4 little-endian 64-bit words. Reduction uses a simple
-// shift-and-subtract scheme: it is called only a handful of times per
-// signature so simplicity beats the heavily unrolled ref10 code.
+// Scalars are 4 little-endian 64-bit words. Reduction of 512-bit
+// values is Barrett reduction on 64-bit words: a 5x5-word and a
+// 4x4-word product and at most two subtractions.
 #pragma once
 
 #include <array>

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
@@ -20,6 +21,17 @@ namespace vegvisir::crypto {
 namespace {
 
 std::string DigestHex(ByteSpan d) { return ToHex(d); }
+
+constexpr char kLHex[] =
+    "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010";
+constexpr char kLMinus1Hex[] =
+    "ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010";
+
+std::array<std::uint8_t, 32> Bytes32(const Bytes& b) {
+  std::array<std::uint8_t, 32> out{};
+  std::memcpy(out.data(), b.data(), 32);
+  return out;
+}
 
 // ---------------------------------------------------------------- SHA-256
 
@@ -432,6 +444,90 @@ TEST(Fe25519Test, PowMatchesInvert) {
   EXPECT_TRUE(FeEqual(FePow(a, exp), FeInvert(a)));
 }
 
+// Limb bounds from the contract in fe25519.h.
+constexpr std::uint64_t kLooseMax = (std::uint64_t{1} << 54) - 1;
+constexpr std::uint64_t kTightMax =
+    (std::uint64_t{1} << 51) + (std::uint64_t{1} << 18) - 1;
+constexpr std::uint64_t k4PLimb0 = 4 * ((std::uint64_t{1} << 51) - 19);
+constexpr std::uint64_t k4PLimb = 4 * ((std::uint64_t{1} << 51) - 1);
+
+Fe AllLimbs(std::uint64_t limb) { return Fe{{limb, limb, limb, limb, limb}}; }
+
+bool IsTight(const Fe& f) {
+  for (std::uint64_t limb : f.v) {
+    if (limb > kTightMax) return false;
+  }
+  return true;
+}
+
+std::string FeHex(const Fe& f) {
+  const auto b = FeToBytes(f);
+  return ToHex(ByteSpan(b.data(), b.size()));
+}
+
+// The value of f rebuilt from small inputs only: the sum of
+// limb_i * 2^(51 i), each term a product of two elements with limbs
+// below 2^51.
+Fe ReducedCopy(const Fe& f) {
+  Fe acc = FeZero();
+  for (int i = 0; i < 5; ++i) {
+    std::array<std::uint8_t, 32> pow2{};
+    pow2[51 * i / 8] = static_cast<std::uint8_t>(1u << (51 * i % 8));
+    const Fe term =
+        FeMul(FeFromU64(f.v[i]), FeFromBytes(ByteSpan(pow2.data(), 32)));
+    acc = FeMul(FeAdd(acc, term), FeOne());
+  }
+  return acc;
+}
+
+TEST(Fe25519Test, MaxLimbInputsMatchReducedInputs) {
+  const Fe loose = AllLimbs(kLooseMax);
+  const Fe reduced = ReducedCopy(loose);
+  EXPECT_EQ(FeHex(loose), FeHex(reduced));
+
+  const Fe product = FeMul(loose, loose);
+  EXPECT_TRUE(IsTight(product));
+  EXPECT_EQ(FeHex(product), FeHex(FeMul(reduced, reduced)));
+  const Fe square = FeSquare(loose);
+  EXPECT_TRUE(IsTight(square));
+  EXPECT_EQ(FeHex(square), FeHex(FeMul(reduced, reduced)));
+
+  // Largest subtrahends: every limb at 4p (a multiple of p), and the
+  // sum of two maximal tight elements.
+  const Fe four_p{{k4PLimb0, k4PLimb, k4PLimb, k4PLimb, k4PLimb}};
+  const Fe minus_four_p = FeSub(loose, four_p);
+  EXPECT_TRUE(IsTight(minus_four_p));
+  EXPECT_EQ(FeHex(minus_four_p), FeHex(reduced));
+  const Fe two_tight = FeAdd(AllLimbs(kTightMax), AllLimbs(kTightMax));
+  const Fe diff = FeSub(loose, two_tight);
+  EXPECT_TRUE(IsTight(diff));
+  EXPECT_EQ(FeHex(diff), FeHex(FeSub(reduced, ReducedCopy(two_tight))));
+  EXPECT_EQ(FeHex(FeSub(FeZero(), four_p)), FeHex(FeZero()));
+}
+
+TEST(Fe25519Test, SquareMatchesMulOnRandomAndMaxLimbInputs) {
+  std::vector<Fe> inputs = {AllLimbs(kLooseMax), AllLimbs(kTightMax),
+                            FeZero(), FeOne(), FeNeg(FeOne())};
+  Drbg drbg(std::uint64_t{2040});
+  for (int i = 0; i < 10000; ++i) {
+    const Bytes b = drbg.Generate(40);
+    Fe f;
+    for (int j = 0; j < 5; ++j) {
+      std::uint64_t w;
+      std::memcpy(&w, b.data() + 8 * j, 8);
+      f.v[j] = (i % 2 == 0) ? (w & kLooseMax) : (w % (kTightMax + 1));
+    }
+    inputs.push_back(f);
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Fe sq = FeSquare(inputs[i]);
+    const Fe mul = FeMul(inputs[i], inputs[i]);
+    // Same column sums, same carry chain: identical limbs, not just
+    // the same value.
+    ASSERT_EQ(std::memcmp(sq.v, mul.v, sizeof(sq.v)), 0) << i;
+  }
+}
+
 // ------------------------------------------------------------ scalar arith
 
 TEST(Sc25519Test, ZeroIsZero) {
@@ -486,6 +582,61 @@ TEST(Sc25519Test, CanonicalityCheck) {
   Bytes zero(32, 0);
   EXPECT_TRUE(ScIsCanonical(zero));
   EXPECT_FALSE(ScIsCanonical(Bytes(31, 0)));  // wrong length
+}
+
+// The bit-serial reduction that Barrett reduction replaced, kept as the
+// oracle: r = 2r + bit, minus L whenever r >= L, over all 512 bits.
+std::array<std::uint8_t, 32> BitSerialModL(const Bytes& in64) {
+  std::uint64_t l[4];
+  std::memcpy(l, MustFromHex(kLHex).data(), 32);
+  std::uint64_t x[8];
+  std::memcpy(x, in64.data(), 64);
+  std::uint64_t r[4] = {0, 0, 0, 0};
+  for (int bit = 511; bit >= 0; --bit) {
+    for (int i = 3; i > 0; --i) r[i] = (r[i] << 1) | (r[i - 1] >> 63);
+    r[0] = (r[0] << 1) | ((x[bit / 64] >> (bit % 64)) & 1);
+    bool ge = true;
+    for (int i = 3; i >= 0; --i) {
+      if (r[i] != l[i]) {
+        ge = r[i] > l[i];
+        break;
+      }
+    }
+    if (!ge) continue;
+    std::uint64_t borrow = 0;
+    for (int i = 0; i < 4; ++i) {
+      const std::uint64_t sub = l[i] + borrow;
+      borrow = (sub < borrow || r[i] < sub) ? 1 : 0;
+      r[i] -= sub;
+    }
+  }
+  std::array<std::uint8_t, 32> out;
+  std::memcpy(out.data(), r, 32);
+  return out;
+}
+
+TEST(Sc25519Test, BarrettReductionMatchesBitSerial) {
+  const auto padded = [](const char* hex) {
+    Bytes b = MustFromHex(hex);
+    b.resize(64, 0);
+    return b;
+  };
+  const Bytes zero(64, 0);
+  const Bytes all_ones(64, 0xff);
+  const Bytes two_l = padded(
+      "daa7ebb934c624b0ac39ef45bdf3bd2900000000000000000000000000000020");
+  std::vector<Bytes> inputs = {zero, padded(kLMinus1Hex), padded(kLHex), two_l,
+                               all_ones};
+  EXPECT_EQ(ToHex(ScToBytes(ScFromBytesModL(padded(kLMinus1Hex)))),
+            kLMinus1Hex);
+  EXPECT_TRUE(ScIsZero(ScFromBytesModL(padded(kLHex))));
+  EXPECT_TRUE(ScIsZero(ScFromBytesModL(two_l)));
+  Drbg drbg(std::uint64_t{2041});
+  for (int i = 0; i < 10000; ++i) inputs.push_back(drbg.Generate(64));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    ASSERT_EQ(ScToBytes(ScFromBytesModL(inputs[i])), BitSerialModL(inputs[i]))
+        << i;
+  }
 }
 
 // ------------------------------------------------------------- group ops
@@ -576,6 +727,70 @@ TEST(Ge25519Test, BasePointEncodingMatchesRfc) {
   const auto enc = GeCompress(GeBasePoint());
   EXPECT_EQ(ToHex(ByteSpan(enc.data(), enc.size())),
             "5866666666666666666666666666666666666666666666666666666666666666");
+}
+
+// An order-8 point (a small-order encoding Verify must handle).
+constexpr char kOrder8Hex[] =
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a";
+
+// 0, 1, 2, L - 1 and 2^252, then `random` seeded scalars below 2^255.
+std::vector<std::array<std::uint8_t, 32>> TestScalars(int random,
+                                                      std::uint64_t seed) {
+  std::array<std::uint8_t, 32> zero{}, one{}, two{}, pow252{};
+  one[0] = 1;
+  two[0] = 2;
+  pow252[31] = 0x10;
+  std::vector<std::array<std::uint8_t, 32>> out = {
+      zero, one, two, Bytes32(MustFromHex(kLMinus1Hex)), pow252};
+  Drbg drbg(seed);
+  for (int i = 0; i < random; ++i) {
+    auto s = Bytes32(drbg.Generate(32));
+    s[31] &= 0x7f;
+    out.push_back(s);
+  }
+  return out;
+}
+
+TEST(Ge25519Test, DoubleScalarMultMatchesReference) {
+  Drbg drbg(std::uint64_t{2042});
+  const KeyPair kp = KeyPair::Generate(drbg);
+  const GePoint key = *GeDecompress(ByteSpan(kp.public_key().bytes.data(), 32));
+  const GePoint torsion = *GeDecompress(MustFromHex(kOrder8Hex));
+  const GePoint mixed = GeAdd(key, torsion);  // full order times 8
+  const auto scalars = TestScalars(256, 2043);
+  const std::size_t n = scalars.size();
+  for (const GePoint& p : {key, mixed}) {
+    const auto check = [&](const auto& a, const auto& b) {
+      const GePoint expect =
+          GeAdd(GeScalarMult(p, a), GeScalarMult(GeBasePoint(), b));
+      return GeEqual(GeDoubleScalarMultBase(a, p, b), expect);
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(check(scalars[i], scalars[n - 1 - i])) << i;
+    }
+    for (std::size_t i = 0; i < 5; ++i) {
+      for (std::size_t j = 0; j < 5; ++j) {
+        EXPECT_TRUE(check(scalars[i], scalars[j])) << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(Ge25519Test, FixedBaseMatchesReference) {
+  auto scalars = TestScalars(64, 2044);
+  // The clamped secret scalar and anything else up to 2^256 - 1.
+  Drbg drbg(std::uint64_t{2045});
+  for (int i = 0; i < 16; ++i) {
+    auto s = Bytes32(drbg.Generate(32));
+    s[31] |= 0x80;
+    scalars.push_back(s);
+  }
+  scalars.push_back(Bytes32(Bytes(32, 0xff)));
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    EXPECT_TRUE(GeEqual(GeScalarMultBase(scalars[i]),
+                        GeScalarMult(GeBasePoint(), scalars[i])))
+        << i;
+  }
 }
 
 // --------------------------------------------------------------- Ed25519
@@ -700,6 +915,150 @@ TEST(Ed25519Test, ManyRandomRoundTrips) {
     const Signature sig = kp.Sign(msg);
     EXPECT_TRUE(Verify(kp.public_key(), msg, sig)) << i;
   }
+}
+
+// Verify's verdicts on hostile encodings, recorded from the
+// double-and-add implementation this kernel replaced. Each encoding is
+// used as A (with the valid R), as R (with the valid A), as both, and
+// as A with R = B; each verdict string covers s = 0, 1, L - 1, L and
+// the valid signature's s. Non-canonical y >= p encodings decompress
+// (as y mod p) and must keep doing so.
+struct EdgeCase {
+  const char* encoding;
+  const char* as_a;
+  const char* as_r;
+  const char* as_both;
+  const char* as_a_with_base_r;
+};
+
+constexpr EdgeCase kEdgeCases[] = {
+    // The eight small-order points.
+    {"0100000000000000000000000000000000000000000000000000000000000000",
+     "00000", "00000", "10000", "01000"},
+    {"ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+     "00000", "00000", "10000", "00000"},
+    {"0000000000000000000000000000000000000000000000000000000000000000",
+     "00000", "00000", "00000", "00000"},
+    {"0000000000000000000000000000000000000000000000000000000000000080",
+     "00000", "00000", "10000", "00000"},
+    {"c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+     "00000", "00000", "00000", "00000"},
+    {"c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+     "00000", "00000", "00000", "00000"},
+    {"26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+     "00000", "00000", "10000", "00000"},
+    {"26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+     "00000", "00000", "00000", "01000"},
+    // Non-canonical y >= p, with and without the sign bit.
+    {"edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+     "00000", "00000", "10000", "00000"},
+    {"edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+     "00000", "00000", "00000", "00000"},
+    {"eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+     "00000", "00000", "10000", "01000"},
+    {"eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+     "00000", "00000", "00000", "00000"},
+    {"ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+     "00000", "00000", "00000", "00000"},
+    {"ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+     "00000", "00000", "00000", "00000"},
+    // -0: x = 0 with the sign bit set.
+    {"0100000000000000000000000000000000000000000000000000000000000080",
+     "00000", "00000", "00000", "00000"},
+    {"ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+     "00000", "00000", "00000", "00000"},
+};
+
+TEST(Ed25519Test, EdgeCaseVerdictsMatchParent) {
+  std::array<std::uint8_t, 32> seed;
+  seed.fill(0x5e);
+  const KeyPair kp = KeyPair::FromSeed(seed);
+  const Bytes msg = BytesOf("edge-case message");
+  const Signature good = kp.Sign(msg);
+  const Bytes base = MustFromHex(
+      "5866666666666666666666666666666666666666666666666666666666666666");
+  Bytes one(32, 0);
+  one[0] = 1;
+  const std::vector<Bytes> s_values = {
+      Bytes(32, 0), one, MustFromHex(kLMinus1Hex), MustFromHex(kLHex),
+      Bytes(good.bytes.begin() + 32, good.bytes.end())};
+
+  for (const EdgeCase& c : kEdgeCases) {
+    const Bytes e = MustFromHex(c.encoding);
+    const char* expected[] = {c.as_a, c.as_r, c.as_both, c.as_a_with_base_r};
+    for (int role = 0; role < 4; ++role) {
+      std::string verdicts;
+      for (const Bytes& s : s_values) {
+        PublicKey pk = kp.public_key();
+        Signature sig = good;
+        if (role != 1) std::memcpy(pk.bytes.data(), e.data(), 32);
+        if (role == 1 || role == 2) std::memcpy(sig.bytes.data(), e.data(), 32);
+        if (role == 3) std::memcpy(sig.bytes.data(), base.data(), 32);
+        std::memcpy(sig.bytes.data() + 32, s.data(), 32);
+        verdicts += Verify(pk, msg, sig) ? '1' : '0';
+      }
+      EXPECT_EQ(verdicts, expected[role]) << c.encoding << " role " << role;
+    }
+  }
+}
+
+// A key with a torsion component, A' = [a]B + T for T of order 8, and
+// signatures its owner makes for A' (k = H(R || A' || M), s = r + k*a).
+// The cofactorless equation holds exactly when [k]T = 0, i.e. when
+// k = 0 mod 8; a cofactored verifier would accept them all.
+TEST(Ed25519Test, MixedOrderKeyVerdictsAreCofactorless) {
+  const GePoint torsion = *GeDecompress(MustFromHex(kOrder8Hex));
+  Drbg drbg(std::uint64_t{2046});
+  int accepted = 0;
+  for (int i = 0; i < 64; ++i) {
+    const Sha512Digest expanded = Sha512::Hash(drbg.Generate(32));
+    auto a = Bytes32(Bytes(expanded.begin(), expanded.begin() + 32));
+    a[0] &= 0xf8;
+    a[31] = (a[31] & 0x7f) | 0x40;
+    PublicKey pk;
+    pk.bytes = GeCompress(GeAdd(GeScalarMult(GeBasePoint(), a), torsion));
+
+    const Bytes msg = drbg.Generate(16);
+    const Scalar r = ScFromBytesModL(drbg.Generate(64));
+    const auto r_enc = GeCompress(GeScalarMult(GeBasePoint(), ScToBytes(r)));
+    Sha512 h;
+    h.Update(ByteSpan(r_enc.data(), 32));
+    h.Update(ByteSpan(pk.bytes.data(), 32));
+    h.Update(msg);
+    const Sha512Digest k_hash = h.Finish();
+    const Scalar k = ScFromBytesModL(ByteSpan(k_hash.data(), k_hash.size()));
+    const auto s = ScToBytes(
+        ScMulAdd(k, ScFromBytesModL(ByteSpan(a.data(), 32)), r));
+    Signature sig;
+    std::memcpy(sig.bytes.data(), r_enc.data(), 32);
+    std::memcpy(sig.bytes.data() + 32, s.data(), 32);
+
+    const bool expected = (k.w[0] & 7) == 0;
+    EXPECT_EQ(Verify(pk, msg, sig), expected) << i;
+    accepted += expected ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 0);  // both verdicts are exercised
+  EXPECT_LT(accepted, 64);
+}
+
+// SHA-256 over 16 seeded public keys and 256 signatures (16 per key,
+// messages of 0..255 bytes), recorded from the double-and-add
+// implementation. RFC 8032 signatures are deterministic, so any change
+// here changes every block hash.
+TEST(Ed25519Test, SignatureStreamMatchesParent) {
+  Drbg drbg(std::uint64_t{2034});
+  Sha256 h;
+  for (int key = 0; key < 16; ++key) {
+    const KeyPair kp = KeyPair::Generate(drbg);
+    h.Update(ByteSpan(kp.public_key().bytes.data(), 32));
+    for (int j = 0; j < 16; ++j) {
+      const std::size_t len = static_cast<std::size_t>(16 * key + j);
+      const Signature sig = kp.Sign(drbg.Generate(len));
+      h.Update(ByteSpan(sig.bytes.data(), 64));
+    }
+  }
+  EXPECT_EQ(DigestHex(h.Finish()),
+            "ee87c9294889c2d9f2c4a1c6f73c3b06732d174a3dd821253fac3b3eccb8d542");
 }
 
 }  // namespace
