@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -796,11 +797,16 @@ TEST(Ge25519Test, FixedBaseMatchesReference) {
 // --------------------------------------------------------------- Ed25519
 
 struct Rfc8032Vector {
+  const char* name;
   const char* secret;
   const char* public_key;
   const char* message;
   const char* signature;
 };
+
+// Prints the vector's name so the test names stay the same from run to
+// run; the default printer would dump the string pointers.
+void PrintTo(const Rfc8032Vector& v, std::ostream* os) { *os << v.name; }
 
 class Ed25519VectorTest : public ::testing::TestWithParam<Rfc8032Vector> {};
 
@@ -821,24 +827,28 @@ INSTANTIATE_TEST_SUITE_P(
     Rfc8032, Ed25519VectorTest,
     ::testing::Values(
         Rfc8032Vector{
+            "test1",
             "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
             "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
             "",
             "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
             "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"},
         Rfc8032Vector{
+            "test2",
             "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
             "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
             "72",
             "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
             "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"},
         Rfc8032Vector{
+            "test3",
             "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
             "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
             "af82",
             "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
             "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"},
         Rfc8032Vector{
+            "test_sha_abc",
             "833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42",
             "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf",
             "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
