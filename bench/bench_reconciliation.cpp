@@ -107,8 +107,6 @@ const char* StrategyName(recon::ReconConfig::Mode mode) {
   switch (mode) {
     case recon::ReconConfig::Mode::kBlockPush:
       return "paper";
-    case recon::ReconConfig::Mode::kBloom:
-      return "bloom";
     case recon::ReconConfig::Mode::kSetDiff:
       return "setdiff";
   }
@@ -195,19 +193,19 @@ int main() {
               kShared);
   std::printf("%-6s %-6s | %12s | %12s %7s | %12s %7s | %12s %7s\n", "shape",
               "d", "full-dag B", "block-push B", "rounds", "hash-first B",
-              "rounds", "bloom B", "rounds");
+              "rounds", "setdiff B", "rounds");
   recon::ReconConfig block_push;
   recon::ReconConfig hash_first;  // setdiff at protocol v1 never probes
   hash_first.mode = recon::ReconConfig::Mode::kSetDiff;
   hash_first.protocol_version = 1;
-  recon::ReconConfig bloom_cfg;
-  bloom_cfg.mode = recon::ReconConfig::Mode::kBloom;
+  recon::ReconConfig setdiff_cfg;
+  setdiff_cfg.mode = recon::ReconConfig::Mode::kSetDiff;
   for (const bool bush : {false, true}) {
     for (const int d : {1, 2, 4, 8, 16, 32, 64}) {
       const Row full = RunFull(kShared, d, bush);
       const Row paper = RunFrontier(block_push, kShared, d, bush);
       const Row hashed = RunFrontier(hash_first, kShared, d, bush);
-      const Row bloom = RunFrontier(bloom_cfg, kShared, d, bush);
+      const Row setdiff = RunFrontier(setdiff_cfg, kShared, d, bush);
       std::printf(
           "%-6s %-6d | %12llu | %12llu %7llu | %12llu %7llu | %12llu %7llu\n",
           bush ? "bush" : "chain", d,
@@ -216,16 +214,16 @@ int main() {
           static_cast<unsigned long long>(paper.rounds),
           static_cast<unsigned long long>(hashed.bytes),
           static_cast<unsigned long long>(hashed.rounds),
-          static_cast<unsigned long long>(bloom.bytes),
-          static_cast<unsigned long long>(bloom.rounds));
+          static_cast<unsigned long long>(setdiff.bytes),
+          static_cast<unsigned long long>(setdiff.rounds));
     }
   }
   std::printf(
       "\nExpected shape: full-dag cost is flat in d (always ~shared+d\n"
       "blocks); frontier protocols scale with d. Hash-first beats\n"
       "block-push on deep chains (level escalation re-ships bodies);\n"
-      "bloom closes any gap shape in one round for a filter-sized\n"
-      "overhead (~10 bits per known block).\n");
+      "setdiff closes any gap shape after the level-1 round with one\n"
+      "delta-sized probe and sketch, so its cost tracks d alone.\n");
   RunDiffSweep();
   benchio::WriteBench("reconciliation");
   return 0;

@@ -67,7 +67,6 @@ Bytes EncodeMessage(const FrontierRequest& m) {
   w.WriteU32(m.level);
   w.WriteBool(m.hashes_only);
   w.WriteFixed(m.genesis);
-  w.WriteBytes(m.bloom);
   w.WriteFixed(m.frontier_digest);
   return w.Take();
 }
@@ -108,7 +107,6 @@ Bytes EncodeMessage(const DiffProbe& m) {
   w.WriteU8(static_cast<std::uint8_t>(MessageType::kDiffProbe));
   w.WriteU32(m.version);
   w.WriteFixed(m.genesis);
-  w.WriteFixed(m.frontier_digest);
   w.WriteU32(m.requested_cells);
   m.digest.Encode(&w);
   return w.Take();
@@ -150,7 +148,6 @@ Status DecodeMessage(ByteSpan data, FrontierRequest* out) {
   VEGVISIR_RETURN_IF_ERROR(r.ReadU32(&out->level));
   VEGVISIR_RETURN_IF_ERROR(r.ReadBool(&out->hashes_only));
   VEGVISIR_RETURN_IF_ERROR(r.ReadFixed(&out->genesis));
-  VEGVISIR_RETURN_IF_ERROR(r.ReadBytes(&out->bloom));
   VEGVISIR_RETURN_IF_ERROR(r.ReadFixed(&out->frontier_digest));
   return r.ExpectEnd();
 }
@@ -191,7 +188,6 @@ Status DecodeMessage(ByteSpan data, DiffProbe* out) {
   VEGVISIR_RETURN_IF_ERROR(ExpectType(&r, MessageType::kDiffProbe));
   VEGVISIR_RETURN_IF_ERROR(r.ReadU32(&out->version));
   VEGVISIR_RETURN_IF_ERROR(r.ReadFixed(&out->genesis));
-  VEGVISIR_RETURN_IF_ERROR(r.ReadFixed(&out->frontier_digest));
   VEGVISIR_RETURN_IF_ERROR(r.ReadU32(&out->requested_cells));
   if (out->requested_cells > serial::limits::kMaxIbltCells) {
     return InvalidArgumentError("cell count exceeds limit");

@@ -5,19 +5,21 @@
 //                             <-  FrontierResponse(level n, blocks)
 // escalating n until the initiator can bridge the gap (Algorithm 1).
 //
-// In hash-first mode (the paper's "more efficient reconciliation
-// algorithms" future work, evaluated as ablation E10) the response
-// carries hashes only and the initiator fetches just the bodies it is
-// missing with BlockRequest/BlockResponse.
+// In setdiff mode (and its hash-first form, the paper's "more
+// efficient reconciliation algorithms" future work, evaluated as
+// ablation E10) the response carries hashes only and the initiator
+// fetches just the bodies it is missing with BlockRequest/
+// BlockResponse.
 //
 // PushBlocks is the optional anti-entropy extension: after catching
 // up, the initiator pushes the blocks the responder provably lacks.
 //
 // DiffProbe/DiffSketch/DiffResult are reconciliation v2 (DESIGN.md
-// §16): the initiator probes with a range digest of its whole hash
-// set, the responder answers with a delta-sized IBLT sketch, and the
-// initiator reports the peel outcome — success routes straight into
-// BlockRequest/PushBlocks, failure falls back to level escalation.
+// §16). When the level-1 round leaves a gap, the initiator probes
+// with a range digest of its whole hash set, the responder answers
+// with a delta-sized IBLT sketch, and the initiator reports the peel
+// outcome — success routes straight into BlockRequest/PushBlocks,
+// failure falls back to level escalation.
 // Protocol-version-1 peers reject tag 6+ as "unknown message type",
 // which is exactly how a pre-setdiff build behaves, so the initiator
 // can detect legacy peers and downgrade.
@@ -51,15 +53,12 @@ struct FrontierRequest {
   bool hashes_only = false;
   // Sanity check: both sides must be on the same chain.
   chain::BlockHash genesis{};
-  // Bloom mode (summary reconciliation): a serialized BloomFilter over
-  // the initiator's block hashes; the responder sends the blocks that
-  // are probably missing, usually completing in one round. Empty when
-  // unused.
-  Bytes bloom;
   // SHA-256 over the initiator's sorted frontier. If it matches the
   // responder's, the replicas are identical and the response carries
-  // no bodies — the paper's "identical frontier sets" early exit, for
-  // 32 bytes per idle gossip tick.
+  // the frontier hashes and no bodies — the paper's "identical
+  // frontier sets" early exit, for 32 bytes per idle gossip tick.
+  // Every session's opening request carries it, so setdiff sessions
+  // between identical replicas never send a DiffProbe.
   chain::BlockHash frontier_digest{};
 };
 
@@ -84,18 +83,16 @@ struct PushBlocks {
   std::vector<Bytes> blocks;
 };
 
-// Opens a setdiff negotiation: the initiator's whole-set range digest
-// plus enough context for the responder to size an IBLT reply.
+// Opens a setdiff negotiation once the level-1 round has shown the
+// replicas differ: the initiator's whole-set range digest plus enough
+// context for the responder to size an IBLT reply. The responder
+// always answers with a sketch.
 struct DiffProbe {
   // Highest setdiff protocol revision the initiator speaks; a
   // responder configured below it rejects the probe the way a
   // pre-setdiff build would ("unknown message type").
   std::uint32_t version = 1;
   chain::BlockHash genesis{};
-  // SHA-256 over the initiator's sorted frontier. Carried on the wire
-  // but not yet checked: unlike FrontierRequest, the responder takes
-  // no identical-replica early exit and always answers with a sketch.
-  chain::BlockHash frontier_digest{};
   // 0: responder sizes the sketch from the digest delta estimate.
   // >0: escalation retry after a failed peel; the responder honours
   // the request (clamped to its configured ceiling).

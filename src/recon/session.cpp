@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "serial/limits.h"
-#include "util/bloom.h"
 
 namespace vegvisir::recon {
 
@@ -85,45 +84,22 @@ Bytes InitiatorSession::Send(Bytes message) {
 }
 
 bool InitiatorSession::HashFirstActive() const {
-  switch (config_.mode) {
-    case ReconConfig::Mode::kBloom:
-      return bloom_round_done_;
-    case ReconConfig::Mode::kSetDiff:
-      // The fallback rounds after an abandoned negotiation, and the
-      // whole session at version 1 (hash-first).
-      return diff_phase_ == DiffPhase::kFellBack ||
-             diff_phase_ == DiffPhase::kInactive;
-    case ReconConfig::Mode::kBlockPush:
-      return false;
-  }
-  return false;
+  // Setdiff runs hash-first outside an open negotiation: the opening
+  // frontier round, the fallback rounds after an abandoned
+  // negotiation, and the whole session at version 1.
+  return config_.mode == ReconConfig::Mode::kSetDiff &&
+         (diff_phase_ == DiffPhase::kInactive ||
+          diff_phase_ == DiffPhase::kFellBack);
 }
 
 Bytes InitiatorSession::MakeFrontierRequest() {
   FrontierRequest req;
   req.level = level_;
-  // Bloom/setdiff fallback rounds use hash-first requests: escalation
-  // is then paid in hashes, not repeated bodies.
+  // Setdiff frontier rounds are hash-first: escalation is then paid in
+  // hashes, not repeated bodies.
   req.hashes_only = HashFirstActive();
   req.genesis = host_->dag().genesis_hash();
   req.frontier_digest = host_->dag().FrontierDigest();
-  stats_.rounds += 1;
-  metrics_.rounds.Inc();
-  return Send(EncodeMessage(req));
-}
-
-Bytes InitiatorSession::MakeBloomRequest() {
-  const chain::Dag& dag = host_->dag();
-  BloomFilter filter = BloomFilter::ForExpectedItems(dag.Size());
-  for (const chain::BlockHash& h : dag.TopologicalOrder()) {
-    filter.Insert(ByteSpan(h.data(), h.size()));
-  }
-  FrontierRequest req;
-  req.level = 1;
-  req.hashes_only = false;
-  req.genesis = dag.genesis_hash();
-  req.bloom = filter.Serialize();
-  req.frontier_digest = dag.FrontierDigest();
   stats_.rounds += 1;
   metrics_.rounds.Inc();
   return Send(EncodeMessage(req));
@@ -133,7 +109,6 @@ Bytes InitiatorSession::MakeDiffProbe() {
   DiffProbe probe;
   probe.version = config_.protocol_version;
   probe.genesis = host_->dag().genesis_hash();
-  probe.frontier_digest = host_->dag().FrontierDigest();
   probe.requested_cells = diff_cells_requested_;
   for (const chain::BlockHash& h : host_->dag().TopologicalOrder()) {
     probe.digest.Insert(h);
@@ -147,13 +122,9 @@ Bytes InitiatorSession::MakeDiffProbe() {
 
 Bytes InitiatorSession::Start() {
   metrics_.sessions_started.Inc();
-  if (config_.mode == ReconConfig::Mode::kBloom) return MakeBloomRequest();
-  if (config_.mode == ReconConfig::Mode::kSetDiff &&
-      config_.protocol_version >= 2) {
-    return MakeDiffProbe();
-  }
-  // kSetDiff at version 1 never probes: it runs as hash-first
-  // (diff_phase_ stays kInactive, which HashFirstActive() honours).
+  // Every mode opens as Algorithm 1 does, with the frontier request:
+  // its digest lets identical replicas finish in one round. Setdiff
+  // probes only if that round leaves a gap (see EscalateOrFail).
   return MakeFrontierRequest();
 }
 
@@ -269,9 +240,7 @@ bool InitiatorSession::CaughtUp() const {
 
 Status InitiatorSession::HandleFrontierResponse(ByteSpan data,
                                                 std::vector<Bytes>* out) {
-  if (config_.mode == ReconConfig::Mode::kSetDiff &&
-      diff_phase_ != DiffPhase::kFellBack &&
-      diff_phase_ != DiffPhase::kInactive) {
+  if (config_.mode == ReconConfig::Mode::kSetDiff && !HashFirstActive()) {
     // Mid-negotiation the responder only ever sends sketches and
     // block responses; an unsolicited frontier response is hostile.
     const Status s = InvalidArgumentError("unexpected message for initiator");
@@ -299,20 +268,6 @@ Status InitiatorSession::HandleFrontierResponse(ByteSpan data,
       level_ > 1 && resp.hashes.size() <= last_level_count_;
   last_level_count_ = resp.hashes.size();
   last_advertised_ = resp.hashes;
-
-  if (config_.mode == ReconConfig::Mode::kBloom && !bloom_round_done_) {
-    // Summary round: the responder sent everything our filter did not
-    // claim to have. Usually that closes the gap in one round; Bloom
-    // false positives may leave holes, in which case we fall back to
-    // hash-first escalation.
-    VEGVISIR_RETURN_IF_ERROR(StashBlocks(resp.blocks));
-    if (TryMerge() && CaughtUp()) {
-      FinishMaybePush(out);
-      return Status::Ok();
-    }
-    bloom_round_done_ = true;
-    return EscalateOrFail(out);
-  }
 
   if (HashFirstActive()) {
     // Request only the bodies we miss.
@@ -368,10 +323,8 @@ Status InitiatorSession::HandleDiffSketch(ByteSpan data,
   if (sketch.genesis != host_->dag().genesis_hash()) {
     return FailedPreconditionError("peer is on a different chain");
   }
-  if (!peer_frontier_known_) {
-    peer_frontier_ = sketch.frontier;
-    peer_frontier_known_ = true;
-  }
+  // peer_frontier_ is already set: a probe only follows a frontier
+  // round.
   last_advertised_ = sketch.frontier;
 
   // Mirror the responder's table over our own set and subtract:
@@ -443,8 +396,9 @@ Status InitiatorSession::FallBackToLevels(std::vector<Bytes>* out,
     result.decoded = false;
     out->push_back(Send(EncodeMessage(result)));
   }
-  out->push_back(MakeFrontierRequest());
-  return Status::Ok();
+  // The opening round already covered the current level; resume the
+  // walk one level deeper.
+  return EscalateOrFail(out);
 }
 
 Status InitiatorSession::HandleBlockResponse(ByteSpan data,
@@ -482,6 +436,14 @@ Status InitiatorSession::HandleBlockResponse(ByteSpan data,
 }
 
 Status InitiatorSession::EscalateOrFail(std::vector<Bytes>* out) {
+  if (config_.mode == ReconConfig::Mode::kSetDiff &&
+      config_.protocol_version >= 2 && diff_phase_ == DiffPhase::kInactive) {
+    // The opening frontier round left a gap: negotiate the exact
+    // difference instead of walking deeper levels. Once per session;
+    // a failed negotiation falls back to level escalation.
+    out->push_back(MakeDiffProbe());
+    return Status::Ok();
+  }
   if (level_ >= config_.max_level) {
     // Not an attack, but never silent either: the gap stays open this
     // session and the gossip engine resumes from this level later.
@@ -661,26 +623,6 @@ Status ResponderSession::HandleFrontierRequest(ByteSpan data,
   // hashes present and finish immediately.
   if (req.frontier_digest == host_->dag().FrontierDigest()) {
     resp.hashes = host_->dag().Frontier();
-    out->push_back(Send(EncodeMessage(resp)));
-    return Status::Ok();
-  }
-
-  if (!req.bloom.empty()) {
-    // Summary reconciliation: send every stored block the initiator's
-    // filter does not (probably) contain, parents before children so
-    // the receiver can insert as it reads. The hash list carries our
-    // frontier for the initiator's completion check.
-    auto filter = BloomFilter::Deserialize(req.bloom);
-    if (!filter.ok()) return filter.status();
-    resp.hashes = host_->dag().Frontier();
-    for (const chain::BlockHash& h : host_->dag().TopologicalOrder()) {
-      if (h == host_->dag().genesis_hash()) continue;
-      if (filter->MayContain(ByteSpan(h.data(), h.size()))) continue;
-      const chain::Block* block = host_->dag().Find(h);
-      if (block != nullptr) resp.blocks.push_back(block->Serialize());
-    }
-    stats_.blocks_pushed += resp.blocks.size();
-    metrics_.blocks_pushed.Inc(resp.blocks.size());
     out->push_back(Send(EncodeMessage(resp)));
     return Status::Ok();
   }

@@ -2,19 +2,17 @@
 //
 // A session is a pair of state machines exchanging the byte messages
 // of recon/messages.h. They are transport-agnostic: the simulator (or
-// a real radio link) moves the bytes. The initiator pulls the
-// responder's level-n frontier set, escalating n until the gap to its
-// own DAG is bridged, then merges. Three modes:
+// a real radio link) moves the bytes. Every session opens as
+// Algorithm 1 does: the initiator asks for the responder's level-1
+// frontier, sending the digest of its own frontier along, and
+// identical frontiers end the session in that one round. Two modes:
 //
 //   kBlockPush (paper-faithful): every frontier response carries full
-//     block bodies, re-sending the whole level-n set each round.
-//   kBloom (a future-work design): the first request carries a
-//     Bloom-filter summary of the initiator's block set; the
-//     responder sends the probably-missing blocks in topological
-//     order, typically finishing in one round. Bloom false positives
-//     can leave gaps; the session then falls back to hash-first
-//     escalation, so completeness never depends on the filter.
-//   kSetDiff (reconciliation v2, DESIGN.md §16): the initiator probes
+//     block bodies, re-sending the whole level-n set each round; the
+//     initiator escalates n until the gap to its own DAG is bridged.
+//   kSetDiff (reconciliation v2, DESIGN.md §16): frontier responses
+//     carry hashes and the initiator fetches only the bodies it is
+//     missing. If level 1 leaves a gap, the initiator probes once
 //     with a range digest of its whole hash set, the responder
 //     replies with an IBLT sized to the estimated delta, and a
 //     successful peel yields exactly the differing hashes — wire cost
@@ -24,8 +22,8 @@
 //     outright and the gossip engine downgrades future sessions.
 //
 // Hash-first (ablation E10, the paper's future-work direction) is
-// kSetDiff at protocol_version = 1: frontier responses carry hashes
-// and the initiator requests only the bodies it is missing.
+// kSetDiff at protocol_version = 1: it never probes and closes every
+// gap by level escalation.
 //
 // With `push_back` enabled the initiator finishes by pushing the
 // blocks the responder provably lacks (anti-entropy extension; off by
@@ -82,7 +80,9 @@ class ReconHost {
 };
 
 struct ReconConfig {
-  enum class Mode { kBlockPush, kBloom, kSetDiff };
+  // Explicit values: gtest prints a Mode parameter as its bytes, so
+  // renumbering would rename parameterized tests.
+  enum class Mode { kBlockPush = 0, kSetDiff = 2 };
   Mode mode = Mode::kBlockPush;
   // Highest setdiff protocol revision this node speaks. 1 = legacy
   // (pre-setdiff: never sends DiffProbe, rejects one as an unknown
@@ -196,24 +196,24 @@ class InitiatorSession {
  private:
   // setdiff negotiation progress (mode kSetDiff only).
   enum class DiffPhase {
-    kInactive,     // not negotiating (other modes, or v1 downgrade)
+    kInactive,     // not negotiated yet (or never: block-push, v1)
     kAwaitSketch,  // probe sent, sketch not yet received
     kAwaitBlocks,  // peel succeeded, fetching the missing bodies
     kFellBack,     // negotiation abandoned; level escalation active
   };
 
   Bytes MakeFrontierRequest();
-  Bytes MakeBloomRequest();
   Bytes MakeDiffProbe();
   // True when frontier responses should carry hashes only and gaps
-  // are closed with BlockRequest fetches (the bloom and setdiff
-  // fallback paths, and setdiff at version 1, i.e. hash-first).
+  // are closed with BlockRequest fetches (setdiff outside an open
+  // negotiation, and setdiff at version 1, i.e. hash-first).
   bool HashFirstActive() const;
   Status HandleFrontierResponse(ByteSpan data, std::vector<Bytes>* out);
   Status HandleDiffSketch(ByteSpan data, std::vector<Bytes>* out);
-  // Abandons the setdiff negotiation for level escalation. `notify`
-  // additionally tells the responder the attempt failed (skipped when
-  // a DiffResult for this attempt was already sent).
+  // Abandons the setdiff negotiation for level escalation, resuming
+  // one level below the opening round. `notify` additionally tells
+  // the responder the attempt failed (skipped when a DiffResult for
+  // this attempt was already sent).
   Status FallBackToLevels(std::vector<Bytes>* out, bool notify);
   Status HandleBlockResponse(ByteSpan data, std::vector<Bytes>* out);
   Status StashBlocks(const std::vector<Bytes>& blocks);
@@ -227,6 +227,9 @@ class InitiatorSession {
   // local DAG (quarantined does not count — a quarantined frontier
   // still needs its ancestry fetched).
   bool CaughtUp() const;
+  // Called when a frontier round left a gap. A setdiff v2 session
+  // that has not negotiated yet sends its one DiffProbe; otherwise the
+  // level goes up by one (or the session fails at max_level).
   Status EscalateOrFail(std::vector<Bytes>* out);
   void FinishMaybePush(std::vector<Bytes>* out);
   void MarkFailed();
@@ -238,9 +241,6 @@ class InitiatorSession {
   SessionStats stats_;
   SessionMetrics metrics_;
   std::uint32_t level_ = 1;
-  // In bloom mode, set after the summary round; escalation then uses
-  // hash-first requests (cheap) to close false-positive gaps.
-  bool bloom_round_done_ = false;
   DiffPhase diff_phase_ = DiffPhase::kInactive;
   // Cell count to request in the next probe (0 = let the responder
   // size from its delta estimate; nonzero after a failed peel).

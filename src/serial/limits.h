@@ -100,10 +100,6 @@ inline constexpr std::uint64_t kMaxAppliedBlocks = 1u << 18;
 // cells, register writes, counter shares, flag tokens).
 inline constexpr std::uint64_t kMaxCrdtElements = 1u << 20;
 
-// --- bloom filters (util/bloom.cpp) --------------------------------
-inline constexpr std::uint64_t kMaxBloomHashes = 64;
-inline constexpr std::uint64_t kMaxBloomBits = 1u << 26;
-
 }  // namespace limits
 
 // The canonical wire-count sanitizer. `what` names the field for the

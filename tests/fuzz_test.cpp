@@ -12,7 +12,6 @@
 #include "csm/state_machine.h"
 #include "node/node.h"
 #include "recon/messages.h"
-#include "util/bloom.h"
 #include "util/rng.h"
 
 namespace vegvisir {
@@ -146,19 +145,6 @@ TEST(FuzzTest, WitnessProofDecoder) {
   Rng rng(29);
   for (int i = 0; i < 300; ++i) {
     (void)chain::WitnessProof::Deserialize(RandomBytes(&rng, 500));
-  }
-  SUCCEED();
-}
-
-TEST(FuzzTest, BloomDecoder) {
-  BloomFilter f = BloomFilter::ForExpectedItems(32);
-  f.Insert(BytesOf("item"));
-  const Bytes valid = f.Serialize();
-  Rng rng(31);
-  for (int i = 0; i < 300; ++i) {
-    const Bytes input =
-        (i % 2 == 0) ? Mutate(valid, &rng) : RandomBytes(&rng, 120);
-    (void)BloomFilter::Deserialize(input);  // must not crash
   }
   SUCCEED();
 }

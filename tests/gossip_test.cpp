@@ -585,8 +585,16 @@ TEST(GossipTest, LegacyPeerIsDowngradedAndMixedFleetConverges) {
   cfg.recon_overrides[2] = legacy;
   Cluster cluster(cfg, &topo);
   cluster.RunFor(60'000);
-  ASSERT_TRUE(cluster.node(1).AddWitnessBlock().ok());
-  cluster.RunFor(60'000);
+  // Sessions open with the level-1 frontier round and probe only when
+  // it leaves a gap, so each writer appends a chain deeper than level
+  // 1: node 1's exercises setdiff between the v2 nodes, and the legacy
+  // node's makes the v2 nodes probe it.
+  for (int writer : {1, 2}) {
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(cluster.node(writer).AddWitnessBlock().ok());
+    }
+    cluster.RunFor(60'000);
+  }
 
   EXPECT_TRUE(cluster.Converged());
   for (int i : {0, 1}) {

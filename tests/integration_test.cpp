@@ -426,13 +426,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         std::make_tuple(recon::ReconConfig::Mode::kBlockPush, 2u),
         std::make_tuple(recon::ReconConfig::Mode::kSetDiff, 1u),
-        std::make_tuple(recon::ReconConfig::Mode::kBloom, 2u),
         std::make_tuple(recon::ReconConfig::Mode::kSetDiff, 2u)),
     [](const ::testing::TestParamInfo<ReconModeClusterTest::ParamType>& info)
         -> std::string {
       switch (std::get<0>(info.param)) {
         case recon::ReconConfig::Mode::kBlockPush: return "BlockPush";
-        case recon::ReconConfig::Mode::kBloom: return "Bloom";
         case recon::ReconConfig::Mode::kSetDiff:
           return std::get<1>(info.param) == 1 ? "HashFirst" : "SetDiff";
       }

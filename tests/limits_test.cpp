@@ -39,7 +39,6 @@
 #include "storage/index.h"
 #include "storage/log.h"
 #include "telemetry/telemetry.h"
-#include "util/bloom.h"
 #include "util/bytes.h"
 #include "util/fsio.h"
 
@@ -94,7 +93,6 @@ TEST(LimitsTest, DiffRangeLimitBombRejected) {
   chain::BlockHash h;
   h.fill(0x21);
   w.WriteFixed(h);  // genesis
-  w.WriteFixed(h);  // frontier digest
   w.WriteU32(0);    // no requested cells
   const Bytes bomb = WithLimitBomb(&w, limits::kMaxDiffRanges,
                                    setdiff::kRangeCellWireBytes);
@@ -401,27 +399,6 @@ TEST(LimitsTest, CrdtElementLimitBombRejected) {
   const Status status = counter.DecodeState(&r);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.message(), "per-user count exceeds limit");
-}
-
-// ------------------------------------------------------- bloom filters
-
-TEST(LimitsTest, BloomHashCountAboveLimitRejected) {
-  serial::Writer w;
-  w.WriteVarint(8);  // minimal bit count
-  w.WriteVarint(limits::kMaxBloomHashes + 1);
-  w.WriteU8(0);  // the single byte of bits
-  auto filter = BloomFilter::Deserialize(w.buffer());
-  ASSERT_FALSE(filter.ok());
-  EXPECT_EQ(filter.status().message(), "implausible bloom hash count");
-}
-
-TEST(LimitsTest, BloomBitCountAboveLimitRejected) {
-  serial::Writer w;
-  w.WriteVarint(limits::kMaxBloomBits + 8);  // multiple of 8, over cap
-  w.WriteVarint(1);
-  auto filter = BloomFilter::Deserialize(w.buffer());
-  ASSERT_FALSE(filter.ok());
-  EXPECT_EQ(filter.status().message(), "bad bloom bit count");
 }
 
 // ------------------------------------------- durable block log (storage/)

@@ -59,12 +59,32 @@ struct Rig {
     EXPECT_EQ(session.state(), SessionState::kFailed);
   }
 
-  // A kSetDiff initiator right after its opening DiffProbe, waiting
-  // for a sketch — the state the setdiff decode rejects live in.
+  // A kSetDiff initiator right after its DiffProbe, waiting for a
+  // sketch — the state the setdiff decode rejects live in. The session
+  // gets there the honest way: a level-1 response advertising a hash
+  // it does not hold, then an empty body response, leave a gap deeper
+  // than level 1.
   void FeedSetdiffInitiator(const Bytes& data) {
     ReconConfig cfg;
     cfg.mode = ReconConfig::Mode::kSetDiff;
-    FeedInitiator(data, cfg);
+    InitiatorSession session(node.get(), cfg);
+    (void)session.Start();
+    FrontierResponse level1;
+    level1.genesis = genesis.hash();
+    level1.hashes.push_back(chain::BlockHash{});
+    level1.hashes.back().fill(0xAB);  // unknown to this node
+    std::vector<Bytes> out;
+    ASSERT_TRUE(session.OnMessage(EncodeMessage(level1), &out).ok());
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_EQ(*PeekType(out[0]), MessageType::kBlockRequest);
+    out.clear();
+    ASSERT_TRUE(session.OnMessage(EncodeMessage(BlockResponse{}), &out).ok());
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_EQ(*PeekType(out[0]), MessageType::kDiffProbe);
+    ASSERT_TRUE(session.AwaitingSetdiffHandshake());
+    out.clear();
+    EXPECT_FALSE(session.OnMessage(data, &out).ok());
+    EXPECT_EQ(session.state(), SessionState::kFailed);
   }
 
   void FeedResponder(const Bytes& data, ReconConfig cfg = ReconConfig{}) {

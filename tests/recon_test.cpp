@@ -255,11 +255,34 @@ TEST(SessionTest, PartialProgressSurvivesViaQuarantine) {
   EXPECT_EQ(a->dag().Size(), b->dag().Size());
 }
 
-TEST(SessionTest, BloomModeSyncsInOneRound) {
+// Setdiff opens with Algorithm 1's level-1 request, whose frontier
+// digest ends a session between identical replicas in one round,
+// before any DiffProbe.
+TEST(SessionTest, SetDiffIdenticalReplicasSkipTheProbe) {
   Cluster c;
   auto a = c.MakeNode("owner", 1);
   auto b = c.MakeNode("owner", 1);
-  // Long shared history so the filter carries real information.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(b->AddWitnessBlock().ok());
+    ASSERT_EQ(a->OfferBlock(*b->dag().Find(b->dag().Frontier()[0])),
+              chain::BlockVerdict::kValid);
+  }
+  ReconConfig cfg;
+  cfg.mode = ReconConfig::Mode::kSetDiff;
+  SessionStats stats;
+  ASSERT_EQ(RunLocalSession(a.get(), b.get(), cfg, &stats),
+            SessionState::kDone);
+  EXPECT_EQ(stats.blocks_received, 0u);
+  EXPECT_EQ(stats.rounds, 1u);
+  EXPECT_EQ(a->telemetry()->metrics.CounterValue("setdiff.probes"), 0u);
+}
+
+// A gap deeper than level 1 takes exactly one probe: the peel names
+// every missing block and no level escalation follows.
+TEST(SessionTest, SetDiffDeepGapTakesOneProbe) {
+  Cluster c;
+  auto a = c.MakeNode("owner", 1);
+  auto b = c.MakeNode("owner", 1);
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(b->AddWitnessBlock().ok());
     const Block* blk = b->dag().Find(b->dag().Frontier()[0]);
@@ -268,18 +291,20 @@ TEST(SessionTest, BloomModeSyncsInOneRound) {
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(b->AddWitnessBlock().ok());
 
   ReconConfig cfg;
-  cfg.mode = ReconConfig::Mode::kBloom;
+  cfg.mode = ReconConfig::Mode::kSetDiff;
   SessionStats stats;
-  const SessionState state = RunLocalSession(a.get(), b.get(), cfg, &stats);
-  EXPECT_EQ(state, SessionState::kDone);
+  ASSERT_EQ(RunLocalSession(a.get(), b.get(), cfg, &stats),
+            SessionState::kDone);
   EXPECT_EQ(a->dag().Size(), b->dag().Size());
   EXPECT_EQ(a->Fingerprint(), b->Fingerprint());
-  // The summary closes a deep gap without level escalation.
-  EXPECT_EQ(stats.rounds, 1u);
   EXPECT_EQ(stats.blocks_received, 10u);
+  const telemetry::MetricsRegistry& m = a->telemetry()->metrics;
+  EXPECT_EQ(m.CounterValue("setdiff.probes"), 1u);
+  EXPECT_EQ(m.CounterValue("setdiff.decode_success"), 1u);
+  EXPECT_EQ(m.CounterValue("setdiff.fallbacks"), 0u);
 }
 
-TEST(SessionTest, BloomModeCheaperThanBlockPushOnDeepGaps) {
+TEST(SessionTest, SetDiffCheaperThanBlockPushOnDeepGaps) {
   Cluster c;
   auto a1 = c.MakeNode("owner", 1);
   auto b1 = c.MakeNode("owner", 1);
@@ -290,35 +315,17 @@ TEST(SessionTest, BloomModeCheaperThanBlockPushOnDeepGaps) {
     const Block* blk = b1->dag().Find(b1->dag().Frontier()[0]);
     ASSERT_EQ(b2->OfferBlock(*blk), chain::BlockVerdict::kValid);
   }
-  SessionStats push_stats, bloom_stats;
+  SessionStats push_stats, setdiff_stats;
   ReconConfig push_cfg;
-  ReconConfig bloom_cfg;
-  bloom_cfg.mode = ReconConfig::Mode::kBloom;
+  ReconConfig setdiff_cfg;
+  setdiff_cfg.mode = ReconConfig::Mode::kSetDiff;
   ASSERT_EQ(RunLocalSession(a1.get(), b1.get(), push_cfg, &push_stats),
             SessionState::kDone);
-  ASSERT_EQ(RunLocalSession(a2.get(), b2.get(), bloom_cfg, &bloom_stats),
+  ASSERT_EQ(RunLocalSession(a2.get(), b2.get(), setdiff_cfg, &setdiff_stats),
             SessionState::kDone);
   EXPECT_EQ(a2->dag().Size(), b2->dag().Size());
-  EXPECT_LT(bloom_stats.bytes_received + bloom_stats.bytes_sent,
+  EXPECT_LT(setdiff_stats.bytes_received + setdiff_stats.bytes_sent,
             push_stats.bytes_received + push_stats.bytes_sent);
-}
-
-TEST(SessionTest, BloomModeIdenticalReplicasExchangeAlmostNothing) {
-  Cluster c;
-  auto a = c.MakeNode("owner", 1);
-  auto b = c.MakeNode("owner", 1);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(b->AddWitnessBlock().ok());
-    ASSERT_EQ(a->OfferBlock(*b->dag().Find(b->dag().Frontier()[0])),
-              chain::BlockVerdict::kValid);
-  }
-  ReconConfig cfg;
-  cfg.mode = ReconConfig::Mode::kBloom;
-  SessionStats stats;
-  ASSERT_EQ(RunLocalSession(a.get(), b.get(), cfg, &stats),
-            SessionState::kDone);
-  EXPECT_EQ(stats.blocks_received, 0u);
-  EXPECT_EQ(stats.rounds, 1u);
 }
 
 TEST(SessionTest, PushBackUploadsInitiatorExtras) {
@@ -407,11 +414,11 @@ class ReconModeEquivalenceTest
 
 TEST_P(ReconModeEquivalenceTest, AllModesReachSameState) {
   const std::uint64_t seed = GetParam().seed;
-  // Block-push, hash-first (setdiff at protocol v1) and bloom.
+  // Block-push, hash-first (setdiff at protocol v1) and setdiff v2.
   std::vector<ReconConfig> configs(3);
   configs[1].mode = ReconConfig::Mode::kSetDiff;
   configs[1].protocol_version = 1;
-  configs[2].mode = ReconConfig::Mode::kBloom;
+  configs[2].mode = ReconConfig::Mode::kSetDiff;
   Bytes reference_a, reference_b;
   for (std::size_t m = 0; m < configs.size(); ++m) {
     Cluster c;

@@ -275,7 +275,6 @@ TEST(DiffMessagesTest, ProbeRoundTripsByteExactly) {
   Rng rng(19);
   recon::DiffProbe probe;
   probe.genesis.fill(0x31);
-  probe.frontier_digest.fill(0x32);
   probe.requested_cells = 256;
   for (int i = 0; i < 25; ++i) probe.digest.Insert(HashFromRng(&rng));
   const Bytes raw = recon::EncodeMessage(probe);
@@ -283,7 +282,6 @@ TEST(DiffMessagesTest, ProbeRoundTripsByteExactly) {
   recon::DiffProbe out;
   ASSERT_TRUE(recon::DecodeMessage(raw, &out).ok());
   EXPECT_EQ(out.genesis, probe.genesis);
-  EXPECT_EQ(out.frontier_digest, probe.frontier_digest);
   EXPECT_EQ(out.requested_cells, 256u);
   EXPECT_TRUE(out.digest == probe.digest);
   EXPECT_EQ(recon::EncodeMessage(out), raw);
@@ -445,6 +443,27 @@ TEST(SetdiffSessionTest, DecodeFailureFallsBackAndReconverges) {
   EXPECT_EQ(metrics.CounterValue("setdiff.fallbacks"), 1u);
 }
 
+// The gossip engine resumes a failed catch-up at the level it reached,
+// so the opening frontier round may already be deeper than level 1.
+// A failed negotiation must then walk on from below that level, not
+// re-request it: the repeat would look saturated (no new hashes) and
+// end the session with the gap still open.
+TEST(SetdiffSessionTest, FallbackAfterResumedLevelWalksDeeper) {
+  Rig rig;
+  auto behind = rig.MakeNode();
+  auto ahead = rig.MakeNode();
+  rig.Diverge(behind.get(), ahead.get(), 16, 80);
+  recon::ReconConfig cfg;
+  cfg.mode = recon::ReconConfig::Mode::kSetDiff;
+  cfg.max_iblt_cells = 16;  // 80 differing keys cannot peel
+  cfg.start_level = 3;
+  ASSERT_EQ(recon::RunLocalSession(behind.get(), ahead.get(), cfg, nullptr),
+            recon::SessionState::kDone);
+  EXPECT_TRUE(SameBlocks(*behind, *ahead));
+  EXPECT_EQ(behind->telemetry()->metrics.CounterValue("setdiff.fallbacks"),
+            1u);
+}
+
 // A mutual-divergence shape: each side holds blocks the other lacks.
 // The initiator pulls what it is missing, and with push_back on it
 // also ships the responder the blocks the peel proved it lacks.
@@ -490,7 +509,8 @@ TEST(SetdiffSessionTest, VersionOneInitiatorNeverProbes) {
 // Version gating, responder side: a legacy responder rejects the
 // probe like an unknown message, and the initiator session dies still
 // awaiting its sketch — the exact signature the gossip engine uses to
-// downgrade the peer.
+// downgrade the peer. The 3-block gap is deeper than level 1, so the
+// opening frontier round leaves it open and the initiator probes.
 TEST(SetdiffSessionTest, LegacyResponderFailsHandshakeRecognizably) {
   Rig rig;
   auto behind = rig.MakeNode();
@@ -503,7 +523,21 @@ TEST(SetdiffSessionTest, LegacyResponderFailsHandshakeRecognizably) {
   v1.protocol_version = 1;
   recon::ResponderSession responder(ahead.get(), v1);
 
-  const Bytes probe = initiator.Start();
+  // Level 1 (frontier hashes, then the tip's body) is plain hash-first,
+  // which the legacy responder serves.
+  std::vector<Bytes> to_responder = {initiator.Start()};
+  EXPECT_FALSE(initiator.AwaitingSetdiffHandshake());
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_EQ(to_responder.size(), 1u);
+    std::vector<Bytes> replies;
+    ASSERT_TRUE(responder.OnMessage(to_responder[0], &replies).ok());
+    ASSERT_EQ(replies.size(), 1u);
+    to_responder.clear();
+    ASSERT_TRUE(initiator.OnMessage(replies[0], &to_responder).ok());
+  }
+  ASSERT_EQ(to_responder.size(), 1u);
+  const Bytes probe = to_responder[0];
+  ASSERT_EQ(*recon::PeekType(probe), recon::MessageType::kDiffProbe);
   EXPECT_TRUE(initiator.AwaitingSetdiffHandshake());
   std::vector<Bytes> out;
   const Status status = responder.OnMessage(probe, &out);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "util/bloom.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -205,66 +204,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
   Rng parent_copy(41);
   (void)parent_copy.NextU64();  // consume the fork draw
   EXPECT_NE(child.NextU64(), parent_copy.NextU64());
-}
-
-TEST(BloomFilterTest, InsertedItemsAlwaysFound) {
-  BloomFilter f = BloomFilter::ForExpectedItems(100);
-  Rng rng(5);
-  std::vector<Bytes> items;
-  for (int i = 0; i < 100; ++i) {
-    Bytes item(32);
-    for (auto& b : item) b = static_cast<std::uint8_t>(rng.NextU64());
-    f.Insert(item);
-    items.push_back(std::move(item));
-  }
-  for (const Bytes& item : items) EXPECT_TRUE(f.MayContain(item));
-}
-
-TEST(BloomFilterTest, FalsePositiveRateIsLow) {
-  BloomFilter f = BloomFilter::ForExpectedItems(200);
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    Bytes item(32);
-    for (auto& b : item) b = static_cast<std::uint8_t>(rng.NextU64());
-    f.Insert(item);
-  }
-  int false_positives = 0;
-  const int probes = 5000;
-  for (int i = 0; i < probes; ++i) {
-    Bytes item(32);
-    for (auto& b : item) b = static_cast<std::uint8_t>(rng.NextU64());
-    if (f.MayContain(item)) ++false_positives;
-  }
-  // Sized for ~1%; accept anything clearly below 5%.
-  EXPECT_LT(false_positives, probes / 20);
-}
-
-TEST(BloomFilterTest, EmptyFilterContainsNothing) {
-  BloomFilter f(1024, 7);
-  EXPECT_FALSE(f.MayContain(BytesOf("anything")));
-}
-
-TEST(BloomFilterTest, SerializeRoundTrip) {
-  BloomFilter f = BloomFilter::ForExpectedItems(50);
-  f.Insert(BytesOf("alpha"));
-  f.Insert(BytesOf("beta"));
-  const auto back = BloomFilter::Deserialize(f.Serialize());
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->MayContain(BytesOf("alpha")));
-  EXPECT_TRUE(back->MayContain(BytesOf("beta")));
-  EXPECT_FALSE(back->MayContain(BytesOf("gamma")));
-  EXPECT_EQ(back->bit_count(), f.bit_count());
-  EXPECT_EQ(back->hash_count(), f.hash_count());
-}
-
-TEST(BloomFilterTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(BloomFilter::Deserialize(Bytes{}).ok());
-  EXPECT_FALSE(BloomFilter::Deserialize(Bytes{0xff, 0xff}).ok());
-  // Valid header claiming more bits than provided.
-  BloomFilter f(64, 3);
-  Bytes raw = f.Serialize();
-  raw.pop_back();
-  EXPECT_FALSE(BloomFilter::Deserialize(raw).ok());
 }
 
 TEST(SplitMix64Test, KnownSequenceIsStable) {
