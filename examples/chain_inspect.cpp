@@ -8,7 +8,8 @@
 //                                   so signature checks are skipped)
 //   ./chain_inspect metrics         run a small gossiping cluster and
 //                                   print its aggregate telemetry in
-//                                   Prometheus text format
+//                                   Prometheus text format, plus its
+//                                   recon bytes by message on stderr
 //   ./chain_inspect storage [dir]   open a durable store (DESIGN.md
 //                                   §13) and dump its segments, index
 //                                   coverage and recovered chain; dir
@@ -93,7 +94,8 @@ int RunMetricsDemo() {
   cfg.node_count = 4;
   cfg.seed = 404;
   // Reconciliation v2 (DESIGN.md §16), so the scrape shows the
-  // setdiff.* negotiation series and recon.*.level_cap_hit live.
+  // setdiff.* negotiation series, the recon.bytes.* per-message radio
+  // attribution and recon.*.level_cap_hit live.
   cfg.node_template.recon.mode = recon::ReconConfig::Mode::kSetDiff;
   node::Cluster cluster(cfg, &topo);
   cluster.RunFor(20'000);
@@ -111,8 +113,22 @@ int RunMetricsDemo() {
   }
   cluster.RunFor(60'000);
 
-  std::printf("%s", telemetry::ToPrometheusText(
-                        cluster.AggregateSnapshot()).c_str());
+  const telemetry::Snapshot snapshot = cluster.AggregateSnapshot();
+  std::printf("%s", telemetry::ToPrometheusText(snapshot).c_str());
+  // Where the radio bytes went, by message type. On stderr, so stdout
+  // stays a clean scrape.
+  const std::string prefix = "recon.bytes.";
+  const std::uint64_t total = snapshot.CounterSumByPrefix(prefix);
+  std::fprintf(stderr, "recon bytes sent by message (%llu total):\n",
+               static_cast<unsigned long long>(total));
+  for (const auto& [name, bytes] : snapshot.counters) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    std::fprintf(stderr, "  %-18s %10llu  %5.1f%%\n",
+                 name.c_str() + prefix.size(),
+                 static_cast<unsigned long long>(bytes),
+                 total == 0 ? 0.0 : 100.0 * static_cast<double>(bytes) /
+                                        static_cast<double>(total));
+  }
   return 0;
 }
 

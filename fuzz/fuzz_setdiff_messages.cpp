@@ -3,8 +3,9 @@
 //
 // Dispatches on PeekType exactly like the sessions do, then decodes
 // the matching message. The hazards are the three new wire counts
-// (range cells, IBLT cells, diff hashes), each CheckWireCount-bounded;
-// the count-bomb regressions live under tests/corpus/setdiff_messages/.
+// (range cells, IBLT cells, DiffResult short IDs), each
+// CheckWireCount-bounded; the count-bomb regressions live under
+// tests/corpus/setdiff_messages/.
 // Canonicality gives the usual strong oracle: any accepted input must
 // re-encode byte-identically.
 #include <cstddef>

@@ -23,6 +23,7 @@
 #include "node/gossip.h"
 #include "recon/messages.h"
 #include "serial/codec.h"
+#include "setdiff/iblt.h"
 #include "util/bytes.h"
 
 namespace {
@@ -140,7 +141,7 @@ void EmitReconSeeds(const chain::Block& genesis, const chain::Block& child) {
 
 void EmitSetdiffSeeds(const chain::Block& genesis, const chain::Block& child) {
   recon::DiffProbe probe;
-  probe.genesis = genesis.hash();
+  probe.version = 2;
   probe.digest.Insert(genesis.hash());
   probe.digest.Insert(child.hash());
   WriteSeed("setdiff_messages", "seed-diff-probe.bin",
@@ -152,20 +153,19 @@ void EmitSetdiffSeeds(const chain::Block& genesis, const chain::Block& child) {
             recon::EncodeMessage(escalated));
 
   recon::DiffSketch sketch;
-  sketch.genesis = genesis.hash();
-  sketch.seed = setdiff::SeedForCells(16);
+  sketch.seed = 0x5a175a175a175a17ULL;
   sketch.set_size = 2;
   sketch.estimated_delta = 1;
-  sketch.frontier = {child.hash()};
   sketch.sketch = setdiff::Iblt(16, sketch.seed);
-  sketch.sketch.Insert(genesis.hash());
-  sketch.sketch.Insert(child.hash());
+  sketch.sketch.Insert(setdiff::ShortId(genesis.hash(), sketch.seed));
+  sketch.sketch.Insert(setdiff::ShortId(child.hash(), sketch.seed));
   WriteSeed("setdiff_messages", "seed-diff-sketch.bin",
             recon::EncodeMessage(sketch));
 
   recon::DiffResult ok;
   ok.decoded = true;
-  ok.peer_missing = {child.hash()};
+  ok.peer_missing = {setdiff::ShortId(genesis.hash(), sketch.seed)};
+  ok.want = {setdiff::ShortId(child.hash(), sketch.seed)};
   WriteSeed("setdiff_messages", "seed-diff-result-decoded.bin",
             recon::EncodeMessage(ok));
 
@@ -173,15 +173,13 @@ void EmitSetdiffSeeds(const chain::Block& genesis, const chain::Block& child) {
   WriteSeed("setdiff_messages", "seed-diff-result-fallback.bin",
             recon::EncodeMessage(fell_back));
 
-  // IBLT cell-count bomb inside a DiffSketch: tag, genesis, seed,
-  // set_size, delta, empty frontier, then the wrap-the-check count.
+  // IBLT cell-count bomb inside a DiffSketch: tag, salt, set_size,
+  // delta, then the wrap-the-check count.
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffSketch));
-  w.WriteFixed(genesis.hash());
   w.WriteU64(sketch.seed);
   w.WriteVarint(2);
   w.WriteVarint(1);
-  w.WriteVarint(0);
   AppendCountBomb(&w);
   WriteSeed("setdiff_messages", "crash-cell-count-bomb.bin", w.Take());
 }

@@ -10,12 +10,12 @@ void WriteHashes(serial::Writer* w, const std::vector<chain::BlockHash>& hs) {
   for (const chain::BlockHash& h : hs) w->WriteFixed(h);
 }
 
-Status ReadHashList(serial::Reader* r, std::vector<chain::BlockHash>* out,
-                    std::uint64_t limit, const char* what) {
+Status ReadHashes(serial::Reader* r, std::vector<chain::BlockHash>* out) {
   std::uint64_t count;
   VEGVISIR_RETURN_IF_ERROR(r->ReadVarint(&count));
   VEGVISIR_RETURN_IF_ERROR(serial::CheckWireCount(
-      count, limit, r->remaining(), sizeof(chain::BlockHash), what));
+      count, serial::limits::kMaxFrontierHashes, r->remaining(),
+      sizeof(chain::BlockHash), "hash"));
   out->clear();
   out->reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -26,8 +26,20 @@ Status ReadHashList(serial::Reader* r, std::vector<chain::BlockHash>* out,
   return Status::Ok();
 }
 
-Status ReadHashes(serial::Reader* r, std::vector<chain::BlockHash>* out) {
-  return ReadHashList(r, out, serial::limits::kMaxFrontierHashes, "hash");
+void WriteIds(serial::Writer* w, const std::vector<std::uint64_t>& ids) {
+  w->WriteVarint(ids.size());
+  for (const std::uint64_t id : ids) w->WriteU64(id);
+}
+
+Status ReadIds(serial::Reader* r, std::vector<std::uint64_t>* out) {
+  std::uint64_t count;
+  VEGVISIR_RETURN_IF_ERROR(r->ReadVarint(&count));
+  VEGVISIR_RETURN_IF_ERROR(serial::CheckWireCount(
+      count, serial::limits::kMaxDiffIds, r->remaining(),
+      sizeof(std::uint64_t), "diff id"));
+  out->assign(static_cast<std::size_t>(count), 0);
+  for (std::uint64_t& id : *out) VEGVISIR_RETURN_IF_ERROR(r->ReadU64(&id));
+  return Status::Ok();
 }
 
 void WriteBlockList(serial::Writer* w, const std::vector<Bytes>& blocks) {
@@ -106,7 +118,6 @@ Bytes EncodeMessage(const DiffProbe& m) {
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(MessageType::kDiffProbe));
   w.WriteU32(m.version);
-  w.WriteFixed(m.genesis);
   w.WriteU32(m.requested_cells);
   m.digest.Encode(&w);
   return w.Take();
@@ -115,11 +126,9 @@ Bytes EncodeMessage(const DiffProbe& m) {
 Bytes EncodeMessage(const DiffSketch& m) {
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(MessageType::kDiffSketch));
-  w.WriteFixed(m.genesis);
   w.WriteU64(m.seed);
   w.WriteVarint(m.set_size);
   w.WriteVarint(m.estimated_delta);
-  WriteHashes(&w, m.frontier);
   m.sketch.Encode(&w);
   return w.Take();
 }
@@ -128,7 +137,8 @@ Bytes EncodeMessage(const DiffResult& m) {
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(MessageType::kDiffResult));
   w.WriteBool(m.decoded);
-  WriteHashes(&w, m.peer_missing);
+  WriteIds(&w, m.peer_missing);
+  WriteIds(&w, m.want);
   return w.Take();
 }
 
@@ -187,7 +197,6 @@ Status DecodeMessage(ByteSpan data, DiffProbe* out) {
   serial::Reader r(data);
   VEGVISIR_RETURN_IF_ERROR(ExpectType(&r, MessageType::kDiffProbe));
   VEGVISIR_RETURN_IF_ERROR(r.ReadU32(&out->version));
-  VEGVISIR_RETURN_IF_ERROR(r.ReadFixed(&out->genesis));
   VEGVISIR_RETURN_IF_ERROR(r.ReadU32(&out->requested_cells));
   if (out->requested_cells > serial::limits::kMaxIbltCells) {
     return InvalidArgumentError("cell count exceeds limit");
@@ -201,11 +210,9 @@ Status DecodeMessage(ByteSpan data, DiffProbe* out) {
 Status DecodeMessage(ByteSpan data, DiffSketch* out) {
   serial::Reader r(data);
   VEGVISIR_RETURN_IF_ERROR(ExpectType(&r, MessageType::kDiffSketch));
-  VEGVISIR_RETURN_IF_ERROR(r.ReadFixed(&out->genesis));
   VEGVISIR_RETURN_IF_ERROR(r.ReadU64(&out->seed));
   VEGVISIR_RETURN_IF_ERROR(r.ReadVarint(&out->set_size));
   VEGVISIR_RETURN_IF_ERROR(r.ReadVarint(&out->estimated_delta));
-  VEGVISIR_RETURN_IF_ERROR(ReadHashes(&r, &out->frontier));
   auto sketch = setdiff::Iblt::Decode(&r, out->seed);
   if (!sketch.ok()) return sketch.status();
   out->sketch = std::move(sketch).value();
@@ -216,8 +223,8 @@ Status DecodeMessage(ByteSpan data, DiffResult* out) {
   serial::Reader r(data);
   VEGVISIR_RETURN_IF_ERROR(ExpectType(&r, MessageType::kDiffResult));
   VEGVISIR_RETURN_IF_ERROR(r.ReadBool(&out->decoded));
-  VEGVISIR_RETURN_IF_ERROR(ReadHashList(
-      &r, &out->peer_missing, serial::limits::kMaxDiffHashes, "diff hash"));
+  VEGVISIR_RETURN_IF_ERROR(ReadIds(&r, &out->peer_missing));
+  VEGVISIR_RETURN_IF_ERROR(ReadIds(&r, &out->want));
   return r.ExpectEnd();
 }
 

@@ -17,9 +17,11 @@
 // DiffProbe/DiffSketch/DiffResult are reconciliation v2 (DESIGN.md
 // §16). When the level-1 round leaves a gap, the initiator probes
 // with a range digest of its whole hash set, the responder answers
-// with a delta-sized IBLT sketch, and the initiator reports the peel
-// outcome — success routes straight into BlockRequest/PushBlocks,
-// failure falls back to level escalation.
+// with a delta-sized IBLT over salted 64-bit short IDs, and the
+// initiator reports the peel outcome. A successful peel's DiffResult
+// also names the short IDs whose bodies the initiator wants, so the
+// responder answers it with the BlockResponse directly; failure falls
+// back to level escalation.
 // Protocol-version-1 peers reject tag 6+ as "unknown message type",
 // which is exactly how a pre-setdiff build behaves, so the initiator
 // can detect legacy peers and downgrade.
@@ -86,13 +88,13 @@ struct PushBlocks {
 // Opens a setdiff negotiation once the level-1 round has shown the
 // replicas differ: the initiator's whole-set range digest plus enough
 // context for the responder to size an IBLT reply. The responder
-// always answers with a sketch.
+// always answers with a sketch. Genesis was already checked by the
+// session's opening FrontierRequest, so the probe does not repeat it.
 struct DiffProbe {
   // Highest setdiff protocol revision the initiator speaks; a
   // responder configured below it rejects the probe the way a
   // pre-setdiff build would ("unknown message type").
   std::uint32_t version = 1;
-  chain::BlockHash genesis{};
   // 0: responder sizes the sketch from the digest delta estimate.
   // >0: escalation retry after a failed peel; the responder honours
   // the request (clamped to its configured ceiling).
@@ -100,30 +102,33 @@ struct DiffProbe {
   setdiff::RangeDigest digest;
 };
 
-// The responder's delta-sized IBLT over its whole hash set, plus its
-// frontier so a successful peel can feed push-back directly.
+// The responder's delta-sized IBLT over the short IDs of its whole
+// block set.
 struct DiffSketch {
-  chain::BlockHash genesis{};
-  // Hash-family seed the responder built with (derived from the cell
-  // count; carried explicitly so decode never guesses).
+  // The session salt: both the ShortId salt and the IBLT seed. The
+  // responder derives it from the probe, its own frontier and the
+  // cell count, so it changes on every escalation; carried explicitly
+  // so the initiator never guesses.
   std::uint64_t seed = 0;
   // Responder's total set size — lets the initiator sanity-check a
   // peel that claims more one-sided difference than the peer holds.
   std::uint64_t set_size = 0;
   // The responder's own delta estimate, for telemetry and tests.
   std::uint64_t estimated_delta = 0;
-  std::vector<chain::BlockHash> frontier;
   setdiff::Iblt sketch{1, 0};
 };
 
-// The initiator's verdict on a sketch. On success it also names the
-// blocks the responder is missing (the peel's plus side) so the
-// responder can account for the coming push-back; on failure the
+// The initiator's verdict on a sketch, in the sketch's short IDs. On
+// success it names the blocks the responder is missing (the peel's
+// initiator-only side) and `want`, the peer-only IDs whose bodies the
+// initiator still needs; the responder answers a non-empty `want`
+// with one BlockResponse. On failure both lists are empty and the
 // responder just learns the attempt is over (the initiator either
 // re-probes with more cells or falls back to level escalation).
 struct DiffResult {
   bool decoded = false;
-  std::vector<chain::BlockHash> peer_missing;
+  std::vector<std::uint64_t> peer_missing;
+  std::vector<std::uint64_t> want;
 };
 
 // Envelope encoding: a type byte followed by the payload.

@@ -1,11 +1,39 @@
 #include "recon/session.h"
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
+#include <set>
 
+#include "crypto/sha256.h"
 #include "serial/limits.h"
 
 namespace vegvisir::recon {
+namespace {
+
+// The session salt a responder keys its sketch with: 64 bits of
+// SHA-256 over a domain tag, the probe as received (its digest of the
+// initiator's set and the requested cell count), the responder's own
+// frontier digest and the cell count. Deterministic, so same-seed
+// runs stay byte-identical, yet it changes whenever either set or the
+// sketch geometry does — in particular on every escalation retry, so
+// an unlucky arrangement or ID collision cannot recur.
+std::uint64_t SketchSalt(ByteSpan probe, const chain::BlockHash& frontier,
+                         std::uint64_t cells) {
+  serial::Writer w;
+  w.WriteString("vegvisir/setdiff/salt/v1");
+  w.WriteBytes(probe);
+  w.WriteFixed(frontier);
+  w.WriteU64(cells);
+  // Only the responder derives the salt (it travels in the sketch), so
+  // host byte order is fine here.
+  const crypto::Sha256Digest digest = crypto::Sha256::Hash(w.Take());
+  std::uint64_t salt;
+  std::memcpy(&salt, digest.data(), sizeof(salt));
+  return salt;
+}
+
+}  // namespace
 
 SessionMetrics SessionMetrics::Resolve(telemetry::Telemetry* sink,
                                        const char* side) {
@@ -35,6 +63,19 @@ SessionMetrics SessionMetrics::Resolve(telemetry::Telemetry* sink,
   m.setdiff_decode_failure = reg.GetCounter("setdiff.decode_failure");
   m.setdiff_escalations = reg.GetCounter("setdiff.escalations");
   m.setdiff_fallbacks = reg.GetCounter("setdiff.fallbacks");
+  m.setdiff_want_unresolved = reg.GetCounter("setdiff.want_unresolved");
+  static constexpr const char* kMessageNames[] = {
+      "frontier_request", "frontier_response", "block_request",
+      "block_response",   "push_blocks",       "diff_probe",
+      "diff_sketch",      "diff_result",
+  };
+  static_assert(std::size(kMessageNames) == std::tuple_size_v<
+                    decltype(m.bytes_by_type)>);
+  for (std::size_t i = 0; i < m.bytes_by_type.size(); ++i) {
+    // lint: metric-name recon.bytes.*
+    m.bytes_by_type[i] =
+        reg.GetCounter(std::string("recon.bytes.") + kMessageNames[i]);
+  }
   m.reject_empty = reg.GetCounter(prefix + "reject.empty");
   m.reject_unknown_type = reg.GetCounter(prefix + "reject.unknown_type");
   m.reject_unexpected_type =
@@ -46,6 +87,13 @@ SessionMetrics SessionMetrics::Resolve(telemetry::Telemetry* sink,
   m.reject_noncanonical = reg.GetCounter(prefix + "reject.noncanonical");
   m.reject_other = reg.GetCounter(prefix + "reject.other");
   return m;
+}
+
+void SessionMetrics::CountSent(const Bytes& message) {
+  bytes_sent.Inc(message.size());
+  // Every message a session sends came from EncodeMessage, so its
+  // type byte is valid.
+  bytes_by_type[message[0] - 1].Inc(message.size());
 }
 
 void SessionMetrics::CountDecodeReject(const Status& status) {
@@ -79,7 +127,7 @@ InitiatorSession::InitiatorSession(ReconHost* host, ReconConfig config)
 
 Bytes InitiatorSession::Send(Bytes message) {
   stats_.bytes_sent += message.size();
-  metrics_.bytes_sent.Inc(message.size());
+  metrics_.CountSent(message);
   return message;
 }
 
@@ -108,7 +156,6 @@ Bytes InitiatorSession::MakeFrontierRequest() {
 Bytes InitiatorSession::MakeDiffProbe() {
   DiffProbe probe;
   probe.version = config_.protocol_version;
-  probe.genesis = host_->dag().genesis_hash();
   probe.requested_cells = diff_cells_requested_;
   for (const chain::BlockHash& h : host_->dag().TopologicalOrder()) {
     probe.digest.Insert(h);
@@ -174,6 +221,10 @@ Status InitiatorSession::StashBlocks(const std::vector<Bytes>& blocks) {
     stats_.blocks_received += 1;
     metrics_.blocks_received.Inc();
     const chain::BlockHash h = block->hash();
+    if (requested_.count(h) == 0 &&
+        wanted_ids_.count(setdiff::ShortId(h, want_salt_)) == 0) {
+      continue;  // unsolicited: never offer it to the host
+    }
     if (host_->HasBlock(h)) continue;  // already stored or quarantined
     const auto [it, inserted] = stash_.emplace(h, *std::move(block));
     if (inserted) fresh.push_back(&it->second);
@@ -268,6 +319,7 @@ Status InitiatorSession::HandleFrontierResponse(ByteSpan data,
       level_ > 1 && resp.hashes.size() <= last_level_count_;
   last_level_count_ = resp.hashes.size();
   last_advertised_ = resp.hashes;
+  requested_.insert(resp.hashes.begin(), resp.hashes.end());
 
   if (HashFirstActive()) {
     // Request only the bodies we miss.
@@ -320,57 +372,64 @@ Status InitiatorSession::HandleDiffSketch(ByteSpan data,
     metrics_.CountDecodeReject(s);
     return s;
   }
-  if (sketch.genesis != host_->dag().genesis_hash()) {
-    return FailedPreconditionError("peer is on a different chain");
-  }
-  // peer_frontier_ is already set: a probe only follows a frontier
-  // round.
-  last_advertised_ = sketch.frontier;
 
-  // Mirror the responder's table over our own set and subtract:
-  // +1 cells are peer-only keys (fetch), -1 cells are ours-only
-  // (report so the responder can expect the push-back).
-  setdiff::Iblt local(sketch.sketch.cell_count(), sketch.seed);
+  // Mirror the responder's table over our own set, keyed by the same
+  // salted short IDs, and subtract: +1 cells are ours-only (each must
+  // resolve to one of our blocks; reported so the responder can expect
+  // the push-back), -1 cells are peer-only (fetched by ID).
+  const std::uint64_t salt = sketch.seed;
+  setdiff::Iblt diff(sketch.sketch.cell_count(), salt);
+  std::vector<std::uint64_t> own;
   for (const chain::BlockHash& h : host_->dag().TopologicalOrder()) {
-    local.Insert(h);
+    own.push_back(setdiff::ShortId(h, salt));
+    diff.Insert(own.back());
   }
-  setdiff::Iblt diff = sketch.sketch;
-  VEGVISIR_RETURN_IF_ERROR(diff.Subtract(local));
+  std::sort(own.begin(), own.end());
+  const bool collided =
+      std::adjacent_find(own.begin(), own.end()) != own.end();
+  VEGVISIR_RETURN_IF_ERROR(diff.Subtract(sketch.sketch));
 
-  std::vector<chain::BlockHash> peer_only;
-  std::vector<chain::BlockHash> local_only;
-  const bool peeled = diff.Peel(&peer_only, &local_only);
-  // A peel claiming more peer-only keys than the peer's whole set is
-  // a checksum-collision artifact; treat it as a failed decode.
-  if (peeled && peer_only.size() <= sketch.set_size) {
+  std::vector<std::uint64_t> local_only;
+  std::vector<std::uint64_t> peer_only;
+  // Two of our hashes sharing an ID make the table ambiguous, and an
+  // ours-only ID that names none of our blocks can only come from a
+  // checksum coincidence or a forged sketch; so can a peel claiming
+  // more peer-only keys than the peer's whole set. Each counts as a
+  // failed decode: never merge on a guess.
+  const bool decoded =
+      !collided && diff.Peel(&local_only, &peer_only) &&
+      peer_only.size() <= sketch.set_size &&
+      std::all_of(local_only.begin(), local_only.end(),
+                  [&](std::uint64_t id) {
+                    return std::binary_search(own.begin(), own.end(), id);
+                  });
+  if (decoded) {
     metrics_.setdiff_decode_success.Inc();
+    // Bodies this session already fetched (the level-1 frontier) and
+    // the host holds, inserted or parked, are not asked for again.
+    std::set<std::uint64_t> held;
+    for (const chain::BlockHash& h : last_advertised_) {
+      if (host_->HasBlock(h)) held.insert(setdiff::ShortId(h, salt));
+    }
     DiffResult result;
     result.decoded = true;
     result.peer_missing = std::move(local_only);
-    if (result.peer_missing.size() > serial::limits::kMaxDiffHashes) {
-      // The report is informational; the push-back itself carries the
-      // bodies. Keep the message decodable at the peer's wire cap.
-      result.peer_missing.resize(serial::limits::kMaxDiffHashes);
+    for (const std::uint64_t id : peer_only) {
+      if (held.count(id) == 0) result.want.push_back(id);
     }
+    want_salt_ = salt;
+    wanted_ids_.insert(result.want.begin(), result.want.end());
     out->push_back(Send(EncodeMessage(result)));
-
-    BlockRequest req;
-    for (const chain::BlockHash& h : peer_only) {
-      if (!host_->HasBlock(h) && stash_.count(h) == 0) {
-        req.hashes.push_back(h);
-      }
+    if (!result.want.empty()) {
+      diff_phase_ = DiffPhase::kAwaitBlocks;
+      return Status::Ok();
     }
-    if (req.hashes.empty()) {
-      // Empty delta (or every body already quarantined locally).
-      if (TryMerge() && CaughtUp()) {
-        FinishMaybePush(out);
-        return Status::Ok();
-      }
-      return FallBackToLevels(out, /*notify=*/false);
+    // Empty delta (or every body already held locally).
+    if (TryMerge() && CaughtUp()) {
+      FinishMaybePush(out);
+      return Status::Ok();
     }
-    diff_phase_ = DiffPhase::kAwaitBlocks;
-    out->push_back(Send(EncodeMessage(req)));
-    return Status::Ok();
+    return FallBackToLevels(out, /*notify=*/false);
   }
 
   metrics_.setdiff_decode_failure.Inc();
@@ -494,7 +553,7 @@ ResponderSession::ResponderSession(ReconHost* host, ReconConfig config)
 
 Bytes ResponderSession::Send(Bytes message) {
   stats_.bytes_sent += message.size();
-  metrics_.bytes_sent.Inc(message.size());
+  metrics_.CountSent(message);
   return message;
 }
 
@@ -516,7 +575,7 @@ Status ResponderSession::OnMessage(ByteSpan data, std::vector<Bytes>* out) {
     case MessageType::kDiffProbe:
       return HandleDiffProbe(data, out);
     case MessageType::kDiffResult:
-      return HandleDiffResult(data);
+      return HandleDiffResult(data, out);
     default: {
       const Status s = InvalidArgumentError("unexpected message for responder");
       metrics_.CountDecodeReject(s);
@@ -535,19 +594,24 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
     metrics_.CountDecodeReject(s);
     return s;
   }
+  if (!frontier_seen_) {
+    // Every session opens with a FrontierRequest, which is where the
+    // responder checks the initiator is on its chain; a probe before
+    // one is out of order.
+    const Status s = InvalidArgumentError("unexpected message for responder");
+    metrics_.CountDecodeReject(s);
+    return s;
+  }
   DiffProbe probe;
   if (Status s = DecodeMessage(data, &probe); !s.ok()) {
     metrics_.CountDecodeReject(s);
     return s;
   }
-  if (probe.genesis != host_->dag().genesis_hash()) {
-    return FailedPreconditionError("initiator is on a different chain");
-  }
   stats_.rounds += 1;
   metrics_.rounds.Inc();
 
   const chain::Dag& dag = host_->dag();
-  const std::vector<chain::BlockHash> all = dag.TopologicalOrder();
+  std::vector<chain::BlockHash> all = dag.TopologicalOrder();
 
   // Size the sketch from the digest delta estimate unless the probe
   // asks for a specific (escalated) cell count.
@@ -567,13 +631,15 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
           : setdiff::CellsForDelta(estimate, cap);
 
   DiffSketch sketch;
-  sketch.genesis = dag.genesis_hash();
-  sketch.seed = setdiff::SeedForCells(cells);
+  sketch.seed = SketchSalt(data, dag.FrontierDigest(), cells);
   sketch.set_size = all.size();
   sketch.estimated_delta = estimate;
-  sketch.frontier = dag.Frontier();
   sketch.sketch = setdiff::Iblt(cells, sketch.seed);
-  for (const chain::BlockHash& h : all) sketch.sketch.Insert(h);
+  for (const chain::BlockHash& h : all) {
+    sketch.sketch.Insert(setdiff::ShortId(h, sketch.seed));
+  }
+  salt_ = sketch.seed;
+  sketched_ = std::move(all);
 
   Bytes encoded = EncodeMessage(sketch);
   metrics_.setdiff_sketches_sent.Inc();
@@ -582,21 +648,50 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
   return Status::Ok();
 }
 
-Status ResponderSession::HandleDiffResult(ByteSpan data) {
+Status ResponderSession::HandleDiffResult(ByteSpan data,
+                                          std::vector<Bytes>* out) {
   if (config_.protocol_version < 2) {
     const Status s = InvalidArgumentError("unknown message type");
     metrics_.CountDecodeReject(s);
     return s;
   }
-  // The verdict is informational: a decoded=true result precedes the
-  // block requests / push-back the normal handlers already cover, and
-  // decoded=false just means frontier requests are coming. Validate
-  // the wire form and move on.
+  // peer_missing is informational (the push-back that follows carries
+  // the bodies) and a failed verdict just means frontier requests are
+  // coming. Only `want` needs an answer: the bodies of the IDs it
+  // names, resolved under the salt of the sketch this session sent.
   DiffResult result;
   if (Status s = DecodeMessage(data, &result); !s.ok()) {
     metrics_.CountDecodeReject(s);
     return s;
   }
+  if (result.want.empty()) return Status::Ok();
+  if (!salt_.has_value()) {
+    const Status s = InvalidArgumentError("unexpected message for responder");
+    metrics_.CountDecodeReject(s);
+    return s;
+  }
+  const std::set<std::uint64_t> want(result.want.begin(), result.want.end());
+  std::set<std::uint64_t> found;
+  BlockResponse resp;
+  // The sketched set in topological order, so the initiator can merge
+  // parents first. Blocks the DAG gained since were not in the sketch,
+  // so no `want` ID can name them.
+  for (const chain::BlockHash& h : sketched_) {
+    const std::uint64_t id = setdiff::ShortId(h, *salt_);
+    if (want.count(id) == 0) continue;
+    found.insert(id);
+    // Evicted bodies cannot be served; the initiator can fetch them
+    // from a superpeer / the support blockchain.
+    if (const chain::Block* block = host_->dag().Find(h)) {
+      resp.blocks.push_back(block->Serialize());
+    }
+  }
+  // An ID naming none of our blocks is skipped, not fatal: the
+  // initiator's level walk closes whatever gap remains.
+  metrics_.setdiff_want_unresolved.Inc(want.size() - found.size());
+  stats_.blocks_pushed += resp.blocks.size();
+  metrics_.blocks_pushed.Inc(resp.blocks.size());
+  out->push_back(Send(EncodeMessage(resp)));
   return Status::Ok();
 }
 
@@ -611,6 +706,7 @@ Status ResponderSession::HandleFrontierRequest(ByteSpan data,
     return FailedPreconditionError("initiator is on a different chain");
   }
   if (req.level < 1) return InvalidArgumentError("frontier level must be >= 1");
+  frontier_seen_ = true;
   stats_.rounds += 1;
   metrics_.rounds.Inc();
 

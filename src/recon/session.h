@@ -14,12 +14,16 @@
 //     carry hashes and the initiator fetches only the bodies it is
 //     missing. If level 1 leaves a gap, the initiator probes once
 //     with a range digest of its whole hash set, the responder
-//     replies with an IBLT sized to the estimated delta, and a
-//     successful peel yields exactly the differing hashes — wire cost
-//     proportional to the delta, not the DAG. A failed peel escalates
-//     the cell count once, then falls back to hash-first level
-//     escalation; a protocol-version-1 peer rejects the probe
-//     outright and the gossip engine downgrades future sessions.
+//     replies with an IBLT of salted 64-bit short IDs sized to the
+//     estimated delta, and a successful peel yields exactly the
+//     differing IDs — wire cost proportional to the delta, not the
+//     DAG. The initiator resolves its own IDs to hashes and names the
+//     peer-only IDs it wants in its DiffResult, which the responder
+//     resolves and answers with the bodies. A failed peel (or an ID
+//     the initiator cannot resolve) escalates the cell count once,
+//     then falls back to hash-first level escalation; a
+//     protocol-version-1 peer rejects the probe outright and the
+//     gossip engine downgrades future sessions.
 //
 // Hash-first (ablation E10, the paper's future-work direction) is
 // kSetDiff at protocol_version = 1: it never probes and closes every
@@ -30,8 +34,11 @@
 // default to match the paper's one-way pull).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "chain/block.h"
@@ -128,6 +135,10 @@ struct SessionMetrics {
   static SessionMetrics Resolve(telemetry::Telemetry* sink,
                                 const char* side);
 
+  // Counts one outgoing message into bytes_sent and its
+  // recon.bytes.<message> counter.
+  void CountSent(const Bytes& message);
+
   // Bumps the recon.<side>.reject.<suffix> counter matching a failed
   // PeekType/DecodeMessage verdict (suffix = DecodeRejectName(s)).
   void CountDecodeReject(const Status& status);
@@ -155,6 +166,10 @@ struct SessionMetrics {
   telemetry::Counter setdiff_decode_failure;  // initiator
   telemetry::Counter setdiff_escalations;     // initiator
   telemetry::Counter setdiff_fallbacks;       // initiator
+  telemetry::Counter setdiff_want_unresolved;  // responder
+  // Bytes sent per message type (recon.bytes.<message>, both sides
+  // together), indexed by MessageType - 1.
+  std::array<telemetry::Counter, 8> bytes_by_type;
   // Decode-rejection verdicts, one per early-return class in
   // recon/messages.cpp (see DecodeRejectName).
   telemetry::Counter reject_empty;
@@ -250,6 +265,14 @@ class InitiatorSession {
   bool diff_escalated_ = false;
   // Bodies received this session, keyed by hash, not yet inserted.
   std::map<chain::BlockHash, chain::Block> stash_;
+  // What this session asked for: hashes it requested or was
+  // advertised, and the short IDs of its last DiffResult's `want`
+  // under that sketch's salt. A body matching neither is unsolicited
+  // (wire corruption or a hostile peer) and is dropped before the
+  // host can park it.
+  std::set<chain::BlockHash> requested_;
+  std::set<std::uint64_t> wanted_ids_;
+  std::uint64_t want_salt_ = 0;
   // The peer's advertised level-1 frontier (used for push-back).
   std::vector<chain::BlockHash> peer_frontier_;
   bool peer_frontier_known_ = false;
@@ -276,13 +299,20 @@ class ResponderSession {
   Status HandleBlockRequest(ByteSpan data, std::vector<Bytes>* out);
   Status HandlePushBlocks(ByteSpan data);
   Status HandleDiffProbe(ByteSpan data, std::vector<Bytes>* out);
-  Status HandleDiffResult(ByteSpan data);
+  Status HandleDiffResult(ByteSpan data, std::vector<Bytes>* out);
   Bytes Send(Bytes message);
 
   ReconHost* host_;
   ReconConfig config_;
   SessionStats stats_;
   SessionMetrics metrics_;
+  // A FrontierRequest (which checks genesis) has been accepted; a
+  // DiffProbe is only served after one.
+  bool frontier_seen_ = false;
+  // The salt of the last sketch sent and the hashes it covered, in
+  // topological order; a DiffResult's `want` IDs are resolved there.
+  std::optional<std::uint64_t> salt_;
+  std::vector<chain::BlockHash> sketched_;
 };
 
 // Runs a complete session over a lossless in-process "wire",

@@ -52,9 +52,10 @@ inline constexpr std::uint64_t kMaxDiffRanges = 1u << 10;
 // difference; a sketch claiming more cells than kMaxWireBlocks worth
 // of delta is useless anyway.
 inline constexpr std::uint64_t kMaxIbltCells = 1u << 16;
-// Hashes per DiffResult report (the decoded one-sided difference; it
-// can never legitimately exceed the cell count that produced it).
-inline constexpr std::uint64_t kMaxDiffHashes = 1u << 16;
+// Short IDs per DiffResult list (peer_missing, want): each is one
+// side of a decoded difference, which can never legitimately exceed
+// the cell count that produced it.
+inline constexpr std::uint64_t kMaxDiffIds = 1u << 16;
 
 // --- block / transaction encoding (chain/) -------------------------
 // Parents per block: the creator links to its current frontier, so

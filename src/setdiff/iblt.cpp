@@ -9,9 +9,9 @@
 namespace vegvisir::setdiff {
 namespace {
 
-// splitmix64: the standard 64-bit finalizer-style mixer. Keys are
-// SHA-256 output (uniform), so one mixing round per lane suffices to
-// decorrelate positions from the seed and from each other.
+// splitmix64: the standard 64-bit finalizer-style mixer. One round per
+// input word decorrelates the output from the seed and from every
+// other word.
 std::uint64_t Mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -19,28 +19,27 @@ std::uint64_t Mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::uint64_t Lane(const chain::BlockHash& key, std::size_t lane) {
-  std::uint64_t v;
-  std::memcpy(&v, key.data() + lane * 8, sizeof(v));
-  return v;
-}
-
 }  // namespace
 
-bool IbltCell::IsZero() const {
-  if (count != 0 || check_sum != 0) return false;
-  return std::all_of(key_sum.begin(), key_sum.end(),
-                     [](std::uint8_t b) { return b == 0; });
+std::uint64_t ShortId(const chain::BlockHash& hash, std::uint64_t salt) {
+  std::uint64_t id = salt;
+  for (std::size_t lane = 0; lane < hash.size(); lane += 8) {
+    std::uint64_t v;
+    std::memcpy(&v, hash.data() + lane, sizeof(v));
+    id = Mix64(id ^ v);
+  }
+  return id;
 }
 
 Iblt::Iblt(std::size_t cells, std::uint64_t seed)
-    : seed_(seed), cells_(std::max<std::size_t>(cells, 1)) {}
+    : seed_(seed), cells_(std::max<std::size_t>(cells, 1)) {
+  for (std::size_t i = 0; i < lane_seeds_.size(); ++i) {
+    lane_seeds_[i] = Mix64(seed + i);
+  }
+}
 
-void Iblt::Positions(const chain::BlockHash& key,
+void Iblt::Positions(std::uint64_t key,
                      std::size_t out[kIbltHashCount]) const {
-  // Disjoint 8-byte lanes 0..2 of the 32-byte key, each remixed with
-  // the seed; lane 3 is reserved for the checksum.
-  //
   // Partitioned layout: position i is drawn from subtable i (the
   // table split into k contiguous, nearly-equal segments). A single
   // key can therefore never collide with itself — without this, all
@@ -53,8 +52,7 @@ void Iblt::Positions(const chain::BlockHash& key,
     // Degenerate decoder-supplied geometry: no partition possible.
     // Peel will simply fail cleanly on anything nontrivial.
     for (std::size_t i = 0; i < kIbltHashCount; ++i) {
-      out[i] = static_cast<std::size_t>(Mix64(Lane(key, i) ^ (seed_ + i)) %
-                                        total);
+      out[i] = static_cast<std::size_t>(Mix64(key ^ lane_seeds_[i]) % total);
     }
     return;
   }
@@ -64,28 +62,28 @@ void Iblt::Positions(const chain::BlockHash& key,
     const std::size_t size =
         (i + 1 == kIbltHashCount) ? total - begin : base;
     out[i] = begin + static_cast<std::size_t>(
-                         Mix64(Lane(key, i) ^ (seed_ + i)) % size);
+                         Mix64(key ^ lane_seeds_[i]) % size);
   }
 }
 
-std::uint64_t Iblt::CheckOf(const chain::BlockHash& key) const {
-  return Mix64(Lane(key, 3) ^ (seed_ * 0x2545f4914f6cdd1dULL + 0xb5ULL));
+std::uint64_t Iblt::CheckOf(std::uint64_t key) const {
+  return Mix64(key ^ lane_seeds_[kIbltHashCount]);
 }
 
-void Iblt::Apply(const chain::BlockHash& key, std::int64_t delta) {
+void Iblt::Apply(std::uint64_t key, std::int64_t delta) {
   std::size_t pos[kIbltHashCount];
   Positions(key, pos);
   const std::uint64_t check = CheckOf(key);
   for (std::size_t i = 0; i < kIbltHashCount; ++i) {
     IbltCell& cell = cells_[pos[i]];
     cell.count += delta;
-    for (std::size_t b = 0; b < key.size(); ++b) cell.key_sum[b] ^= key[b];
+    cell.key_sum ^= key;
     cell.check_sum ^= check;
   }
 }
 
-void Iblt::Insert(const chain::BlockHash& key) { Apply(key, 1); }
-void Iblt::Erase(const chain::BlockHash& key) { Apply(key, -1); }
+void Iblt::Insert(std::uint64_t key) { Apply(key, 1); }
+void Iblt::Erase(std::uint64_t key) { Apply(key, -1); }
 
 Status Iblt::Subtract(const Iblt& other) {
   if (other.cells_.size() != cells_.size() || other.seed_ != seed_) {
@@ -95,16 +93,14 @@ Status Iblt::Subtract(const Iblt& other) {
     IbltCell& a = cells_[i];
     const IbltCell& b = other.cells_[i];
     a.count -= b.count;
-    for (std::size_t j = 0; j < a.key_sum.size(); ++j) {
-      a.key_sum[j] ^= b.key_sum[j];
-    }
+    a.key_sum ^= b.key_sum;
     a.check_sum ^= b.check_sum;
   }
   return Status::Ok();
 }
 
-bool Iblt::Peel(std::vector<chain::BlockHash>* plus,
-                std::vector<chain::BlockHash>* minus) const {
+bool Iblt::Peel(std::vector<std::uint64_t>* plus,
+                std::vector<std::uint64_t>* minus) const {
   plus->clear();
   minus->clear();
   Iblt work = *this;
@@ -113,14 +109,21 @@ bool Iblt::Peel(std::vector<chain::BlockHash>* plus,
   // |count| == 1 and the checksum fold matches the lone key's own
   // checksum (the 64-bit check makes a coincidental match
   // negligible). Peeling that key may expose new pure cells.
+  //
+  // Each honest peel empties the pure cell it came from, so a table
+  // of n cells yields at most n keys. A forged table can make two
+  // cells hand one key back and forth forever; the bound stops it.
   std::deque<std::size_t> queue;
   for (std::size_t i = 0; i < work.cells_.size(); ++i) queue.push_back(i);
-  while (!queue.empty()) {
+  const auto bounded = [&] {
+    return plus->size() + minus->size() <= work.cells_.size();
+  };
+  while (!queue.empty() && bounded()) {
     const std::size_t i = queue.front();
     queue.pop_front();
     const IbltCell& cell = work.cells_[i];
     if (cell.count != 1 && cell.count != -1) continue;
-    const chain::BlockHash key = cell.key_sum;
+    const std::uint64_t key = cell.key_sum;
     if (work.CheckOf(key) != cell.check_sum) continue;
     const std::int64_t sign = cell.count;
     (sign > 0 ? plus : minus)->push_back(key);
@@ -130,8 +133,9 @@ bool Iblt::Peel(std::vector<chain::BlockHash>* plus,
     for (std::size_t p = 0; p < kIbltHashCount; ++p) queue.push_back(pos[p]);
   }
 
-  const bool clean = std::all_of(work.cells_.begin(), work.cells_.end(),
-                                 [](const IbltCell& c) { return c.IsZero(); });
+  const bool clean =
+      bounded() && std::all_of(work.cells_.begin(), work.cells_.end(),
+                               [](const IbltCell& c) { return c.IsZero(); });
   if (!clean) {
     plus->clear();
     minus->clear();
@@ -146,7 +150,7 @@ void Iblt::Encode(serial::Writer* w) const {
   w->WriteVarint(cells_.size());
   for (const IbltCell& cell : cells_) {
     w->WriteI64(cell.count);
-    w->WriteFixed(cell.key_sum);
+    w->WriteU64(cell.key_sum);
     w->WriteU64(cell.check_sum);
   }
 }
@@ -162,7 +166,7 @@ StatusOr<Iblt> Iblt::Decode(serial::Reader* r, std::uint64_t seed) {
   for (std::uint64_t i = 0; i < count; ++i) {
     IbltCell& cell = out.cells_[static_cast<std::size_t>(i)];
     VEGVISIR_RETURN_IF_ERROR(r->ReadI64(&cell.count));
-    VEGVISIR_RETURN_IF_ERROR(r->ReadFixed(&cell.key_sum));
+    VEGVISIR_RETURN_IF_ERROR(r->ReadU64(&cell.key_sum));
     VEGVISIR_RETURN_IF_ERROR(r->ReadU64(&cell.check_sum));
   }
   return out;
@@ -185,10 +189,6 @@ std::size_t EscalatedCells(std::size_t previous, std::size_t cap) {
   const std::uint64_t grown = static_cast<std::uint64_t>(previous) * 4;
   return static_cast<std::size_t>(
       std::min<std::uint64_t>(grown, std::max<std::size_t>(cap, 1)));
-}
-
-std::uint64_t SeedForCells(std::size_t cells) {
-  return Mix64(0x7665677669736972ULL ^ cells);  // "vegvisir"
 }
 
 }  // namespace vegvisir::setdiff

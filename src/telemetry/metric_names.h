@@ -117,6 +117,20 @@ inline constexpr std::string_view kCounters[] = {
     "setdiff.probes",
     "setdiff.sketch_bytes",
     "setdiff.sketches_sent",
+    // want IDs in a DiffResult that named none of the responder's
+    // blocks (skipped; the initiator's level walk covers the gap).
+    "setdiff.want_unresolved",
+    // Radio bytes by message type, both session sides together; the
+    // eight rows sum to recon.initiator.bytes_sent +
+    // recon.responder.bytes_sent (src/recon/session).
+    "recon.bytes.block_request",
+    "recon.bytes.block_response",
+    "recon.bytes.diff_probe",
+    "recon.bytes.diff_result",
+    "recon.bytes.diff_sketch",
+    "recon.bytes.frontier_request",
+    "recon.bytes.frontier_response",
+    "recon.bytes.push_blocks",
     // Decode-rejection verdicts: one counter per early-return class in
     // recon/messages.cpp (+ codec), per session side. The suffixes are
     // the stable names DecodeRejectName() returns.

@@ -197,13 +197,9 @@ TEST(CorpusTest, ReconHashCountBombRejectedCleanly) {
 TEST(CorpusTest, SetdiffCellCountBombRejectedCleanly) {
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffSketch));
-  chain::BlockHash genesis;
-  genesis.fill(0x11);
-  w.WriteFixed(genesis);
-  w.WriteU64(setdiff::SeedForCells(16));
-  w.WriteVarint(2);  // set_size
-  w.WriteVarint(1);  // estimated_delta
-  w.WriteVarint(0);  // empty frontier
+  w.WriteU64(0x5a17);  // salt
+  w.WriteVarint(2);    // set_size
+  w.WriteVarint(1);    // estimated_delta
   AppendCountBomb(&w);
   const Bytes bomb = w.Take();
   recon::DiffSketch out;

@@ -90,10 +90,7 @@ TEST(LimitsTest, DiffRangeLimitBombRejected) {
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffProbe));
   w.WriteU32(1);  // probe version
-  chain::BlockHash h;
-  h.fill(0x21);
-  w.WriteFixed(h);  // genesis
-  w.WriteU32(0);    // no requested cells
+  w.WriteU32(0);  // no requested cells
   const Bytes bomb = WithLimitBomb(&w, limits::kMaxDiffRanges,
                                    setdiff::kRangeCellWireBytes);
   recon::DiffProbe out;
@@ -108,13 +105,9 @@ TEST(LimitsTest, IbltCellLimitBombRejected) {
   // corpus_test pins the cheap "exceeds input" half.
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffSketch));
-  chain::BlockHash h;
-  h.fill(0x22);
-  w.WriteFixed(h);   // genesis
-  w.WriteU64(7);     // seed
+  w.WriteU64(7);     // salt
   w.WriteVarint(1);  // set_size
   w.WriteVarint(1);  // estimated_delta
-  w.WriteVarint(0);  // empty frontier
   const Bytes bomb = WithLimitBomb(&w, limits::kMaxIbltCells,
                                    setdiff::kIbltCellWireBytes);
   recon::DiffSketch out;
@@ -124,17 +117,21 @@ TEST(LimitsTest, IbltCellLimitBombRejected) {
   EXPECT_STREQ(recon::DecodeRejectName(status), "count_overflow");
 }
 
+// Both DiffResult ID lists (peer_missing, then want) share the cap.
 TEST(LimitsTest, DiffHashLimitBombRejected) {
-  serial::Writer w;
-  w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffResult));
-  w.WriteBool(true);  // decoded
-  const Bytes bomb = WithLimitBomb(&w, limits::kMaxDiffHashes,
-                                   sizeof(chain::BlockHash));
-  recon::DiffResult out;
-  const Status status = recon::DecodeMessage(bomb, &out);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "diff hash count exceeds limit");
-  EXPECT_STREQ(recon::DecodeRejectName(status), "count_overflow");
+  for (const bool in_want : {false, true}) {
+    serial::Writer w;
+    w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffResult));
+    w.WriteBool(true);              // decoded
+    if (in_want) w.WriteVarint(0);  // empty peer_missing
+    const Bytes bomb = WithLimitBomb(&w, limits::kMaxDiffIds,
+                                     sizeof(std::uint64_t));
+    recon::DiffResult out;
+    const Status status = recon::DecodeMessage(bomb, &out);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.message(), "diff id count exceeds limit") << in_want;
+    EXPECT_STREQ(recon::DecodeRejectName(status), "count_overflow");
+  }
 }
 
 TEST(LimitsTest, DiffProbeRequestedCellsAboveLimitRejected) {

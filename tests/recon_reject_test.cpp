@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "node/node.h"
 #include "recon/messages.h"
 #include "recon/session.h"
+#include "setdiff/iblt.h"
 #include "sim/topology.h"
 #include "telemetry/metric_names.h"
 #include "serial/codec.h"
@@ -90,6 +92,18 @@ struct Rig {
   void FeedResponder(const Bytes& data, ReconConfig cfg = ReconConfig{}) {
     ResponderSession session(node.get(), cfg);
     std::vector<Bytes> out;
+    EXPECT_FALSE(session.OnMessage(data, &out).ok());
+  }
+
+  // A responder session past the opening FrontierRequest (which is
+  // where genesis is checked), the state setdiff messages arrive in.
+  void FeedResponderAfterFrontier(const Bytes& data) {
+    ResponderSession session(node.get(), ReconConfig{});
+    FrontierRequest open;
+    open.genesis = genesis.hash();
+    std::vector<Bytes> out;
+    ASSERT_TRUE(session.OnMessage(EncodeMessage(open), &out).ok());
+    out.clear();
     EXPECT_FALSE(session.OnMessage(data, &out).ok());
   }
 };
@@ -177,18 +191,14 @@ TEST(ReconRejectTest, InitiatorNonCanonicalVarint) {
 // for the session's mode, not a decode error.
 TEST(ReconRejectTest, InitiatorSketchOutsideSetdiffMode) {
   Rig rig;
-  DiffSketch sketch;
-  sketch.genesis = rig.genesis.hash();
-  rig.FeedInitiator(EncodeMessage(sketch));
+  rig.FeedInitiator(EncodeMessage(DiffSketch{}));
   ExpectOnly(rig, "initiator", "unexpected_type");
 }
 
 TEST(ReconRejectTest, InitiatorTruncatedDiffSketch) {
   Rig rig;
-  DiffSketch sketch;
-  sketch.genesis = rig.genesis.hash();
-  Bytes raw = EncodeMessage(sketch);
-  raw.resize(10);  // cut mid-genesis: a fixed-field read comes up short
+  Bytes raw = EncodeMessage(DiffSketch{});
+  raw.resize(5);  // cut mid-salt: a fixed-field read comes up short
   rig.FeedSetdiffInitiator(raw);
   ExpectOnly(rig, "initiator", "truncated");
 }
@@ -197,9 +207,7 @@ TEST(ReconRejectTest, InitiatorTruncatedDiffSketch) {
 // bytes cannot back — the cheap-bomb verdict, not "truncated".
 TEST(ReconRejectTest, InitiatorSketchMissingLastCellIsCountOverflow) {
   Rig rig;
-  DiffSketch sketch;
-  sketch.genesis = rig.genesis.hash();
-  Bytes raw = EncodeMessage(sketch);
+  Bytes raw = EncodeMessage(DiffSketch{});
   raw.pop_back();
   rig.FeedSetdiffInitiator(raw);
   ExpectOnly(rig, "initiator", "count_overflow");
@@ -209,11 +217,9 @@ TEST(ReconRejectTest, InitiatorIbltCellCountBomb) {
   Rig rig;
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(MessageType::kDiffSketch));
-  w.WriteFixed(rig.genesis.hash());
-  w.WriteU64(setdiff::SeedForCells(16));
-  w.WriteVarint(1);  // set_size
-  w.WriteVarint(1);  // estimated_delta
-  w.WriteVarint(0);  // empty frontier
+  w.WriteU64(0x5a17);  // salt
+  w.WriteVarint(1);    // set_size
+  w.WriteVarint(1);    // estimated_delta
   w.WriteVarint(0x0800000000000001ULL);  // cell-count bomb
   for (int i = 0; i < 48; ++i) w.WriteU8(0xAA);
   rig.FeedSetdiffInitiator(w.Take());
@@ -222,12 +228,18 @@ TEST(ReconRejectTest, InitiatorIbltCellCountBomb) {
 
 TEST(ReconRejectTest, ResponderTruncatedDiffProbe) {
   Rig rig;
-  DiffProbe probe;
-  probe.genesis = rig.genesis.hash();
-  Bytes raw = EncodeMessage(probe);
-  raw.resize(20);  // cut mid-genesis: a fixed-field read comes up short
-  rig.FeedResponder(raw);
+  Bytes raw = EncodeMessage(DiffProbe{});
+  raw.resize(6);  // cut mid-requested_cells: a fixed-field read comes up short
+  rig.FeedResponderAfterFrontier(raw);
   ExpectOnly(rig, "responder", "truncated");
+}
+
+// Genesis is checked once, by the session's opening FrontierRequest;
+// a probe arriving before one is out of order, however well formed.
+TEST(ReconRejectTest, ResponderRejectsDiffProbeBeforeFrontierRequest) {
+  Rig rig;
+  rig.FeedResponder(EncodeMessage(DiffProbe{}));
+  ExpectOnly(rig, "responder", "unexpected_type");
 }
 
 // A protocol-version-1 responder must answer a DiffProbe exactly like
@@ -235,12 +247,163 @@ TEST(ReconRejectTest, ResponderTruncatedDiffProbe) {
 // type" — so a v2 initiator learns to downgrade the peer.
 TEST(ReconRejectTest, LegacyResponderRejectsDiffProbeAsUnknown) {
   Rig rig;
-  DiffProbe probe;
-  probe.genesis = rig.genesis.hash();
   ReconConfig v1;
   v1.protocol_version = 1;
-  rig.FeedResponder(EncodeMessage(probe), v1);
+  rig.FeedResponder(EncodeMessage(DiffProbe{}), v1);
   ExpectOnly(rig, "responder", "unknown_type");
+}
+
+// ------------------------------------------------------- hostile IDs
+
+// Gives `ahead` a history `shared + delta` blocks long, of which
+// `behind` holds the first `shared`.
+void Diverge(node::Node* behind, node::Node* ahead, int shared, int delta) {
+  for (int i = 0; i < shared; ++i) {
+    const auto h = ahead->AddWitnessBlock();
+    ASSERT_TRUE(h.ok());
+    ASSERT_EQ(behind->OfferBlock(*ahead->dag().Find(*h)),
+              chain::BlockVerdict::kValid);
+  }
+  for (int i = 0; i < delta; ++i) ASSERT_TRUE(ahead->AddWitnessBlock().ok());
+}
+
+bool SameBlocks(const node::Node& a, const node::Node& b) {
+  const auto ha = a.dag().TopologicalOrder();
+  const auto hb = b.dag().TopologicalOrder();
+  return std::set<chain::BlockHash>(ha.begin(), ha.end()) ==
+         std::set<chain::BlockHash>(hb.begin(), hb.end());
+}
+
+// A sketch forged so that its peel yields an initiator-side ID naming
+// none of the initiator's blocks: the initiator must not act on it.
+// Both sketches (the first and the escalated retry) are forged, so
+// the ladder runs to its end — two decode failures, one escalation,
+// one fallback — and the level walk still converges the replicas.
+TEST(ReconRejectTest, ForgedSketchWithUnresolvableIdFallsBackAndConverges) {
+  Rig rig;
+  auto ahead = rig.MakeNode();
+  Diverge(rig.node.get(), ahead.get(), 12, 6);
+  ReconConfig cfg;
+  cfg.mode = ReconConfig::Mode::kSetDiff;
+  InitiatorSession initiator(rig.node.get(), cfg);
+  ResponderSession responder(ahead.get(), cfg);
+  int forged = 0;
+  std::vector<Bytes> to_responder = {initiator.Start()};
+  while (!to_responder.empty()) {
+    std::vector<Bytes> replies;
+    for (const Bytes& m : to_responder) {
+      ASSERT_TRUE(responder.OnMessage(m, &replies).ok());
+    }
+    to_responder.clear();
+    for (Bytes& r : replies) {
+      if (*PeekType(r) == MessageType::kDiffSketch) {
+        DiffSketch sketch;
+        ASSERT_TRUE(DecodeMessage(r, &sketch).ok());
+        // The peer claims to lack a key it never had: after the
+        // initiator subtracts, that key peels on the initiator's side.
+        sketch.sketch.Erase(0xF0F0F0F0F0F0F0F0ULL);
+        r = EncodeMessage(sketch);
+        ++forged;
+      }
+      ASSERT_TRUE(initiator.OnMessage(r, &to_responder).ok());
+    }
+  }
+  EXPECT_EQ(initiator.state(), SessionState::kDone);
+  EXPECT_TRUE(SameBlocks(*rig.node, *ahead));
+  EXPECT_EQ(forged, 2);
+  const auto& metrics = rig.node->telemetry()->metrics;
+  EXPECT_EQ(metrics.CounterValue("setdiff.decode_success"), 0u);
+  EXPECT_EQ(metrics.CounterValue("setdiff.decode_failure"), 2u);
+  EXPECT_EQ(metrics.CounterValue("setdiff.escalations"), 1u);
+  EXPECT_EQ(metrics.CounterValue("setdiff.fallbacks"), 1u);
+}
+
+// A body nobody asked for (wire corruption rewrote a user ID, or a
+// hostile peer) never reaches the host: parked, it would sit in
+// quarantine for the full TTL, since its creator may simply be unknown
+// yet. Here the peer advertises one block and answers with another.
+TEST(ReconRejectTest, UnsolicitedBodyIsDroppedNotParked) {
+  Rig rig;
+  auto ahead = rig.MakeNode();
+  const auto first = ahead->AddWitnessBlock();
+  const auto second = ahead->AddWitnessBlock();
+  ASSERT_TRUE(first.ok() && second.ok());
+  ReconConfig cfg;
+  cfg.mode = ReconConfig::Mode::kSetDiff;
+  InitiatorSession session(rig.node.get(), cfg);
+  (void)session.Start();
+  FrontierResponse level1;
+  level1.genesis = rig.genesis.hash();
+  level1.hashes = {*second};
+  std::vector<Bytes> out;
+  ASSERT_TRUE(session.OnMessage(EncodeMessage(level1), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(*PeekType(out[0]), MessageType::kBlockRequest);
+  BlockResponse resp;
+  resp.blocks = {ahead->dag().Find(*first)->Serialize()};
+  out.clear();
+  ASSERT_TRUE(session.OnMessage(EncodeMessage(resp), &out).ok());
+  EXPECT_EQ(session.stats().blocks_received, 1u);
+  EXPECT_FALSE(rig.node->HasBlock(*first));
+  EXPECT_EQ(rig.node->QuarantineSize(), 0u);
+}
+
+// The responder resolves a DiffResult's `want` under the salt of the
+// sketch it sent. IDs naming none of its blocks are skipped and
+// counted; the reply carries exactly the resolvable bodies.
+TEST(ReconRejectTest, WantWithUnknownIdsGetsOnlyResolvableBodies) {
+  Rig rig;
+  std::vector<chain::BlockHash> held;
+  for (int i = 0; i < 3; ++i) {
+    const auto h = rig.node->AddWitnessBlock();
+    ASSERT_TRUE(h.ok());
+    held.push_back(*h);
+  }
+  ResponderSession session(rig.node.get(), ReconConfig{});
+  std::vector<Bytes> out;
+  DiffResult early;
+  early.decoded = true;
+  early.want = {1};
+  // No sketch sent yet, so there is no salt to resolve under.
+  EXPECT_FALSE(session.OnMessage(EncodeMessage(early), &out).ok());
+  EXPECT_EQ(rig.Reject("responder", "unexpected_type"), 1u);
+
+  FrontierRequest open;
+  open.genesis = rig.genesis.hash();
+  ASSERT_TRUE(session.OnMessage(EncodeMessage(open), &out).ok());
+  out.clear();
+  DiffProbe probe;
+  probe.version = 2;
+  ASSERT_TRUE(session.OnMessage(EncodeMessage(probe), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  DiffSketch sketch;
+  ASSERT_TRUE(DecodeMessage(out[0], &sketch).ok());
+  out.clear();
+
+  DiffResult result;
+  result.decoded = true;
+  result.want = {setdiff::ShortId(held[0], sketch.seed), 0xDEADBEEF,
+                 setdiff::ShortId(held[2], sketch.seed), 0xFEEDFACE};
+  ASSERT_TRUE(session.OnMessage(EncodeMessage(result), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  BlockResponse resp;
+  ASSERT_TRUE(DecodeMessage(out[0], &resp).ok());
+  std::set<chain::BlockHash> got;
+  for (const Bytes& raw : resp.blocks) {
+    auto block = chain::Block::Deserialize(raw);
+    ASSERT_TRUE(block.ok());
+    got.insert(block->hash());
+  }
+  EXPECT_EQ(got, (std::set<chain::BlockHash>{held[0], held[2]}));
+  EXPECT_EQ(rig.node->telemetry()->metrics.CounterValue(
+                "setdiff.want_unresolved"),
+            2u);
+
+  // An empty `want` (a decoded result with nothing to fetch, or a
+  // failed one) gets no reply at all.
+  out.clear();
+  ASSERT_TRUE(session.OnMessage(EncodeMessage(DiffResult{}), &out).ok());
+  EXPECT_TRUE(out.empty());
 }
 
 // ------------------------------------------------------- responder side
@@ -327,11 +490,11 @@ TEST(ReconRejectTest, DecodeRejectNamePinsEveryVerdict) {
   // count backed by real padding; see tests/limits_test.cpp).
   EXPECT_STREQ(name("hash count exceeds limit"), "count_overflow");
   EXPECT_STREQ(name("block count exceeds limit"), "count_overflow");
-  // Setdiff wire counts (range digest, IBLT cells, diff-hash report).
+  // Setdiff wire counts (range digest, IBLT cells, DiffResult IDs).
   EXPECT_STREQ(name("range count exceeds input"), "count_overflow");
   EXPECT_STREQ(name("cell count exceeds input"), "count_overflow");
   EXPECT_STREQ(name("cell count exceeds limit"), "count_overflow");
-  EXPECT_STREQ(name("diff hash count exceeds input"), "count_overflow");
+  EXPECT_STREQ(name("diff id count exceeds input"), "count_overflow");
   EXPECT_STREQ(name("truncated input"), "truncated");
   EXPECT_STREQ(name("trailing bytes after value"), "trailing");
   EXPECT_STREQ(name("non-minimal varint"), "noncanonical");
@@ -363,6 +526,33 @@ TEST(MetricNamesTest, ClusterRunEmitsOnlyDeclaredNames) {
   for (const std::string& name : undeclared) {
     ADD_FAILURE() << "undeclared metric name: " << name;
   }
+}
+
+// recon.bytes.<message> attributes every byte a session sends to its
+// message type, so over a cluster run the eight counters add up to
+// the two sides' bytes_sent exactly.
+TEST(MetricNamesTest, PerMessageBytesSumToSessionBytes) {
+  sim::ExplicitTopology topo(4);
+  topo.MakeClique();
+  node::ClusterConfig cfg;
+  cfg.node_count = 4;
+  cfg.node_template.recon.mode = ReconConfig::Mode::kSetDiff;
+  cfg.node_template.recon.push_back = true;
+  node::Cluster cluster(cfg, &topo);
+  cluster.RunFor(30'000);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(cluster.node(1 + i % 3).AddWitnessBlock().ok());
+  }
+  cluster.RunFor(60'000);
+  ASSERT_TRUE(cluster.Converged());
+
+  const telemetry::Snapshot snap = cluster.AggregateSnapshot();
+  const std::uint64_t sent = snap.counters.at("recon.initiator.bytes_sent") +
+                             snap.counters.at("recon.responder.bytes_sent");
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(snap.CounterSumByPrefix("recon.bytes."), sent);
+  EXPECT_GT(snap.counters.at("recon.bytes.frontier_request"), 0u);
+  EXPECT_GT(snap.counters.at("recon.bytes.frontier_response"), 0u);
 }
 
 }  // namespace

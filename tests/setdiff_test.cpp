@@ -26,6 +26,10 @@ namespace {
 
 using chain::BlockHash;
 
+// Fixed table seeds for the codec tests; sessions derive theirs per
+// sketch (the session salt).
+constexpr std::uint64_t kSeed16 = 0x5eed0016;
+
 BlockHash HashFromRng(Rng* rng) {
   BlockHash h;
   for (std::size_t i = 0; i < h.size(); i += 8) {
@@ -41,9 +45,9 @@ BlockHash HashFromRng(Rng* rng) {
 
 TEST(IbltTest, InsertEraseCancelsToZero) {
   Rng rng(1);
-  Iblt t(32, SeedForCells(32));
-  std::vector<BlockHash> keys;
-  for (int i = 0; i < 10; ++i) keys.push_back(HashFromRng(&rng));
+  Iblt t(32, kSeed16);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 10; ++i) keys.push_back(rng.NextU64());
   for (const auto& k : keys) t.Insert(k);
   for (const auto& k : keys) t.Erase(k);
   for (const auto& cell : t.cells()) EXPECT_TRUE(cell.IsZero());
@@ -70,35 +74,36 @@ TEST(IbltTest, RandomSymmetricDifferencesDecodeExactly) {
     const std::size_t b_only_n = rng.NextBelow(20);
     const std::size_t cells =
         CellsForDelta(a_only_n + b_only_n, serial::limits::kMaxIbltCells);
-    const std::uint64_t seed = SeedForCells(cells);
+    const std::uint64_t seed = rng.NextU64();
 
     Iblt a(cells, seed);
     Iblt b(cells, seed);
-    std::vector<BlockHash> a_only, b_only;
+    std::vector<std::uint64_t> a_only, b_only;
     for (std::size_t i = 0; i < shared; ++i) {
-      const BlockHash h = HashFromRng(&rng);
-      a.Insert(h);
-      b.Insert(h);
+      const std::uint64_t k = rng.NextU64();
+      a.Insert(k);
+      b.Insert(k);
     }
     for (std::size_t i = 0; i < a_only_n; ++i) {
-      a_only.push_back(HashFromRng(&rng));
+      a_only.push_back(rng.NextU64());
       a.Insert(a_only.back());
     }
     for (std::size_t i = 0; i < b_only_n; ++i) {
-      b_only.push_back(HashFromRng(&rng));
+      b_only.push_back(rng.NextU64());
       b.Insert(b_only.back());
     }
 
     // Mirror the session ladder: peel at the estimated size, and on
     // the (rare, legitimate) failure retry once at the escalated
-    // size, which must always succeed for in-margin deltas.
-    std::vector<BlockHash> plus, minus;
+    // size under a fresh seed, which must always succeed for
+    // in-margin deltas.
+    std::vector<std::uint64_t> plus, minus;
     Iblt diff = a;
     ASSERT_TRUE(diff.Subtract(b).ok());
     if (!diff.Peel(&plus, &minus)) {
       const std::size_t big =
           EscalatedCells(cells, serial::limits::kMaxIbltCells);
-      const std::uint64_t big_seed = SeedForCells(big);
+      const std::uint64_t big_seed = rng.NextU64();
       // Rebuild at the escalated geometry. Shared keys cancel under
       // subtraction, so inserting only the difference is equivalent.
       Iblt a2(big, big_seed), b2(big, big_seed);
@@ -123,12 +128,12 @@ TEST(IbltTest, RandomSymmetricDifferencesDecodeExactly) {
 TEST(IbltTest, OversizedDeltaFailsLoudly) {
   Rng rng(7);
   const std::size_t cells = 16;
-  Iblt a(cells, SeedForCells(cells));
-  Iblt b(cells, SeedForCells(cells));
+  Iblt a(cells, kSeed16);
+  Iblt b(cells, kSeed16);
   // 64 differing keys cannot fit a 16-cell table (threshold ~cells/1.3).
-  for (int i = 0; i < 64; ++i) a.Insert(HashFromRng(&rng));
+  for (int i = 0; i < 64; ++i) a.Insert(rng.NextU64());
   ASSERT_TRUE(a.Subtract(b).ok());
-  std::vector<BlockHash> plus, minus;
+  std::vector<std::uint64_t> plus, minus;
   EXPECT_FALSE(a.Peel(&plus, &minus));
   EXPECT_TRUE(plus.empty());
   EXPECT_TRUE(minus.empty());
@@ -136,8 +141,8 @@ TEST(IbltTest, OversizedDeltaFailsLoudly) {
 
 TEST(IbltTest, EncodeDecodeRoundTripsByteExactly) {
   Rng rng(9);
-  Iblt t(24, SeedForCells(24));
-  for (int i = 0; i < 12; ++i) t.Insert(HashFromRng(&rng));
+  Iblt t(24, kSeed16);
+  for (int i = 0; i < 12; ++i) t.Insert(rng.NextU64());
   serial::Writer w;
   t.Encode(&w);
   const Bytes raw = w.Take();
@@ -159,8 +164,56 @@ TEST(IbltTest, SizingPolicy) {
   EXPECT_EQ(CellsForDelta(1u << 20, 1u << 16), std::size_t{1} << 16);
   EXPECT_EQ(EscalatedCells(16, 1u << 16), 64u);
   EXPECT_EQ(EscalatedCells(100, 128), 128u);
-  // Escalation re-seeds the hash family.
-  EXPECT_NE(SeedForCells(16), SeedForCells(64));
+  // A new salt (every escalation brings one) re-keys every ID.
+  Rng rng(3);
+  const BlockHash h = HashFromRng(&rng);
+  EXPECT_NE(ShortId(h, 16), ShortId(h, 64));
+}
+
+// ShortId reads all four 8-byte lanes of the hash: hashes that agree
+// on every lane but one still get distinct IDs, whichever lane it is.
+TEST(IbltTest, ShortIdMixesEveryLane) {
+  Rng rng(5);
+  const BlockHash h = HashFromRng(&rng);
+  const std::uint64_t salt = rng.NextU64();
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    for (std::size_t byte = 0; byte < 8; ++byte) {
+      BlockHash flipped = h;
+      flipped[lane * 8 + byte] ^= 0x01;
+      EXPECT_NE(ShortId(flipped, salt), ShortId(h, salt))
+          << "lane " << lane << " byte " << byte;
+    }
+  }
+  EXPECT_EQ(ShortId(h, salt), ShortId(h, salt));
+}
+
+// A forged table in which two cells hand one key back and forth must
+// fail the peel, not loop: a key at +1 in one of its cells and absent
+// from the other two peels into -1 in those two, which peel it back.
+TEST(IbltTest, ForgedPingPongTableFailsInsteadOfLooping) {
+  const std::uint64_t key = 0x1234;
+  // Find the key's cells by inserting it into an empty table.
+  Iblt probe(16, kSeed16);
+  probe.Insert(key);
+  std::size_t first = 0;
+  while (probe.cells()[first].IsZero()) ++first;
+  serial::Writer w;
+  w.WriteVarint(16);
+  for (std::size_t i = 0; i < 16; ++i) {
+    const IbltCell& c = probe.cells()[i];
+    const bool keep = i == first;
+    w.WriteI64(keep ? c.count : 0);
+    w.WriteU64(keep ? c.key_sum : 0);
+    w.WriteU64(keep ? c.check_sum : 0);
+  }
+  const Bytes raw = w.Take();
+  serial::Reader r(raw);
+  auto forged = Iblt::Decode(&r, kSeed16);
+  ASSERT_TRUE(forged.ok());
+  std::vector<std::uint64_t> plus, minus;
+  EXPECT_FALSE(forged->Peel(&plus, &minus));
+  EXPECT_TRUE(plus.empty());
+  EXPECT_TRUE(minus.empty());
 }
 
 // Partitioned subtables: a key's three cells are always distinct
@@ -172,12 +225,12 @@ TEST(IbltTest, SingleKeyAlwaysPeelsAtAnySize) {
   Rng rng(31);
   for (const std::size_t cells : {3u, 4u, 5u, 7u, 16u, 33u, 100u}) {
     for (int trial = 0; trial < 200; ++trial) {
-      Iblt a(cells, SeedForCells(cells) + trial);
-      const BlockHash h = HashFromRng(&rng);
+      Iblt a(cells, kSeed16 + cells * 1000 + trial);
+      const std::uint64_t h = rng.NextU64();
       a.Insert(h);
       Iblt b(cells, a.seed());
       ASSERT_TRUE(a.Subtract(b).ok());
-      std::vector<BlockHash> plus, minus;
+      std::vector<std::uint64_t> plus, minus;
       ASSERT_TRUE(a.Peel(&plus, &minus))
           << cells << " cells, trial " << trial;
       ASSERT_EQ(plus.size(), 1u);
@@ -274,14 +327,14 @@ TEST(RangeDigestTest, EncodeDecodeRoundTripsByteExactly) {
 TEST(DiffMessagesTest, ProbeRoundTripsByteExactly) {
   Rng rng(19);
   recon::DiffProbe probe;
-  probe.genesis.fill(0x31);
+  probe.version = 2;
   probe.requested_cells = 256;
   for (int i = 0; i < 25; ++i) probe.digest.Insert(HashFromRng(&rng));
   const Bytes raw = recon::EncodeMessage(probe);
   ASSERT_EQ(*recon::PeekType(raw), recon::MessageType::kDiffProbe);
   recon::DiffProbe out;
   ASSERT_TRUE(recon::DecodeMessage(raw, &out).ok());
-  EXPECT_EQ(out.genesis, probe.genesis);
+  EXPECT_EQ(out.version, 2u);
   EXPECT_EQ(out.requested_cells, 256u);
   EXPECT_TRUE(out.digest == probe.digest);
   EXPECT_EQ(recon::EncodeMessage(out), raw);
@@ -290,13 +343,13 @@ TEST(DiffMessagesTest, ProbeRoundTripsByteExactly) {
 TEST(DiffMessagesTest, SketchRoundTripsByteExactly) {
   Rng rng(23);
   recon::DiffSketch sketch;
-  sketch.genesis.fill(0x33);
-  sketch.seed = SeedForCells(48);
+  sketch.seed = rng.NextU64();
   sketch.set_size = 9;
   sketch.estimated_delta = 3;
-  sketch.frontier = {HashFromRng(&rng), HashFromRng(&rng)};
   sketch.sketch = Iblt(48, sketch.seed);
-  for (int i = 0; i < 9; ++i) sketch.sketch.Insert(HashFromRng(&rng));
+  for (int i = 0; i < 9; ++i) {
+    sketch.sketch.Insert(ShortId(HashFromRng(&rng), sketch.seed));
+  }
   const Bytes raw = recon::EncodeMessage(sketch);
   ASSERT_EQ(*recon::PeekType(raw), recon::MessageType::kDiffSketch);
   recon::DiffSketch out;
@@ -304,23 +357,45 @@ TEST(DiffMessagesTest, SketchRoundTripsByteExactly) {
   EXPECT_EQ(out.seed, sketch.seed);
   EXPECT_EQ(out.set_size, 9u);
   EXPECT_EQ(out.estimated_delta, 3u);
-  EXPECT_EQ(out.frontier, sketch.frontier);
   EXPECT_TRUE(out.sketch.cells() == sketch.sketch.cells());
   EXPECT_EQ(recon::EncodeMessage(out), raw);
+}
+
+// The short-ID wire pin: with every cell count fitting one varint
+// byte, an n-cell sketch costs 17 bytes per cell plus a small fixed
+// header (type, salt, set size, estimate, cell count).
+TEST(DiffMessagesTest, SketchCostsSeventeenBytesPerCell) {
+  Rng rng(37);
+  for (const std::size_t cells : {16u, 64u, 1000u, 16384u}) {
+    recon::DiffSketch sketch;
+    sketch.seed = rng.NextU64();
+    sketch.set_size = 1u << 20;
+    sketch.estimated_delta = cells / 2;
+    sketch.sketch = Iblt(cells, sketch.seed);
+    for (std::size_t i = 0; i < cells / 2; ++i) {
+      sketch.sketch.Insert(rng.NextU64());
+    }
+    for (const IbltCell& c : sketch.sketch.cells()) {
+      ASSERT_LT(c.count, 64);  // one zigzag varint byte
+    }
+    EXPECT_LE(recon::EncodeMessage(sketch).size(), 17 * cells + 32)
+        << cells << " cells";
+  }
 }
 
 TEST(DiffMessagesTest, ResultRoundTripsByteExactly) {
   Rng rng(29);
   recon::DiffResult result;
   result.decoded = true;
-  result.peer_missing = {HashFromRng(&rng), HashFromRng(&rng),
-                         HashFromRng(&rng)};
+  result.peer_missing = {rng.NextU64(), rng.NextU64(), rng.NextU64()};
+  result.want = {rng.NextU64(), rng.NextU64()};
   const Bytes raw = recon::EncodeMessage(result);
   ASSERT_EQ(*recon::PeekType(raw), recon::MessageType::kDiffResult);
   recon::DiffResult out;
   ASSERT_TRUE(recon::DecodeMessage(raw, &out).ok());
   EXPECT_TRUE(out.decoded);
   EXPECT_EQ(out.peer_missing, result.peer_missing);
+  EXPECT_EQ(out.want, result.want);
   EXPECT_EQ(recon::EncodeMessage(out), raw);
 }
 
@@ -441,6 +516,86 @@ TEST(SetdiffSessionTest, DecodeFailureFallsBackAndReconverges) {
   EXPECT_GE(metrics.CounterValue("setdiff.decode_failure"), 1u);
   EXPECT_EQ(metrics.CounterValue("setdiff.escalations"), 1u);
   EXPECT_EQ(metrics.CounterValue("setdiff.fallbacks"), 1u);
+}
+
+// Runs one session over a lossless in-process wire, like
+// RunLocalSession, and returns every responder reply in order.
+std::vector<Bytes> RunRecordingReplies(node::Node* initiator_host,
+                                       node::Node* responder_host,
+                                       const recon::ReconConfig& cfg,
+                                       recon::SessionState* final_state) {
+  recon::InitiatorSession initiator(initiator_host, cfg);
+  recon::ResponderSession responder(responder_host, cfg);
+  std::vector<Bytes> replies_seen;
+  std::vector<Bytes> to_responder = {initiator.Start()};
+  while (!to_responder.empty()) {
+    std::vector<Bytes> replies;
+    for (const Bytes& m : to_responder) {
+      if (!responder.OnMessage(m, &replies).ok()) break;
+    }
+    to_responder.clear();
+    for (const Bytes& r : replies) {
+      replies_seen.push_back(r);
+      if (!initiator.OnMessage(r, &to_responder).ok()) break;
+    }
+  }
+  *final_state = initiator.state();
+  return replies_seen;
+}
+
+// Every sketch carries its own salt: the escalation retry must not
+// rebuild the table that just failed, even when the cell ceiling
+// keeps the cell count the same.
+TEST(SetdiffSessionTest, EscalatedSketchHasAFreshSalt) {
+  Rig rig;
+  auto behind = rig.MakeNode();
+  auto ahead = rig.MakeNode();
+  rig.Diverge(behind.get(), ahead.get(), 16, 80);
+  recon::ReconConfig cfg;
+  cfg.mode = recon::ReconConfig::Mode::kSetDiff;
+  cfg.max_iblt_cells = 16;  // both sketches get 16 cells
+  recon::SessionState state;
+  std::vector<std::uint64_t> salts;
+  for (const Bytes& reply :
+       RunRecordingReplies(behind.get(), ahead.get(), cfg, &state)) {
+    if (*recon::PeekType(reply) != recon::MessageType::kDiffSketch) continue;
+    recon::DiffSketch sketch;
+    ASSERT_TRUE(recon::DecodeMessage(reply, &sketch).ok());
+    EXPECT_EQ(sketch.sketch.cell_count(), 16u);
+    salts.push_back(sketch.seed);
+  }
+  EXPECT_EQ(state, recon::SessionState::kDone);
+  ASSERT_EQ(salts.size(), 2u);
+  EXPECT_NE(salts[0], salts[1]);
+}
+
+// The post-peel fetch rides in the DiffResult: a decoded sketch is
+// answered by exactly one BlockResponse and no BlockRequest is sent.
+TEST(SetdiffSessionTest, DecodedResultCarriesTheFetch) {
+  Rig rig;
+  auto behind = rig.MakeNode();
+  auto ahead = rig.MakeNode();
+  rig.Diverge(behind.get(), ahead.get(), 40, 6);
+  recon::ReconConfig cfg;
+  cfg.mode = recon::ReconConfig::Mode::kSetDiff;
+  recon::SessionState state;
+  const std::vector<Bytes> replies =
+      RunRecordingReplies(behind.get(), ahead.get(), cfg, &state);
+  EXPECT_EQ(state, recon::SessionState::kDone);
+  EXPECT_TRUE(SameBlocks(*behind, *ahead));
+  // Level 1 (hashes, then the tip's body), the sketch, then the
+  // bodies the DiffResult asked for.
+  std::vector<recon::MessageType> types;
+  for (const Bytes& r : replies) types.push_back(*recon::PeekType(r));
+  EXPECT_EQ(types, (std::vector<recon::MessageType>{
+                       recon::MessageType::kFrontierResponse,
+                       recon::MessageType::kBlockResponse,
+                       recon::MessageType::kDiffSketch,
+                       recon::MessageType::kBlockResponse}));
+  const auto& metrics = behind->telemetry()->metrics;
+  EXPECT_EQ(metrics.CounterValue("recon.bytes.block_request"),
+            recon::EncodeMessage(recon::BlockRequest{{BlockHash{}}}).size());
+  EXPECT_EQ(metrics.CounterValue("setdiff.decode_success"), 1u);
 }
 
 // The gossip engine resumes a failed catch-up at the level it reached,
