@@ -9,7 +9,7 @@
 //   full-dag   — naive baseline: ship everything, every time
 //   block-push — Algorithm 1 exactly as published
 //   hash-first — the future-work ablation (hashes first, bodies on
-//                demand): setdiff at protocol version 1
+//                demand)
 // in two divergence shapes: a linear chain (deep) and a bush of
 // concurrent branches (wide, as after a many-way partition).
 //
@@ -107,6 +107,8 @@ const char* StrategyName(recon::ReconConfig::Mode mode) {
   switch (mode) {
     case recon::ReconConfig::Mode::kBlockPush:
       return "paper";
+    case recon::ReconConfig::Mode::kHashFirst:
+      return "hash-first";
     case recon::ReconConfig::Mode::kSetDiff:
       return "setdiff";
   }
@@ -195,9 +197,8 @@ int main() {
               "d", "full-dag B", "block-push B", "rounds", "hash-first B",
               "rounds", "setdiff B", "rounds");
   recon::ReconConfig block_push;
-  recon::ReconConfig hash_first;  // setdiff at protocol v1 never probes
-  hash_first.mode = recon::ReconConfig::Mode::kSetDiff;
-  hash_first.protocol_version = 1;
+  recon::ReconConfig hash_first;
+  hash_first.mode = recon::ReconConfig::Mode::kHashFirst;
   recon::ReconConfig setdiff_cfg;
   setdiff_cfg.mode = recon::ReconConfig::Mode::kSetDiff;
   for (const bool bush : {false, true}) {

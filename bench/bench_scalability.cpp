@@ -76,6 +76,7 @@ Result Run(int n, recon::ReconConfig::Mode mode) {
 const char* ModeName(recon::ReconConfig::Mode mode) {
   switch (mode) {
     case recon::ReconConfig::Mode::kBlockPush: return "block-push";
+    case recon::ReconConfig::Mode::kHashFirst: return "hash-first";
     case recon::ReconConfig::Mode::kSetDiff: return "setdiff";
   }
   return "?";

@@ -141,7 +141,6 @@ void EmitReconSeeds(const chain::Block& genesis, const chain::Block& child) {
 
 void EmitSetdiffSeeds(const chain::Block& genesis, const chain::Block& child) {
   recon::DiffProbe probe;
-  probe.version = 2;
   probe.digest.Insert(genesis.hash());
   probe.digest.Insert(child.hash());
   WriteSeed("setdiff_messages", "seed-diff-probe.bin",

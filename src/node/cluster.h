@@ -32,8 +32,8 @@ struct ClusterConfig {
   NodeConfig node_template;       // recon mode, validation params, ...
   // Per-node reconciliation overrides (node index -> ReconConfig),
   // replacing the template's recon config wholesale for those nodes.
-  // This is how mixed-version fleets are built: e.g. nodes 0-2 on
-  // setdiff protocol v2, nodes 3-5 pinned to protocol_version = 1.
+  // This is how fleets that mix modes are built: e.g. nodes 0-3 on
+  // setdiff, node 4 on hash-first and node 5 on block-push.
   // Overrides survive crash/restart (ConfigFor applies them on every
   // incarnation).
   std::map<int, recon::ReconConfig> recon_overrides;

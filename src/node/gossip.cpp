@@ -46,9 +46,7 @@ GossipEngine::GossipEngine(Node* node, sim::Simulator* simulator,
       c_cooldown_skips_(node->telemetry()->metrics.GetCounter(
           "gossip.cooldown_skips")),
       c_responder_orphaned_(node->telemetry()->metrics.GetCounter(
-          "recon.responder.sessions_orphaned")),
-      c_peer_downgrades_(node->telemetry()->metrics.GetCounter(
-          "setdiff.peer_downgrades")) {
+          "recon.responder.sessions_orphaned")) {
   // Session ids start at a random 32-bit offset so an engine rebuilt
   // after a crash does not reuse its predecessor's ids: replies still
   // in flight toward the old incarnation must not be mistaken for
@@ -137,11 +135,6 @@ void GossipEngine::StartSessionWith(sim::NodeId peer) {
   recon::ReconConfig session_cfg = node_->recon_config();
   if (const auto it = resume_level_.find(peer); it != resume_level_.end()) {
     session_cfg.start_level = it->second;
-  }
-  if (legacy_peers_.count(peer) > 0) {
-    // This peer already rejected a setdiff probe; don't pay another
-    // handshake timeout just to learn it again (v1 runs hash-first).
-    session_cfg.protocol_version = 1;
   }
   ActiveSession active;
   active.session =
@@ -298,17 +291,9 @@ void GossipEngine::FinishSession(std::uint64_t session_id,
     resume_level_[peer] =
         std::max(resume_level_[peer], it->second.session->level());
     if (reason == FinishReason::kAborted) c_aborted_.Inc();
-    MaybeDowngradePeer(it->second);
   }
   sessions_.erase(it);
   if (reason != FinishReason::kCompleted) RecordFailure(peer);
-}
-
-void GossipEngine::MaybeDowngradePeer(const ActiveSession& session) {
-  if (!session.session->AwaitingSetdiffHandshake()) return;
-  if (legacy_peers_.insert(session.peer).second) {
-    c_peer_downgrades_.Inc();
-  }
 }
 
 void GossipEngine::RecordFailure(sim::NodeId peer) {
@@ -340,9 +325,6 @@ void GossipEngine::ExpireSessions() {
       // stalled (lost message mid-escalation).
       resume_level_[it->second.peer] = std::max(
           resume_level_[it->second.peer], it->second.session->level());
-      // The usual way a legacy peer surfaces: it rejected the probe
-      // without replying, so the session idles out still handshaking.
-      MaybeDowngradePeer(it->second);
       failed_peers.push_back(it->second.peer);
       it = sessions_.erase(it);
     } else {

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 
 #include "node/node.h"
 #include "recon/session.h"
@@ -126,11 +125,6 @@ class GossipEngine {
     const auto it = resume_level_.find(peer);
     return it == resume_level_.end() ? 0 : it->second;
   }
-  // True once a setdiff handshake toward this peer failed and future
-  // sessions are downgraded to hash-first.
-  bool IsLegacyPeer(sim::NodeId peer) const {
-    return legacy_peers_.count(peer) > 0;
-  }
 
  private:
   struct ActiveSession {
@@ -154,13 +148,6 @@ class GossipEngine {
   bool SendEnvelope(sim::NodeId to, std::uint8_t direction,
                     std::uint64_t session_id, const Bytes& payload);
   void FinishSession(std::uint64_t session_id, FinishReason reason);
-  // A session died before its setdiff probe was ever answered: that
-  // is how a legacy (protocol-version-1) peer presents, since it
-  // rejects the probe without replying. Downgrade the peer so future
-  // sessions run hash-first. (A probe lost to radio loss trips this
-  // too — a deliberate trade: hash-first stays correct, and one
-  // conservative downgrade beats timing out every future session.)
-  void MaybeDowngradePeer(const ActiveSession& session);
   void RecordFailure(sim::NodeId peer);
   void RejectEnvelope(std::size_t envelope_bytes);
   ResponderState& ResponderFor(std::uint64_t session_id, sim::TimeMs now);
@@ -189,10 +176,6 @@ class GossipEngine {
   std::map<sim::NodeId, std::uint32_t> resume_level_;
   // Consecutive-failure backoff per peer (the cooldown list).
   std::map<sim::NodeId, PeerBackoff> backoff_;
-  // Peers whose setdiff handshake failed; sessions toward them run
-  // hash-first. Survives Stop()/Start() but not Shutdown() (a crash
-  // rebuilds the engine, and the fresh one re-probes once).
-  std::set<sim::NodeId> legacy_peers_;
   // Engine-only counters (session traffic is counted by the sessions
   // themselves, into the same per-node registry).
   telemetry::Counter c_ticks_;
@@ -206,7 +189,6 @@ class GossipEngine {
   telemetry::Counter c_retries_;
   telemetry::Counter c_cooldown_skips_;
   telemetry::Counter c_responder_orphaned_;
-  telemetry::Counter c_peer_downgrades_;
 };
 
 }  // namespace vegvisir::node

@@ -117,7 +117,6 @@ Bytes EncodeMessage(const PushBlocks& m) {
 Bytes EncodeMessage(const DiffProbe& m) {
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(MessageType::kDiffProbe));
-  w.WriteU32(m.version);
   w.WriteU32(m.requested_cells);
   m.digest.Encode(&w);
   return w.Take();
@@ -196,7 +195,6 @@ Status DecodeMessage(ByteSpan data, PushBlocks* out) {
 Status DecodeMessage(ByteSpan data, DiffProbe* out) {
   serial::Reader r(data);
   VEGVISIR_RETURN_IF_ERROR(ExpectType(&r, MessageType::kDiffProbe));
-  VEGVISIR_RETURN_IF_ERROR(r.ReadU32(&out->version));
   VEGVISIR_RETURN_IF_ERROR(r.ReadU32(&out->requested_cells));
   if (out->requested_cells > serial::limits::kMaxIbltCells) {
     return InvalidArgumentError("cell count exceeds limit");

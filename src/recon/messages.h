@@ -21,10 +21,8 @@
 // initiator reports the peel outcome. A successful peel's DiffResult
 // also names the short IDs whose bodies the initiator wants, so the
 // responder answers it with the BlockResponse directly; failure falls
-// back to level escalation.
-// Protocol-version-1 peers reject tag 6+ as "unknown message type",
-// which is exactly how a pre-setdiff build behaves, so the initiator
-// can detect legacy peers and downgrade.
+// back to level escalation. There are no protocol versions: every
+// responder serves every message, whatever its own mode.
 #pragma once
 
 #include <cstdint>
@@ -91,10 +89,6 @@ struct PushBlocks {
 // always answers with a sketch. Genesis was already checked by the
 // session's opening FrontierRequest, so the probe does not repeat it.
 struct DiffProbe {
-  // Highest setdiff protocol revision the initiator speaks; a
-  // responder configured below it rejects the probe the way a
-  // pre-setdiff build would ("unknown message type").
-  std::uint32_t version = 1;
   // 0: responder sizes the sketch from the digest delta estimate.
   // >0: escalation retry after a failed peel; the responder honours
   // the request (clamped to its configured ceiling).

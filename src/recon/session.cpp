@@ -33,6 +33,55 @@ std::uint64_t SketchSalt(ByteSpan probe, const chain::BlockHash& frontier,
   return salt;
 }
 
+struct MergeOutcome {
+  std::uint64_t inserted = 0;  // blocks the host accepted as kValid
+  bool complete = true;        // false: some blocks still miss parents
+};
+
+// Fixpoint insertion, shared by both session sides: passes over
+// `blocks` in the given order offer every block whose parents are
+// known, and every accepted block may unblock later ones, until a
+// pass makes no progress.
+MergeOutcome MergeFixpoint(ReconHost* host,
+                           std::vector<const chain::Block*> blocks) {
+  MergeOutcome outcome;
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (const chain::Block*& block : blocks) {
+      if (block == nullptr) continue;  // offered in an earlier pass
+      const std::vector<chain::BlockHash>& parents = block->header().parents;
+      if (!std::all_of(parents.begin(), parents.end(),
+                       [&](const chain::BlockHash& p) {
+                         return host->dag().Contains(p);
+                       })) {
+        continue;
+      }
+      // kReject: deterministically invalid, drop. kRetryLater with
+      // parents known means the host quarantined it (unknown creator
+      // or future timestamp); the host owns the retry, not us.
+      if (host->OfferBlock(*block) == chain::BlockVerdict::kValid) {
+        ++outcome.inserted;
+      }
+      block = nullptr;
+      progress = true;
+    }
+  }
+  // Blocks still missing parents: hand them to the host anyway — it
+  // quarantines them, so the bytes a session already paid for survive
+  // a lost message or a timeout. Without this, escalation over deep
+  // gaps is all-or-nothing per session and lossy links can starve it
+  // forever (each level must arrive in the SAME session). The
+  // initiator still escalates to fetch the missing ancestry; once it
+  // lands, the quarantine drains everything at once.
+  for (const chain::Block* block : blocks) {
+    if (block == nullptr) continue;
+    (void)host->OfferBlock(*block);
+    outcome.complete = false;
+  }
+  return outcome;
+}
+
 }  // namespace
 
 SessionMetrics SessionMetrics::Resolve(telemetry::Telemetry* sink,
@@ -133,11 +182,11 @@ Bytes InitiatorSession::Send(Bytes message) {
 
 bool InitiatorSession::HashFirstActive() const {
   // Setdiff runs hash-first outside an open negotiation: the opening
-  // frontier round, the fallback rounds after an abandoned
-  // negotiation, and the whole session at version 1.
-  return config_.mode == ReconConfig::Mode::kSetDiff &&
-         (diff_phase_ == DiffPhase::kInactive ||
-          diff_phase_ == DiffPhase::kFellBack);
+  // frontier round and the fallback rounds after an abandoned one.
+  return config_.mode == ReconConfig::Mode::kHashFirst ||
+         (config_.mode == ReconConfig::Mode::kSetDiff &&
+          (diff_phase_ == DiffPhase::kInactive ||
+           diff_phase_ == DiffPhase::kFellBack));
 }
 
 Bytes InitiatorSession::MakeFrontierRequest() {
@@ -155,7 +204,6 @@ Bytes InitiatorSession::MakeFrontierRequest() {
 
 Bytes InitiatorSession::MakeDiffProbe() {
   DiffProbe probe;
-  probe.version = config_.protocol_version;
   probe.requested_cells = diff_cells_requested_;
   for (const chain::BlockHash& h : host_->dag().TopologicalOrder()) {
     probe.digest.Insert(h);
@@ -236,50 +284,14 @@ Status InitiatorSession::StashBlocks(const std::vector<Bytes>& blocks) {
 }
 
 bool InitiatorSession::TryMerge() {
-  // Fixpoint insertion: keep offering stash blocks whose parents are
-  // known; every accepted block may unblock others.
-  bool progress = true;
-  while (progress && !stash_.empty()) {
-    progress = false;
-    for (auto it = stash_.begin(); it != stash_.end();) {
-      const chain::Block& block = it->second;
-      bool parents_known = true;
-      for (const chain::BlockHash& p : block.header().parents) {
-        if (!host_->dag().Contains(p)) {
-          parents_known = false;
-          break;
-        }
-      }
-      if (!parents_known) {
-        ++it;
-        continue;
-      }
-      const chain::BlockVerdict verdict = host_->OfferBlock(block);
-      if (verdict == chain::BlockVerdict::kValid) {
-        stats_.blocks_inserted += 1;
-        metrics_.blocks_inserted.Inc();
-      }
-      // kReject: deterministically invalid, drop. kRetryLater with
-      // parents known means the host quarantined it (unknown creator
-      // or future timestamp); the host owns the retry, not us.
-      it = stash_.erase(it);
-      progress = true;
-    }
-  }
-  if (stash_.empty()) return true;
-
-  // Blocks still missing parents: hand them to the host anyway — it
-  // quarantines them, so the bytes this session already paid for
-  // survive a lost message or a timeout. Without this, escalation
-  // over deep gaps is all-or-nothing per session and lossy links can
-  // starve it forever (each level must arrive in the SAME session).
-  // The caller still escalates to fetch the missing ancestry; once it
-  // lands, the quarantine drains everything at once.
-  for (auto it = stash_.begin(); it != stash_.end();) {
-    (void)host_->OfferBlock(it->second);
-    it = stash_.erase(it);
-  }
-  return false;
+  std::vector<const chain::Block*> blocks;
+  blocks.reserve(stash_.size());
+  for (const auto& [hash, block] : stash_) blocks.push_back(&block);
+  const MergeOutcome merged = MergeFixpoint(host_, std::move(blocks));
+  stash_.clear();
+  stats_.blocks_inserted += merged.inserted;
+  metrics_.blocks_inserted.Inc(merged.inserted);
+  return merged.complete;
 }
 
 bool InitiatorSession::CaughtUp() const {
@@ -496,7 +508,7 @@ Status InitiatorSession::HandleBlockResponse(ByteSpan data,
 
 Status InitiatorSession::EscalateOrFail(std::vector<Bytes>* out) {
   if (config_.mode == ReconConfig::Mode::kSetDiff &&
-      config_.protocol_version >= 2 && diff_phase_ == DiffPhase::kInactive) {
+      diff_phase_ == DiffPhase::kInactive) {
     // The opening frontier round left a gap: negotiate the exact
     // difference instead of walking deeper levels. Once per session;
     // a failed negotiation falls back to level escalation.
@@ -586,14 +598,6 @@ Status ResponderSession::OnMessage(ByteSpan data, std::vector<Bytes>* out) {
 
 Status ResponderSession::HandleDiffProbe(ByteSpan data,
                                          std::vector<Bytes>* out) {
-  if (config_.protocol_version < 2) {
-    // A version-1 node does not speak setdiff; answer exactly like a
-    // pre-setdiff build whose PeekType never heard of tag 6, so a v2
-    // initiator learns to downgrade this peer.
-    const Status s = InvalidArgumentError("unknown message type");
-    metrics_.CountDecodeReject(s);
-    return s;
-  }
   if (!frontier_seen_) {
     // Every session opens with a FrontierRequest, which is where the
     // responder checks the initiator is on its chain; a probe before
@@ -650,11 +654,6 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
 
 Status ResponderSession::HandleDiffResult(ByteSpan data,
                                           std::vector<Bytes>* out) {
-  if (config_.protocol_version < 2) {
-    const Status s = InvalidArgumentError("unknown message type");
-    metrics_.CountDecodeReject(s);
-    return s;
-  }
   // peer_missing is informational (the push-back that follows carries
   // the bodies) and a failed verdict just means frontier requests are
   // coming. Only `want` needs an answer: the bodies of the IDs it
@@ -769,8 +768,7 @@ Status ResponderSession::HandlePushBlocks(ByteSpan data) {
     metrics_.CountDecodeReject(s);
     return s;
   }
-  // Same fixpoint merge as the initiator side, inline.
-  std::deque<chain::Block> pending;
+  std::vector<chain::Block> pending;
   for (const Bytes& raw : push.blocks) {
     auto block = chain::Block::Deserialize(raw);
     if (!block.ok()) return block.status();
@@ -780,42 +778,15 @@ Status ResponderSession::HandlePushBlocks(ByteSpan data) {
       pending.push_back(*std::move(block));
     }
   }
-  {
-    // Same pipelining as the initiator stash: signature checks fan
-    // out while the serial fixpoint merge runs.
-    std::vector<const chain::Block*> fresh;
-    fresh.reserve(pending.size());
-    for (const chain::Block& block : pending) fresh.push_back(&block);
-    if (!fresh.empty()) host_->PreverifyBlocks(fresh);
-  }
-  bool progress = true;
-  while (progress && !pending.empty()) {
-    progress = false;
-    for (std::size_t i = 0; i < pending.size();) {
-      bool parents_known = true;
-      for (const chain::BlockHash& p : pending[i].header().parents) {
-        if (!host_->dag().Contains(p)) {
-          parents_known = false;
-          break;
-        }
-      }
-      if (!parents_known) {
-        ++i;
-        continue;
-      }
-      if (host_->OfferBlock(pending[i]) == chain::BlockVerdict::kValid) {
-        stats_.blocks_inserted += 1;
-        metrics_.blocks_inserted.Inc();
-      }
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      progress = true;
-    }
-  }
-  // Leftovers with missing parents go to the host's quarantine so the
-  // transfer is not wasted (see InitiatorSession::TryMerge).
-  for (const chain::Block& block : pending) {
-    (void)host_->OfferBlock(block);
-  }
+  std::vector<const chain::Block*> fresh;
+  fresh.reserve(pending.size());
+  for (const chain::Block& block : pending) fresh.push_back(&block);
+  // Same pipelining as the initiator stash: signature checks fan out
+  // while the serial fixpoint merge runs.
+  if (!fresh.empty()) host_->PreverifyBlocks(fresh);
+  const MergeOutcome merged = MergeFixpoint(host_, std::move(fresh));
+  stats_.blocks_inserted += merged.inserted;
+  metrics_.blocks_inserted.Inc(merged.inserted);
   return Status::Ok();
 }
 

@@ -5,14 +5,17 @@
 // a real radio link) moves the bytes. Every session opens as
 // Algorithm 1 does: the initiator asks for the responder's level-1
 // frontier, sending the digest of its own frontier along, and
-// identical frontiers end the session in that one round. Two modes:
+// identical frontiers end the session in that one round. Three modes:
 //
 //   kBlockPush (paper-faithful): every frontier response carries full
 //     block bodies, re-sending the whole level-n set each round; the
 //     initiator escalates n until the gap to its own DAG is bridged.
-//   kSetDiff (reconciliation v2, DESIGN.md §16): frontier responses
-//     carry hashes and the initiator fetches only the bodies it is
-//     missing. If level 1 leaves a gap, the initiator probes once
+//   kHashFirst (ablation E10, the paper's future-work direction):
+//     frontier responses carry hashes only, the initiator fetches just
+//     the bodies it is missing, and every gap is closed by level
+//     escalation.
+//   kSetDiff (reconciliation v2, DESIGN.md §16): hash-first, except
+//     that if level 1 leaves a gap, the initiator probes once
 //     with a range digest of its whole hash set, the responder
 //     replies with an IBLT of salted 64-bit short IDs sized to the
 //     estimated delta, and a successful peel yields exactly the
@@ -21,13 +24,10 @@
 //     peer-only IDs it wants in its DiffResult, which the responder
 //     resolves and answers with the bodies. A failed peel (or an ID
 //     the initiator cannot resolve) escalates the cell count once,
-//     then falls back to hash-first level escalation; a
-//     protocol-version-1 peer rejects the probe outright and the
-//     gossip engine downgrades future sessions.
+//     then falls back to hash-first level escalation.
 //
-// Hash-first (ablation E10, the paper's future-work direction) is
-// kSetDiff at protocol_version = 1: it never probes and closes every
-// gap by level escalation.
+// The mode only shapes what an initiator asks for: every responder
+// serves every message, so fleets that mix modes interoperate.
 //
 // With `push_back` enabled the initiator finishes by pushing the
 // blocks the responder provably lacks (anti-entropy extension; off by
@@ -87,18 +87,8 @@ class ReconHost {
 };
 
 struct ReconConfig {
-  // Explicit values: gtest prints a Mode parameter as its bytes, so
-  // renumbering would rename parameterized tests.
-  enum class Mode { kBlockPush = 0, kSetDiff = 2 };
+  enum class Mode { kBlockPush = 0, kHashFirst = 1, kSetDiff = 2 };
   Mode mode = Mode::kBlockPush;
-  // Highest setdiff protocol revision this node speaks. 1 = legacy
-  // (pre-setdiff: never sends DiffProbe, rejects one as an unknown
-  // message the way an old build's PeekType would; a kSetDiff
-  // initiator runs hash-first); 2 = setdiff capable. Both sides gate
-  // on their own version, so mixed fleets interoperate: a v2
-  // initiator detects the rejection via the gossip engine and
-  // downgrades that peer to version 1.
-  std::uint32_t protocol_version = 2;
   // Ceiling on IBLT cells this node will build or request. Defaults
   // to the wire cap (serial::limits::kMaxIbltCells); tests lower it
   // to force peel failures and exercise the fallback ladder.
@@ -199,19 +189,11 @@ class InitiatorSession {
   const SessionStats& stats() const { return stats_; }
   // The frontier level most recently requested (for session resume).
   std::uint32_t level() const { return level_; }
-  // True while a DiffProbe is in flight with no sketch received yet.
-  // A session failing in this window is the signature of a legacy
-  // (protocol-version-1) responder, which rejects the probe as an
-  // unknown message; the gossip engine uses this to downgrade the
-  // peer to hash-first for future sessions.
-  bool AwaitingSetdiffHandshake() const {
-    return diff_phase_ == DiffPhase::kAwaitSketch;
-  }
 
  private:
   // setdiff negotiation progress (mode kSetDiff only).
   enum class DiffPhase {
-    kInactive,     // not negotiated yet (or never: block-push, v1)
+    kInactive,     // not negotiated yet (or never: block-push, hash-first)
     kAwaitSketch,  // probe sent, sketch not yet received
     kAwaitBlocks,  // peel succeeded, fetching the missing bodies
     kFellBack,     // negotiation abandoned; level escalation active
@@ -220,8 +202,8 @@ class InitiatorSession {
   Bytes MakeFrontierRequest();
   Bytes MakeDiffProbe();
   // True when frontier responses should carry hashes only and gaps
-  // are closed with BlockRequest fetches (setdiff outside an open
-  // negotiation, and setdiff at version 1, i.e. hash-first).
+  // are closed with BlockRequest fetches (hash-first, and setdiff
+  // outside an open negotiation).
   bool HashFirstActive() const;
   Status HandleFrontierResponse(ByteSpan data, std::vector<Bytes>* out);
   Status HandleDiffSketch(ByteSpan data, std::vector<Bytes>* out);
@@ -242,8 +224,8 @@ class InitiatorSession {
   // local DAG (quarantined does not count — a quarantined frontier
   // still needs its ancestry fetched).
   bool CaughtUp() const;
-  // Called when a frontier round left a gap. A setdiff v2 session
-  // that has not negotiated yet sends its one DiffProbe; otherwise the
+  // Called when a frontier round left a gap. A setdiff session that
+  // has not negotiated yet sends its one DiffProbe; otherwise the
   // level goes up by one (or the session fails at max_level).
   Status EscalateOrFail(std::vector<Bytes>* out);
   void FinishMaybePush(std::vector<Bytes>* out);

@@ -79,8 +79,6 @@ inline constexpr std::string_view kCounters[] = {
     "node.blocks_rejected",
     "node.foreign_dropped",
     "node.quarantine_expired",
-    // ---- gossip setdiff version gating (src/node/gossip) ------------
-    "setdiff.peer_downgrades",
     // ---- reconciliation sessions (src/recon/session) ----------------
     "recon.initiator.blocks_inserted",
     "recon.initiator.blocks_pushed",

@@ -332,12 +332,12 @@ TEST(ChaosTest, CombinedSoakReconvergesWithExactAccounting) {
   ExpectExactByteAccounting(cluster.AggregateSnapshot());
 }
 
-// Mixed-version soak: four setdiff-v2 nodes share the air with two
-// legacy protocol-version-1 nodes (one hash-first, one paper-mode
-// block-push) under 5% corruption. The v2 nodes must negotiate
-// setdiff among themselves, downgrade the legacy peers after their
-// rejected handshakes, and the whole fleet still reconverges with
-// exact byte accounting — corrupted sketches and all.
+// Mixed-mode soak: four setdiff nodes share the air with one
+// hash-first node and one paper-mode block-push node under 5%
+// corruption. Every responder serves every message, so the setdiff
+// nodes negotiate setdiff with every peer, and the whole fleet still
+// reconverges with exact byte accounting — corrupted sketches and
+// all.
 TEST(ChaosTest, MixedSetdiffFleetSurvivesCorruptionSoak) {
   sim::ExplicitTopology topo(6);
   topo.MakeClique();
@@ -345,19 +345,17 @@ TEST(ChaosTest, MixedSetdiffFleetSurvivesCorruptionSoak) {
   cfg.node_count = 6;
   cfg.seed = 90'210;
   cfg.node_template.recon.mode = recon::ReconConfig::Mode::kSetDiff;
-  recon::ReconConfig legacy_hash_first;
-  legacy_hash_first.mode = recon::ReconConfig::Mode::kSetDiff;
-  legacy_hash_first.protocol_version = 1;
-  cfg.recon_overrides[4] = legacy_hash_first;
-  recon::ReconConfig legacy_block_push;  // the paper's Algorithm 1
-  legacy_block_push.mode = recon::ReconConfig::Mode::kBlockPush;
-  legacy_block_push.protocol_version = 1;
-  cfg.recon_overrides[5] = legacy_block_push;
+  recon::ReconConfig hash_first;
+  hash_first.mode = recon::ReconConfig::Mode::kHashFirst;
+  cfg.recon_overrides[4] = hash_first;
+  recon::ReconConfig block_push;  // the paper's Algorithm 1
+  block_push.mode = recon::ReconConfig::Mode::kBlockPush;
+  cfg.recon_overrides[5] = block_push;
   cfg.faults = sim::FaultPlan::Corruption(0.05);
   cfg.faults.active_until_ms = 120'000;
   Cluster cluster(cfg, &topo);
 
-  // Writes land mid-storm from both sides of the version split.
+  // Writes land mid-storm from both sides of the mode split.
   cluster.RunFor(30'000);
   ASSERT_TRUE(cluster.node(1).AddWitnessBlock().ok());
   ASSERT_TRUE(cluster.node(4).AddWitnessBlock().ok());
@@ -373,12 +371,7 @@ TEST(ChaosTest, MixedSetdiffFleetSurvivesCorruptionSoak) {
   // peeled clean end-to-end.
   EXPECT_GT(agg.counters.at("setdiff.probes"), 0u);
   EXPECT_GT(agg.counters.at("setdiff.decode_success"), 0u);
-  // The legacy peers surfaced and were downgraded (their responders
-  // rejected the probe as an unknown message, so the handshake died
-  // unanswered on the v2 side).
-  EXPECT_GT(agg.counters.at("setdiff.peer_downgrades"), 0u);
-  EXPECT_GT(agg.counters.at("recon.responder.reject.unknown_type"), 0u);
-  // Legacy nodes never probe.
+  // Only setdiff initiators probe.
   EXPECT_EQ(cluster.telemetry(4).metrics.CounterValue("setdiff.probes"), 0u);
   EXPECT_EQ(cluster.telemetry(5).metrics.CounterValue("setdiff.probes"), 0u);
 

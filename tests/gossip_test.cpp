@@ -478,7 +478,7 @@ TEST(GossipTest, SessionAccountingIdentityHolds) {
   }
 }
 
-// ------------------------------------- Catch-up resume & setdiff v2
+// ---------------------------------------- Catch-up resume and setdiff
 
 TEST(GossipTest, LevelCapHitIsSurfacedWhenCatchUpCannotBridge) {
   // Node 0's initiator is capped at frontier level 2; node 1 diverges
@@ -489,9 +489,8 @@ TEST(GossipTest, LevelCapHitIsSurfacedWhenCatchUpCannotBridge) {
   topo.MakeClique();
   ClusterConfig cfg;
   cfg.node_count = 2;
-  recon::ReconConfig capped;  // hash-first: setdiff at protocol v1
-  capped.mode = recon::ReconConfig::Mode::kSetDiff;
-  capped.protocol_version = 1;
+  recon::ReconConfig capped;
+  capped.mode = recon::ReconConfig::Mode::kHashFirst;
   capped.max_level = 2;
   cfg.recon_overrides[0] = capped;
   Cluster cluster(cfg, &topo);
@@ -532,9 +531,8 @@ TEST(GossipTest, ResumeLevelCarriesFailedCatchUpForward) {
   // Slow rounds (~300 ms RTT) so the mid-catch-up window below is
   // wide enough to hit deterministically.
   cfg.link.base_latency_ms = 150;
-  recon::ReconConfig hash_first;  // setdiff at protocol v1
-  hash_first.mode = recon::ReconConfig::Mode::kSetDiff;
-  hash_first.protocol_version = 1;
+  recon::ReconConfig hash_first;
+  hash_first.mode = recon::ReconConfig::Mode::kHashFirst;
   cfg.recon_overrides[0] = hash_first;
   cfg.recon_overrides[1] = hash_first;
   Cluster cluster(cfg, &topo);
@@ -568,27 +566,24 @@ TEST(GossipTest, ResumeLevelCarriesFailedCatchUpForward) {
             0u);
 }
 
-TEST(GossipTest, LegacyPeerIsDowngradedAndMixedFleetConverges) {
-  // Three-node clique: nodes 0 and 1 speak setdiff v2, node 2 is a
-  // legacy protocol-version-1 build that rejects DiffProbe as an
-  // unknown message. The v2 nodes must detect this (handshake dies
-  // unanswered), downgrade that one peer to hash-first, and keep
-  // using setdiff between themselves.
+TEST(GossipTest, MixedModeFleetConverges) {
+  // Three-node clique: nodes 0 and 1 run setdiff, node 2 hash-first.
+  // Every responder serves every message, so the setdiff nodes
+  // negotiate setdiff with every peer, hash-first one included.
   sim::ExplicitTopology topo(3);
   topo.MakeClique();
   ClusterConfig cfg;
   cfg.node_count = 3;
   cfg.node_template.recon.mode = recon::ReconConfig::Mode::kSetDiff;
-  recon::ReconConfig legacy;
-  legacy.mode = recon::ReconConfig::Mode::kSetDiff;
-  legacy.protocol_version = 1;
-  cfg.recon_overrides[2] = legacy;
+  recon::ReconConfig hash_first;
+  hash_first.mode = recon::ReconConfig::Mode::kHashFirst;
+  cfg.recon_overrides[2] = hash_first;
   Cluster cluster(cfg, &topo);
   cluster.RunFor(60'000);
   // Sessions open with the level-1 frontier round and probe only when
   // it leaves a gap, so each writer appends a chain deeper than level
-  // 1: node 1's exercises setdiff between the v2 nodes, and the legacy
-  // node's makes the v2 nodes probe it.
+  // 1: node 1's exercises setdiff between the setdiff nodes, and node
+  // 2's makes them probe the hash-first node.
   for (int writer : {1, 2}) {
     for (int i = 0; i < 5; ++i) {
       ASSERT_TRUE(cluster.node(writer).AddWitnessBlock().ok());
@@ -598,26 +593,58 @@ TEST(GossipTest, LegacyPeerIsDowngradedAndMixedFleetConverges) {
 
   EXPECT_TRUE(cluster.Converged());
   for (int i : {0, 1}) {
-    EXPECT_TRUE(cluster.gossip(i).IsLegacyPeer(2)) << i;
-    EXPECT_FALSE(cluster.gossip(i).IsLegacyPeer(1 - i)) << i;
     const telemetry::MetricsRegistry& m = cluster.telemetry(i).metrics;
-    EXPECT_GE(m.CounterValue("setdiff.peer_downgrades"), 1u) << i;
     EXPECT_GT(m.CounterValue("setdiff.probes"), 0u) << i;
     EXPECT_GT(m.CounterValue("setdiff.decode_success"), 0u) << i;
   }
-  // The legacy node rejected the probes the way an old PeekType
-  // would: unknown message type, counted on its responder books.
-  const telemetry::MetricsRegistry& legacy_m = cluster.telemetry(2).metrics;
-  EXPECT_GT(legacy_m.CounterValue("recon.responder.reject.unknown_type"),
-            0u);
-  // And it was never probed again after the downgrade stuck: every
-  // v2 node carries at most one downgrade for it.
-  for (int i : {0, 1}) {
-    EXPECT_LE(cluster.telemetry(i).metrics.CounterValue(
-                  "setdiff.peer_downgrades"),
-              1u)
-        << i;
+  // The hash-first node never probes, yet serves the probes it gets.
+  const telemetry::MetricsRegistry& m2 = cluster.telemetry(2).metrics;
+  EXPECT_EQ(m2.CounterValue("setdiff.probes"), 0u);
+  EXPECT_GT(m2.CounterValue("setdiff.sketches_sent"), 0u);
+}
+
+TEST(GossipTest, SessionLostAwaitingSketchDoesNotStopFutureProbes) {
+  // A session whose probe or sketch the radio eats times out while
+  // waiting for the sketch. That is a lost message, nothing more: the
+  // next catch-up toward the same peer must negotiate setdiff again.
+  sim::ExplicitTopology topo(2);
+  topo.MakeClique();
+  ClusterConfig cfg;
+  cfg.node_count = 2;
+  cfg.node_template.recon.mode = recon::ReconConfig::Mode::kSetDiff;
+  Cluster cluster(cfg, &topo);
+  cluster.RunFor(20'000);
+  ASSERT_TRUE(cluster.Converged());
+  const telemetry::MetricsRegistry& m = cluster.telemetry(0).metrics;
+  ASSERT_EQ(m.CounterValue("setdiff.probes"), 0u);
+
+  // A gap deeper than level 1, so node 0's catch-up probes.
+  topo.RemoveLink(0, 1);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(cluster.node(1).AddWitnessBlock().ok());
   }
+  topo.AddLink(0, 1);
+  while (m.CounterValue("setdiff.probes") < 1) {
+    ASSERT_TRUE(cluster.simulator().Step());
+  }
+  // The probe is on the air; cut the link before the sketch lands.
+  topo.RemoveLink(0, 1);
+  cluster.RunFor(cfg.gossip.session_timeout_ms + 4'000);
+  ASSERT_GT(m.CounterValue("gossip.sessions_timed_out"), 0u);
+  topo.AddLink(0, 1);
+  cluster.RunFor(60'000);
+  ASSERT_TRUE(cluster.Converged());
+
+  // A second gap: the catch-up must probe again.
+  const std::uint64_t probes_before = m.CounterValue("setdiff.probes");
+  topo.RemoveLink(0, 1);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(cluster.node(1).AddWitnessBlock().ok());
+  }
+  topo.AddLink(0, 1);
+  cluster.RunFor(60'000);
+  EXPECT_TRUE(cluster.Converged());
+  EXPECT_GT(m.CounterValue("setdiff.probes"), probes_before);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 #include <string>
-#include <tuple>
 
 #include "chain/audit.h"
 #include "chain/store.h"
@@ -17,6 +17,20 @@
 #include "util/rng.h"
 
 namespace vegvisir {
+namespace recon {
+
+// Names each ReconModeClusterTest case (gtest would otherwise print
+// the enum as its raw bytes into the CTest name).
+void PrintTo(ReconConfig::Mode mode, std::ostream* os) {
+  switch (mode) {
+    case ReconConfig::Mode::kBlockPush: *os << "BlockPush"; return;
+    case ReconConfig::Mode::kHashFirst: *os << "HashFirst"; return;
+    case ReconConfig::Mode::kSetDiff: *os << "SetDiff"; return;
+  }
+}
+
+}  // namespace recon
+
 namespace {
 
 // Chaos soak: random writes from random nodes onto several CRDT
@@ -398,11 +412,9 @@ TEST(IntegrationTest, NetworkRefetchOfEvictedBody) {
 }
 
 // Every reconciliation mode drives a gossiping cluster to convergence
-// (the gossip engine is mode-agnostic). The parameter is (mode,
-// protocol_version); hash-first is setdiff at protocol version 1.
+// (the gossip engine is mode-agnostic).
 class ReconModeClusterTest
-    : public ::testing::TestWithParam<
-          std::tuple<recon::ReconConfig::Mode, std::uint32_t>> {};
+    : public ::testing::TestWithParam<recon::ReconConfig::Mode> {};
 
 TEST_P(ReconModeClusterTest, ClusterConvergesUnderMode) {
   sim::ExplicitTopology topo(5);
@@ -410,8 +422,7 @@ TEST_P(ReconModeClusterTest, ClusterConvergesUnderMode) {
   node::ClusterConfig cfg;
   cfg.node_count = 5;
   cfg.seed = 77;
-  cfg.node_template.recon.mode = std::get<0>(GetParam());
-  cfg.node_template.recon.protocol_version = std::get<1>(GetParam());
+  cfg.node_template.recon.mode = GetParam();
   node::Cluster cluster(cfg, &topo);
   cluster.RunFor(30'000);
   const auto h = cluster.node(2).AddWitnessBlock();
@@ -421,21 +432,11 @@ TEST_P(ReconModeClusterTest, ClusterConvergesUnderMode) {
   EXPECT_TRUE(cluster.Converged());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, ReconModeClusterTest,
-    ::testing::Values(
-        std::make_tuple(recon::ReconConfig::Mode::kBlockPush, 2u),
-        std::make_tuple(recon::ReconConfig::Mode::kSetDiff, 1u),
-        std::make_tuple(recon::ReconConfig::Mode::kSetDiff, 2u)),
-    [](const ::testing::TestParamInfo<ReconModeClusterTest::ParamType>& info)
-        -> std::string {
-      switch (std::get<0>(info.param)) {
-        case recon::ReconConfig::Mode::kBlockPush: return "BlockPush";
-        case recon::ReconConfig::Mode::kSetDiff:
-          return std::get<1>(info.param) == 1 ? "HashFirst" : "SetDiff";
-      }
-      return "Unknown";
-    });
+INSTANTIATE_TEST_SUITE_P(Modes, ReconModeClusterTest,
+                         ::testing::Values(recon::ReconConfig::Mode::kBlockPush,
+                                           recon::ReconConfig::Mode::kHashFirst,
+                                           recon::ReconConfig::Mode::kSetDiff),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace vegvisir

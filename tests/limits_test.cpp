@@ -89,7 +89,6 @@ TEST(LimitsTest, WireBlockLimitBombRejected) {
 TEST(LimitsTest, DiffRangeLimitBombRejected) {
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffProbe));
-  w.WriteU32(1);  // probe version
   w.WriteU32(0);  // no requested cells
   const Bytes bomb = WithLimitBomb(&w, limits::kMaxDiffRanges,
                                    setdiff::kRangeCellWireBytes);

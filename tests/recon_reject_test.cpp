@@ -83,14 +83,13 @@ struct Rig {
     ASSERT_TRUE(session.OnMessage(EncodeMessage(BlockResponse{}), &out).ok());
     ASSERT_EQ(out.size(), 1u);
     ASSERT_EQ(*PeekType(out[0]), MessageType::kDiffProbe);
-    ASSERT_TRUE(session.AwaitingSetdiffHandshake());
     out.clear();
     EXPECT_FALSE(session.OnMessage(data, &out).ok());
     EXPECT_EQ(session.state(), SessionState::kFailed);
   }
 
-  void FeedResponder(const Bytes& data, ReconConfig cfg = ReconConfig{}) {
-    ResponderSession session(node.get(), cfg);
+  void FeedResponder(const Bytes& data) {
+    ResponderSession session(node.get(), ReconConfig{});
     std::vector<Bytes> out;
     EXPECT_FALSE(session.OnMessage(data, &out).ok());
   }
@@ -229,7 +228,7 @@ TEST(ReconRejectTest, InitiatorIbltCellCountBomb) {
 TEST(ReconRejectTest, ResponderTruncatedDiffProbe) {
   Rig rig;
   Bytes raw = EncodeMessage(DiffProbe{});
-  raw.resize(6);  // cut mid-requested_cells: a fixed-field read comes up short
+  raw.resize(3);  // cut mid-requested_cells: a fixed-field read comes up short
   rig.FeedResponderAfterFrontier(raw);
   ExpectOnly(rig, "responder", "truncated");
 }
@@ -240,17 +239,6 @@ TEST(ReconRejectTest, ResponderRejectsDiffProbeBeforeFrontierRequest) {
   Rig rig;
   rig.FeedResponder(EncodeMessage(DiffProbe{}));
   ExpectOnly(rig, "responder", "unexpected_type");
-}
-
-// A protocol-version-1 responder must answer a DiffProbe exactly like
-// a pre-setdiff build that never heard of tag 6 — "unknown message
-// type" — so a v2 initiator learns to downgrade the peer.
-TEST(ReconRejectTest, LegacyResponderRejectsDiffProbeAsUnknown) {
-  Rig rig;
-  ReconConfig v1;
-  v1.protocol_version = 1;
-  rig.FeedResponder(EncodeMessage(DiffProbe{}), v1);
-  ExpectOnly(rig, "responder", "unknown_type");
 }
 
 // ------------------------------------------------------- hostile IDs
@@ -372,9 +360,7 @@ TEST(ReconRejectTest, WantWithUnknownIdsGetsOnlyResolvableBodies) {
   open.genesis = rig.genesis.hash();
   ASSERT_TRUE(session.OnMessage(EncodeMessage(open), &out).ok());
   out.clear();
-  DiffProbe probe;
-  probe.version = 2;
-  ASSERT_TRUE(session.OnMessage(EncodeMessage(probe), &out).ok());
+  ASSERT_TRUE(session.OnMessage(EncodeMessage(DiffProbe{}), &out).ok());
   ASSERT_EQ(out.size(), 1u);
   DiffSketch sketch;
   ASSERT_TRUE(DecodeMessage(out[0], &sketch).ok());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "crypto/drbg.h"
 #include "node/cluster.h"
 #include "node/node.h"
@@ -201,9 +203,8 @@ TEST(SessionTest, HashFirstModeTransfersLessOnDeepGaps) {
   SessionStats block_mode, hash_mode;
   ReconConfig cfg_block;
   cfg_block.mode = ReconConfig::Mode::kBlockPush;
-  ReconConfig cfg_hash;  // hash-first: setdiff at protocol v1
-  cfg_hash.mode = ReconConfig::Mode::kSetDiff;
-  cfg_hash.protocol_version = 1;
+  ReconConfig cfg_hash;
+  cfg_hash.mode = ReconConfig::Mode::kHashFirst;
   ASSERT_EQ(RunLocalSession(a1.get(), b1.get(), cfg_block, &block_mode),
             SessionState::kDone);
   ASSERT_EQ(RunLocalSession(a2.get(), b2.get(), cfg_hash, &hash_mode),
@@ -409,15 +410,20 @@ struct ModeEquivalenceCase {
   std::uint64_t seed;
 };
 
+// Names each case after its seed (gtest would otherwise print the
+// struct as its raw bytes into the CTest name).
+void PrintTo(const ModeEquivalenceCase& c, std::ostream* os) {
+  *os << "seed" << c.seed;
+}
+
 class ReconModeEquivalenceTest
     : public ::testing::TestWithParam<ModeEquivalenceCase> {};
 
 TEST_P(ReconModeEquivalenceTest, AllModesReachSameState) {
   const std::uint64_t seed = GetParam().seed;
-  // Block-push, hash-first (setdiff at protocol v1) and setdiff v2.
+  // Block-push, hash-first and setdiff.
   std::vector<ReconConfig> configs(3);
-  configs[1].mode = ReconConfig::Mode::kSetDiff;
-  configs[1].protocol_version = 1;
+  configs[1].mode = ReconConfig::Mode::kHashFirst;
   configs[2].mode = ReconConfig::Mode::kSetDiff;
   Bytes reference_a, reference_b;
   for (std::size_t m = 0; m < configs.size(); ++m) {
@@ -463,9 +469,7 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, ReconModeEquivalenceTest,
     ::testing::Values(ModeEquivalenceCase{101}, ModeEquivalenceCase{202},
                       ModeEquivalenceCase{303}, ModeEquivalenceCase{404}),
-    [](const ::testing::TestParamInfo<ModeEquivalenceCase>& info) {
-      return "seed" + std::to_string(info.param.seed);
-    });
+    ::testing::PrintToStringParamName());
 
 TEST(SessionTest, InitiatorRejectsMalformedMessage) {
   Cluster c;

@@ -327,14 +327,12 @@ TEST(RangeDigestTest, EncodeDecodeRoundTripsByteExactly) {
 TEST(DiffMessagesTest, ProbeRoundTripsByteExactly) {
   Rng rng(19);
   recon::DiffProbe probe;
-  probe.version = 2;
   probe.requested_cells = 256;
   for (int i = 0; i < 25; ++i) probe.digest.Insert(HashFromRng(&rng));
   const Bytes raw = recon::EncodeMessage(probe);
   ASSERT_EQ(*recon::PeekType(raw), recon::MessageType::kDiffProbe);
   recon::DiffProbe out;
   ASSERT_TRUE(recon::DecodeMessage(raw, &out).ok());
-  EXPECT_EQ(out.version, 2u);
   EXPECT_EQ(out.requested_cells, 256u);
   EXPECT_TRUE(out.digest == probe.digest);
   EXPECT_EQ(recon::EncodeMessage(out), raw);
@@ -644,44 +642,40 @@ TEST(SetdiffSessionTest, MutualDivergenceWithPushBack) {
   EXPECT_EQ(stats.blocks_pushed, 4u);
 }
 
-// Version gating, initiator side: a node configured for setdiff but
-// capped at protocol version 1 must never emit a DiffProbe — it runs
-// the hash-first ladder instead and still converges.
-TEST(SetdiffSessionTest, VersionOneInitiatorNeverProbes) {
+// A hash-first initiator never emits a DiffProbe — it closes a gap
+// deeper than level 1 by the level ladder — and still converges.
+TEST(SetdiffSessionTest, HashFirstInitiatorNeverProbes) {
   Rig rig;
   auto behind = rig.MakeNode();
   auto ahead = rig.MakeNode();
   rig.Diverge(behind.get(), ahead.get(), 10, 3);
   recon::ReconConfig cfg;
-  cfg.mode = recon::ReconConfig::Mode::kSetDiff;
-  cfg.protocol_version = 1;
+  cfg.mode = recon::ReconConfig::Mode::kHashFirst;
   ASSERT_EQ(recon::RunLocalSession(behind.get(), ahead.get(), cfg, nullptr),
             recon::SessionState::kDone);
   EXPECT_TRUE(SameBlocks(*behind, *ahead));
   EXPECT_EQ(behind->telemetry()->metrics.CounterValue("setdiff.probes"), 0u);
 }
 
-// Version gating, responder side: a legacy responder rejects the
-// probe like an unknown message, and the initiator session dies still
-// awaiting its sketch — the exact signature the gossip engine uses to
-// downgrade the peer. The 3-block gap is deeper than level 1, so the
-// opening frontier round leaves it open and the initiator probes.
-TEST(SetdiffSessionTest, LegacyResponderFailsHandshakeRecognizably) {
+// The mode only shapes what an initiator asks for: a block-push
+// responder serves a setdiff probe like any other. The 3-block gap is
+// deeper than level 1, so the opening frontier round leaves it open
+// and the initiator probes; the sketch it gets back peels, and the
+// session converges.
+TEST(SetdiffSessionTest, BlockPushResponderAnswersDiffProbeWithSketch) {
   Rig rig;
   auto behind = rig.MakeNode();
   auto ahead = rig.MakeNode();
   rig.Diverge(behind.get(), ahead.get(), 10, 3);
-  recon::ReconConfig v2;
-  v2.mode = recon::ReconConfig::Mode::kSetDiff;
-  recon::InitiatorSession initiator(behind.get(), v2);
-  recon::ReconConfig v1;
-  v1.protocol_version = 1;
-  recon::ResponderSession responder(ahead.get(), v1);
+  recon::ReconConfig setdiff_cfg;
+  setdiff_cfg.mode = recon::ReconConfig::Mode::kSetDiff;
+  recon::InitiatorSession initiator(behind.get(), setdiff_cfg);
+  recon::ReconConfig block_push;
+  block_push.mode = recon::ReconConfig::Mode::kBlockPush;
+  recon::ResponderSession responder(ahead.get(), block_push);
 
-  // Level 1 (frontier hashes, then the tip's body) is plain hash-first,
-  // which the legacy responder serves.
+  // Level 1: the frontier hashes, then the tip's body.
   std::vector<Bytes> to_responder = {initiator.Start()};
-  EXPECT_FALSE(initiator.AwaitingSetdiffHandshake());
   for (int round = 0; round < 2; ++round) {
     ASSERT_EQ(to_responder.size(), 1u);
     std::vector<Bytes> replies;
@@ -691,17 +685,31 @@ TEST(SetdiffSessionTest, LegacyResponderFailsHandshakeRecognizably) {
     ASSERT_TRUE(initiator.OnMessage(replies[0], &to_responder).ok());
   }
   ASSERT_EQ(to_responder.size(), 1u);
-  const Bytes probe = to_responder[0];
-  ASSERT_EQ(*recon::PeekType(probe), recon::MessageType::kDiffProbe);
-  EXPECT_TRUE(initiator.AwaitingSetdiffHandshake());
+  ASSERT_EQ(*recon::PeekType(to_responder[0]), recon::MessageType::kDiffProbe);
   std::vector<Bytes> out;
-  const Status status = responder.OnMessage(probe, &out);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "unknown message type");
-  EXPECT_TRUE(out.empty());
-  // The initiator never gets a reply; it is still in the handshake
-  // window, which is what MaybeDowngradePeer keys on.
-  EXPECT_TRUE(initiator.AwaitingSetdiffHandshake());
+  ASSERT_TRUE(responder.OnMessage(to_responder[0], &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(*recon::PeekType(out[0]), recon::MessageType::kDiffSketch);
+  recon::DiffSketch sketch;
+  ASSERT_TRUE(recon::DecodeMessage(out[0], &sketch).ok());
+
+  // The rest of the session: DiffResult, then the wanted bodies.
+  std::vector<Bytes> to_initiator = std::move(out);
+  while (!to_initiator.empty()) {
+    to_responder.clear();
+    for (const Bytes& m : to_initiator) {
+      ASSERT_TRUE(initiator.OnMessage(m, &to_responder).ok());
+    }
+    to_initiator.clear();
+    for (const Bytes& m : to_responder) {
+      ASSERT_TRUE(responder.OnMessage(m, &to_initiator).ok());
+    }
+  }
+  EXPECT_EQ(initiator.state(), recon::SessionState::kDone);
+  EXPECT_TRUE(SameBlocks(*behind, *ahead));
+  EXPECT_EQ(
+      behind->telemetry()->metrics.CounterValue("setdiff.decode_success"),
+      1u);
 }
 
 }  // namespace

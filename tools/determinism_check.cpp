@@ -113,16 +113,15 @@ RunResult RunOnce(std::uint64_t seed, sim::TimeMs duration_ms, int nodes,
     cfg.faults.Merge(sim::FaultPlan::CrashRestart(5, 100'000, 140'000));
   }
   cfg.faults.active_until_ms = 180'000;
-  // Reconciliation v2 across the fleet, with the last node pinned to
-  // the legacy protocol: the setdiff negotiation, its peel-failure
-  // ladder and the gossip downgrade path all run inside the storm and
-  // must be exactly as reproducible as everything else.
+  // Setdiff across the fleet, with the last node on hash-first: the
+  // setdiff negotiation, its peel-failure ladder and the mixed-mode
+  // sessions all run inside the storm and must be exactly as
+  // reproducible as everything else.
   cfg.node_template.recon.mode = recon::ReconConfig::Mode::kSetDiff;
   if (nodes > 1) {
-    recon::ReconConfig legacy;
-    legacy.mode = recon::ReconConfig::Mode::kSetDiff;
-    legacy.protocol_version = 1;
-    cfg.recon_overrides[nodes - 1] = legacy;
+    recon::ReconConfig hash_first;
+    hash_first.mode = recon::ReconConfig::Mode::kHashFirst;
+    cfg.recon_overrides[nodes - 1] = hash_first;
   }
   node::Cluster cluster(cfg, &topo);
 
