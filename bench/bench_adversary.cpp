@@ -14,8 +14,11 @@
 // environment: seeded FaultPlans (sim/faults.h) — corruption, link
 // flap, loss, crash/restart, and all of them at once — run against a
 // clique for a 120 s storm window, measuring time to reconvergence
-// after a mid-storm write. Results land in BENCH_faults.json.
+// after a mid-storm write. Plans that crash nodes run them on a
+// durable data dir, so a restarted node keeps what its log fsync'd.
+// Results land in BENCH_faults.json.
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -87,14 +90,16 @@ std::vector<int> EverykTh(int n, int stride) {
 // One fault-plan storm: 9-node clique, faults active for the first
 // 120 s, a write from node 0 at t=30 s. Returns seconds from the
 // write until every node's fingerprint matches (-1: not within the
-// 600 s budget) and merges the run's counters into `out`.
+// 600 s budget) and merges the run's counters into `out`. A non-empty
+// `data_dir` gives every node a durable store under it.
 double RunFaultPlan(sim::FaultPlan plan, int nodes,
-                    telemetry::Snapshot* out) {
+                    const std::string& data_dir, telemetry::Snapshot* out) {
   sim::ExplicitTopology topo(nodes);
   topo.MakeClique();
   node::ClusterConfig cfg;
   cfg.node_count = nodes;
   cfg.seed = 1'812;
+  cfg.data_dir = data_dir;
   plan.active_until_ms = 120'000;
   cfg.faults = std::move(plan);
   node::Cluster cluster(cfg, &topo);
@@ -163,7 +168,7 @@ int main() {
   fault_cases.push_back({"flap-20%", sim::FaultPlan::LinkFlap(5'000, 0.2)});
   fault_cases.push_back({"loss-20%", sim::FaultPlan::Loss(0.2)});
   // Crashes land just after the t=30 s write, so reconvergence has to
-  // ride through the checkpoint-rejoin catch-up.
+  // ride through log recovery and the catch-up on what was missed.
   sim::FaultPlan crashes = sim::FaultPlan::CrashRestart(3, 32'000, 60'000);
   crashes.Merge(sim::FaultPlan::CrashRestart(6, 45'000, 75'000));
   fault_cases.push_back({"crash-x2", crashes});
@@ -176,7 +181,16 @@ int main() {
   telemetry::Snapshot fault_totals;
   std::vector<telemetry::BenchValue> fault_extras;
   for (const FaultCase& c : fault_cases) {
-    const double s = RunFaultPlan(c.plan, kNodes, &fault_totals);
+    std::string data_dir;
+    if (!c.plan.crashes.empty()) {
+      data_dir = (std::filesystem::temp_directory_path() /
+                  ("vgv_bench_adversary_" + std::string(c.label)))
+                     .string();
+      std::filesystem::remove_all(data_dir);
+      std::filesystem::create_directories(data_dir);
+    }
+    const double s = RunFaultPlan(c.plan, kNodes, data_dir, &fault_totals);
+    if (!data_dir.empty()) std::filesystem::remove_all(data_dir);
     std::printf("%-16s | %16.1f\n", c.label, s);
     fault_extras.push_back(
         {std::string(c.label) + ".converge_seconds", s});
@@ -184,9 +198,12 @@ int main() {
   std::printf(
       "\nExpected shape: every plan reconverges (no -1). Corruption and\n"
       "loss cost retries, flapping costs waiting out down-windows, and\n"
-      "crash-restarts add the checkpoint-rejoin catch-up — but the storm\n"
+      "crash-restarts add log recovery and catch-up — but the storm\n"
       "never costs correctness. The fault.*/gossip.* counters land in\n"
       "BENCH_faults.json.\n");
+  std::printf("acked blocks lost across crash-restarts: %llu (must be 0)\n",
+              static_cast<unsigned long long>(
+                  fault_totals.counters["fault.acked_blocks_lost"]));
   (void)telemetry::WriteBenchJson("faults", fault_totals, fault_extras);
   return 0;
 }

@@ -6,23 +6,6 @@
 
 namespace vegvisir::node {
 
-CheckpointImage CaptureCheckpoint(const Node& node) {
-  CheckpointImage image;
-  image.dag = chain::SerializeDag(node.dag());
-  image.csm_snapshot = node.state().SaveSnapshot();
-  return image;
-}
-
-StatusOr<std::unique_ptr<Node>> RestoreFromImage(NodeConfig config,
-                                                 crypto::KeyPair keys,
-                                                 const CheckpointImage& image,
-                                                 bool* used_snapshot) {
-  auto dag = chain::DeserializeDag(image.dag);
-  if (!dag.ok()) return dag.status();
-  return Node::Restore(std::move(config), std::move(keys), *std::move(dag),
-                       image.csm_snapshot, used_snapshot);
-}
-
 Status SaveCheckpoint(const Node& node, const std::string& path_prefix) {
   VEGVISIR_RETURN_IF_ERROR(
       chain::SaveDagToFile(node.dag(), path_prefix + ".dag"));

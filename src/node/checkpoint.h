@@ -21,25 +21,6 @@ class TieredStore;
 
 namespace vegvisir::node {
 
-// The in-memory form of a device-flash checkpoint: the serialized
-// DAG plus the CSM snapshot. The simulator's crash/restart machinery
-// captures one of these at crash time ("what had reached flash") and
-// rebuilds the node from it; the file API below is the same image
-// written to disk.
-struct CheckpointImage {
-  Bytes dag;
-  Bytes csm_snapshot;
-};
-
-CheckpointImage CaptureCheckpoint(const Node& node);
-
-// Rebuilds a node from an image (see Node::Restore for the snapshot
-// adoption/replay rules). `config` and `keys` are supplied by the
-// caller (key material never enters the image).
-StatusOr<std::unique_ptr<Node>> RestoreFromImage(
-    NodeConfig config, crypto::KeyPair keys, const CheckpointImage& image,
-    bool* used_snapshot = nullptr);
-
 // Writes `<path>.dag` and `<path>.csm`.
 Status SaveCheckpoint(const Node& node, const std::string& path_prefix);
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "crypto/drbg.h"
+#include "node/checkpoint.h"
 
 namespace vegvisir::node {
 namespace {
@@ -80,6 +81,8 @@ Cluster::Cluster(ClusterConfig config, const sim::Topology* topology)
   net_telem_ = std::make_unique<telemetry::Telemetry>();
   c_crashes_ = net_telem_->metrics.GetCounter("fault.crashes");
   c_restarts_ = net_telem_->metrics.GetCounter("fault.restarts");
+  c_acked_blocks_lost_ =
+      net_telem_->metrics.GetCounter("fault.acked_blocks_lost");
   // One pool for the whole cluster: signature batches from every node
   // share the workers, and its exec.* series lands in the network
   // bundle (the cluster-wide sink).
@@ -98,28 +101,16 @@ Cluster::Cluster(ClusterConfig config, const sim::Topology* topology)
                  .WithTimestamp(1)
                  .Build("owner", owner_keys_);
 
-  checkpoints_.resize(static_cast<std::size_t>(config_.node_count));
   generation_.resize(static_cast<std::size_t>(config_.node_count), 0);
   stores_.resize(static_cast<std::size_t>(config_.node_count));
+  nodes_.resize(static_cast<std::size_t>(config_.node_count));
+  acked_at_crash_.resize(static_cast<std::size_t>(config_.node_count));
 
   for (int i = 0; i < config_.node_count; ++i) {
     telemetry_.push_back(std::make_unique<telemetry::Telemetry>());
-    auto node = std::make_unique<Node>(ConfigFor(i), genesis_, NodeKeys(i));
     meters_.push_back(std::make_unique<sim::EnergyMeter>(config_.energy));
-    WireNode(node.get(), i);
-    if (!config_.data_dir.empty()) {
-      if (auto store = OpenStore(i); store.ok()) {
-        stores_[static_cast<std::size_t>(i)] = std::move(*store);
-        // A store that fails to attach (an unusable log) leaves the
-        // node RAM-only rather than aborting the whole cluster.
-        if (!node->AttachStorage(stores_[static_cast<std::size_t>(i)].get())
-                 .ok()) {
-          stores_[static_cast<std::size_t>(i)].reset();
-        }
-      }
-    }
+    BringUp(i);
     if (!IsAdversary(i)) honest_.push_back(i);
-    nodes_.push_back(std::move(node));
   }
 
   // The owner enrols every member up front; the enrolment *blocks*
@@ -153,19 +144,47 @@ Cluster::Cluster(ClusterConfig config, const sim::Topology* topology)
   }
 }
 
+void Cluster::BringUp(int i) {
+  const auto idx = static_cast<std::size_t>(i);
+  std::unique_ptr<Node> node;
+  if (!config_.data_dir.empty()) {
+    // Reopening the store runs log recovery (a torn tail is
+    // truncated); a log that holds a chain rebuilds the node by
+    // replay, so it comes back with exactly what was fsync'd.
+    if (auto store = OpenStore(i); store.ok()) {
+      if (auto recovered =
+              RecoverFromStorage(ConfigFor(i), NodeKeys(i), store->get());
+          recovered.ok()) {
+        node = std::move(*recovered);
+        stores_[idx] = std::move(*store);
+      } else {
+        // Empty (first boot) or unusable log: start from genesis and
+        // log the history from here on. A store that fails to attach
+        // leaves the node RAM-only rather than aborting the cluster.
+        node = std::make_unique<Node>(ConfigFor(i), genesis_, NodeKeys(i));
+        if (node->AttachStorage(store->get()).ok()) {
+          stores_[idx] = std::move(*store);
+        }
+      }
+    }
+  }
+  // RAM-only (or a store that would not open): genesis, and gossip
+  // re-fetches the history — the cold-start path.
+  if (node == nullptr) {
+    node = std::make_unique<Node>(ConfigFor(i), genesis_, NodeKeys(i));
+  }
+  WireNode(node.get(), i);
+  nodes_[idx] = std::move(node);
+}
+
 void Cluster::CrashNode(int i) {
   const auto idx = static_cast<std::size_t>(i);
   if (nodes_[idx] == nullptr) return;  // already down
+  // A power cut gets no farewell write: what survives is what the
+  // store fsync'd. Under the write-ahead rule that is exactly the
+  // DAG, so its hashes are the acked set the restart must recover.
   if (stores_[idx] != nullptr) {
-    // With durable storage the crash is honest: no checkpoint capture
-    // (a real power cut gets no farewell write), and the store is
-    // simply dropped — its destructor persists nothing, so restart
-    // sees exactly what fsync left behind and recovers by log replay.
-    checkpoints_[idx] = CheckpointImage{};
-  } else {
-    // What had reached flash survives the crash; everything else —
-    // sessions, quarantine, in-flight messages — is lost.
-    checkpoints_[idx] = CaptureCheckpoint(*nodes_[idx]);
+    acked_at_crash_[idx] = nodes_[idx]->dag().TopologicalOrder();
   }
   gossips_[idx]->Shutdown();
   retired_gossips_.push_back(std::move(gossips_[idx]));
@@ -175,50 +194,20 @@ void Cluster::CrashNode(int i) {
   c_crashes_.Inc();
 }
 
-bool Cluster::RestartNode(int i) {
+void Cluster::RestartNode(int i) {
   const auto idx = static_cast<std::size_t>(i);
-  if (nodes_[idx] != nullptr) return true;
-  bool used_snapshot = false;
-  std::unique_ptr<Node> node;
-  if (!config_.data_dir.empty()) {
-    // Durable path: reopen the store (recovery truncates any torn
-    // tail) and rebuild the node from the log. No snapshot is ever
-    // adopted here — the CSM re-derives by deterministic replay.
-    if (auto store = OpenStore(i); store.ok()) {
-      if (auto recovered =
-              RecoverFromStorage(ConfigFor(i), NodeKeys(i), store->get());
-          recovered.ok()) {
-        node = std::move(*recovered);
-        stores_[idx] = std::move(*store);
-      } else {
-        // Empty or unusable log: rejoin from genesis, keeping the
-        // store attached so the fresh history is logged from here on.
-        node = std::make_unique<Node>(ConfigFor(i), genesis_, NodeKeys(i));
-        if (node->AttachStorage(store->get()).ok()) {
-          stores_[idx] = std::move(*store);
-        }
-      }
-    } else {
-      node = std::make_unique<Node>(ConfigFor(i), genesis_, NodeKeys(i));
-    }
-  } else {
-    auto restored = RestoreFromImage(ConfigFor(i), NodeKeys(i),
-                                     checkpoints_[idx], &used_snapshot);
-    if (restored.ok()) {
-      node = std::move(*restored);
-    } else {
-      // Unreadable flash image: rejoin from genesis and let gossip
-      // re-fetch history (the cold-start path).
-      node = std::make_unique<Node>(ConfigFor(i), genesis_, NodeKeys(i));
-    }
+  if (nodes_[idx] != nullptr) return;
+  BringUp(i);
+  std::uint64_t lost = 0;
+  for (const chain::BlockHash& h : acked_at_crash_[idx]) {
+    if (!nodes_[idx]->dag().Contains(h)) ++lost;
   }
-  WireNode(node.get(), i);
-  nodes_[idx] = std::move(node);
+  c_acked_blocks_lost_.Inc(lost);
+  acked_at_crash_[idx].clear();
   generation_[idx] += 1;
   gossips_[idx] = BuildEngine(i);
   gossips_[idx]->Start(meters_[idx].get());
   c_restarts_.Inc();
-  return used_snapshot;
 }
 
 telemetry::Snapshot Cluster::AggregateSnapshot() const {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "exec/pool.h"
-#include "node/checkpoint.h"
 #include "node/gossip.h"
 #include "node/node.h"
 #include "sim/faults.h"
@@ -52,14 +51,14 @@ struct ClusterConfig {
   // (DESIGN.md §12). Defaults to VEGVISIR_THREADS (serial when
   // unset); every observable result is identical for any setting.
   exec::ExecConfig exec = exec::ExecConfig::FromEnv();
-  // Root of the durable storage tree (DESIGN.md §13). Empty (the
-  // default) runs every node RAM-only, exactly as before storage
-  // existed. Non-empty gives node i a TieredStore at
-  // `<data_dir>/node<i>`: blocks are write-ahead logged before the
-  // DAG acks them, crashes discard the in-memory checkpoint image and
-  // restarts recover by log replay instead (losing nothing fsync'd),
-  // and the fault plan's io faults are injected into the log's
-  // writes. The directory must exist.
+  // Root of the durable storage tree (DESIGN.md §13). Non-empty gives
+  // node i a TieredStore at `<data_dir>/node<i>`: blocks are
+  // write-ahead logged before the DAG acks them, a crash keeps exactly
+  // what the log fsync'd and a restart recovers it by log replay, and
+  // the fault plan's io faults are injected into the log's writes.
+  // Empty (the default) runs every node RAM-only: a crash then loses
+  // the node's whole state and it rejoins from genesis. The directory
+  // must exist.
   std::string data_dir;
 };
 
@@ -87,19 +86,19 @@ class Cluster {
   void RunFor(sim::TimeMs duration);
 
   // ---- crash / restart ---------------------------------------------
-  // Powers node i off mid-protocol: captures an in-memory flash
-  // checkpoint, tears down its gossip engine (in-flight sessions are
-  // aborted, responder state orphaned), deregisters it from the
-  // network (in-flight messages toward it become dead letters) and
-  // destroys the Node. No-op if already crashed.
+  // Powers node i off mid-protocol: tears down its gossip engine
+  // (in-flight sessions are aborted, responder state orphaned),
+  // deregisters it from the network (in-flight messages toward it
+  // become dead letters), destroys the Node and drops its store
+  // without a farewell write. No-op if already crashed.
   void CrashNode(int i);
-  // Rebuilds node i from its crash-time checkpoint and rejoins it to
-  // the network with a fresh gossip engine (same telemetry bundle, so
-  // its counters continue across the incarnation). Falls back to a
-  // fresh-from-genesis node if the checkpoint does not restore.
-  // Returns true if the CSM snapshot was adopted (false: replayed or
-  // fresh). No-op (returns true) if the node is up.
-  bool RestartNode(int i);
+  // Brings node i back up the same way the constructor did (see
+  // BringUp) and rejoins it to the network with a fresh gossip engine
+  // (same telemetry bundle, so its counters continue across the
+  // incarnation). Every block node i had acked at the crash but did
+  // not recover counts in fault.acked_blocks_lost. No-op if the node
+  // is up.
+  void RestartNode(int i);
   bool alive(int i) const {
     return nodes_[static_cast<std::size_t>(i)] != nullptr;
   }
@@ -147,6 +146,11 @@ class Cluster {
   crypto::KeyPair NodeKeys(int i) const;
   // (Re)opens node i's TieredStore; recovery runs inside Open.
   StatusOr<std::unique_ptr<storage::TieredStore>> OpenStore(int i) const;
+  // Builds node i (the constructor and RestartNode both come here):
+  // with a data_dir, opens its store and rebuilds the node from the
+  // log, or starts from genesis with the store attached when the log
+  // holds no chain; RAM-only, starts from genesis.
+  void BringUp(int i);
   void WireNode(Node* node, int i);  // clock (with fault skew) + meter
   std::unique_ptr<GossipEngine> BuildEngine(int i);
 
@@ -161,7 +165,7 @@ class Cluster {
   std::unique_ptr<sim::FaultInjector> injector_;
   std::unique_ptr<sim::Network> network_;
   crypto::KeyPair owner_keys_;
-  chain::Block genesis_;  // kept for fresh-rejoin fallback
+  chain::Block genesis_;  // every node that has no log starts here
   // Declared before nodes_: nodes hold raw pointers into their
   // stores, so the stores must be destroyed after them.
   std::vector<std::unique_ptr<storage::TieredStore>> stores_;
@@ -172,11 +176,14 @@ class Cluster {
   // instead of destroyed.
   std::vector<std::unique_ptr<GossipEngine>> retired_gossips_;
   std::vector<std::unique_ptr<sim::EnergyMeter>> meters_;
-  std::vector<CheckpointImage> checkpoints_;   // crash-time flash images
+  // Per node: the DAG hashes a durable node had acked when it
+  // crashed, checked against the recovered DAG at restart.
+  std::vector<std::vector<chain::BlockHash>> acked_at_crash_;
   std::vector<std::uint32_t> generation_;      // restarts per node
   std::vector<int> honest_;
   telemetry::Counter c_crashes_;
   telemetry::Counter c_restarts_;
+  telemetry::Counter c_acked_blocks_lost_;
 };
 
 }  // namespace vegvisir::node

@@ -87,8 +87,8 @@ Status Node::AttachStorage(storage::TieredStore* store) {
     return Status::Ok();
   }
   if (store->GetStats().log_records == 0) {
-    // Fresh log under an existing DAG (first attach, or a node built
-    // from a checkpoint image): seed it so the log's replay covers
+    // Fresh log under an existing DAG (first attach, or a node loaded
+    // from checkpoint files): seed it so the log's replay covers
     // everything the node already acked. Topological order keeps the
     // parents-before-children invariant RecoverDag relies on.
     for (const chain::BlockHash& h : dag_.TopologicalOrder()) {

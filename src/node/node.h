@@ -98,8 +98,8 @@ class Node final : public recon::ReconHost {
   const std::string& user_id() const { return config_.user_id; }
   const recon::ReconConfig& recon_config() const { return config_.recon; }
   // The full configuration this node runs with — what a host must
-  // supply again to Restore/LoadCheckpoint after a crash (the config
-  // is deliberately not part of the checkpoint image).
+  // supply again to Restore/LoadCheckpoint/RecoverFromStorage after a
+  // crash (the config is deliberately not part of what is persisted).
   const NodeConfig& config() const { return config_; }
 
   // ---- time --------------------------------------------------------

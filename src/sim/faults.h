@@ -8,8 +8,8 @@
 // and — driven by a composable FaultPlan — corrupts, truncates,
 // duplicates, delays and drops messages per send, flaps individual
 // links open and closed, skews node clocks, and schedules whole-node
-// crash/restart cycles (executed by node::Cluster, which rebuilds the
-// node from its checkpoint image).
+// crash/restart cycles (executed by node::Cluster: a restarted node
+// keeps only what its store fsync'd).
 //
 // Everything is a pure function of (plan, seed, sim time): a chaos
 // run replays byte-identically, so a failing soak is a debuggable
@@ -94,8 +94,9 @@ struct FaultPlan {
   // ---- crash / restart --------------------------------------------
   // Executed by node::Cluster: at crash_at_ms the node is torn down
   // (in-flight sessions dropped, radio deregistered); at
-  // restart_at_ms it is rebuilt from its checkpoint image and
-  // rejoins. Crashes fire regardless of active_until_ms.
+  // restart_at_ms it is rebuilt from its store's log (from genesis
+  // when it has none) and rejoins. Crashes fire regardless of
+  // active_until_ms.
   struct CrashEvent {
     NodeId node = 0;
     TimeMs crash_at_ms = 0;

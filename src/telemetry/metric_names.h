@@ -44,6 +44,7 @@ inline constexpr std::string_view kCounters[] = {
     "exec.steals",
     "exec.tasks_executed",
     // ---- fault injector (src/sim/faults) ----------------------------
+    "fault.acked_blocks_lost",
     "fault.bytes_truncated",
     "fault.crashes",
     "fault.messages_corrupted",

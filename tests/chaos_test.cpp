@@ -14,6 +14,9 @@
 //   4. Exact byte accounting: wire counters and session counters
 //      reconcile to the byte even under corruption, truncation,
 //      duplication and crash-induced dead letters.
+//   5. No acked block lost: a durable node recovers, at its restart,
+//      every block it had acked before the crash
+//      (fault.acked_blocks_lost stays 0).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -113,6 +116,22 @@ void ExpectExactByteAccounting(const telemetry::Snapshot& agg) {
                 counter("gossip.envelope_bytes_rejected"));
 }
 
+// A fresh, empty data root for a durable cluster.
+std::string FreshDataDir(const std::string& name) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / ("vgv_chaos_" + name))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// Every block a durable node had acked at a crash came back at its
+// restart (DESIGN.md §13.3's write-ahead rule, checked by Cluster).
+void ExpectNoAckedBlockLost(const telemetry::Snapshot& agg) {
+  EXPECT_EQ(agg.counters.at("fault.acked_blocks_lost"), 0u);
+}
+
 TEST(ChaosTest, CorruptionNeverInsertsInvalidBlocks) {
   sim::ExplicitTopology topo(4);
   topo.MakeClique();
@@ -206,45 +225,13 @@ TEST(ChaosTest, SkewedClockBlocksQuarantineThenDrain) {
   ExpectAllBlocksValid(cluster);
 }
 
-TEST(ChaosTest, CrashedNodeRejoinsFromCheckpointAndCatchesUp) {
-  sim::ExplicitTopology topo(4);
-  topo.MakeClique();
-  ClusterConfig cfg;
-  cfg.node_count = 4;
-  cfg.seed = 77;
-  cfg.faults = sim::FaultPlan::CrashRestart(2, 40'000, 70'000);
-  Cluster cluster(cfg, &topo);
-
-  cluster.RunFor(35'000);
-  const std::size_t pre_crash_blocks = cluster.node(2).dag().Size();
-  EXPECT_GT(pre_crash_blocks, 1u);  // enrolments arrived pre-crash
-
-  cluster.RunFor(15'000);  // t=50s: node 2 is down
-  EXPECT_FALSE(cluster.alive(2));
-  const auto h = cluster.node(0).AddWitnessBlock();  // written while down
-  ASSERT_TRUE(h.ok());
-
-  cluster.RunFor(25'000);  // t=75s: restarted from checkpoint
-  ASSERT_TRUE(cluster.alive(2));
-  // The flash image survived: history from before the crash is there
-  // without re-fetching.
-  EXPECT_GE(cluster.node(2).dag().Size(), pre_crash_blocks);
-
-  EXPECT_TRUE(ConvergedBy(cluster, 300'000));
-  EXPECT_TRUE(cluster.node(2).dag().Contains(*h));  // caught up
-  const telemetry::Snapshot agg = cluster.AggregateSnapshot();
-  EXPECT_EQ(agg.counters.at("fault.crashes"), 1u);
-  EXPECT_EQ(agg.counters.at("fault.restarts"), 1u);
-  ExpectAllBlocksValid(cluster);
-  ExpectExactByteAccounting(cluster.AggregateSnapshot());
-}
-
-TEST(ChaosTest, ManualCrashRestartAdoptsSnapshot) {
+TEST(ChaosTest, ManualCrashRestartRecoversFromLog) {
   sim::ExplicitTopology topo(3);
   topo.MakeClique();
   ClusterConfig cfg;
   cfg.node_count = 3;
   cfg.seed = 19;
+  cfg.data_dir = FreshDataDir("manual");
   Cluster cluster(cfg, &topo);
   cluster.RunFor(30'000);
   ASSERT_TRUE(cluster.Converged());
@@ -255,16 +242,71 @@ TEST(ChaosTest, ManualCrashRestartAdoptsSnapshot) {
   cluster.CrashNode(1);  // idempotent
   cluster.RunFor(10'000);
 
-  // The checkpoint's CSM snapshot exactly matches its DAG, so restore
-  // adopts it instead of replaying.
-  EXPECT_TRUE(cluster.RestartNode(1));
+  cluster.RestartNode(1);
   ASSERT_TRUE(cluster.alive(1));
+  cluster.RestartNode(1);  // no-op while up
+  // Log replay alone brought back every block, before any gossip.
   EXPECT_EQ(cluster.node(1).dag().Size(), blocks_before);
   cluster.RunFor(60'000);
   EXPECT_TRUE(cluster.Converged());
+  const telemetry::Snapshot agg = cluster.AggregateSnapshot();
+  EXPECT_EQ(agg.counters.at("fault.crashes"), 1u);
+  EXPECT_EQ(agg.counters.at("fault.restarts"), 1u);
+  ExpectNoAckedBlockLost(agg);
 }
 
-// The acceptance soak: an 8-node cluster under simultaneous
+// Without a store a crash loses everything: the node restarts from
+// genesis and gossip re-fetches its history.
+TEST(ChaosTest, RamOnlyCrashRejoinsFromGenesis) {
+  sim::ExplicitTopology topo(3);
+  topo.MakeClique();
+  ClusterConfig cfg;
+  cfg.node_count = 3;
+  cfg.seed = 23;
+  Cluster cluster(cfg, &topo);
+  cluster.RunFor(30'000);
+  ASSERT_TRUE(cluster.Converged());
+  ASSERT_GT(cluster.node(1).dag().Size(), 1u);
+
+  cluster.CrashNode(1);
+  cluster.RunFor(10'000);
+  cluster.RestartNode(1);
+  ASSERT_TRUE(cluster.alive(1));
+  EXPECT_EQ(cluster.node(1).dag().Size(), 1u);
+
+  EXPECT_TRUE(ConvergedBy(cluster, 300'000));
+  ExpectAllBlocksValid(cluster);
+}
+
+// The counter behind ExpectNoAckedBlockLost fires: a store wiped
+// while its node is down loses every acked block but genesis.
+TEST(ChaosTest, WipedStoreCountsAckedLoss) {
+  sim::ExplicitTopology topo(3);
+  topo.MakeClique();
+  ClusterConfig cfg;
+  cfg.node_count = 3;
+  cfg.seed = 29;
+  cfg.data_dir = FreshDataDir("wiped");
+  Cluster cluster(cfg, &topo);
+  cluster.RunFor(30'000);
+  ASSERT_TRUE(cluster.Converged());
+  const std::size_t acked = cluster.node(1).dag().Size();
+  ASSERT_GT(acked, 1u);
+
+  cluster.CrashNode(1);
+  const std::filesystem::path node_dir = cfg.data_dir + "/node1";
+  for (const auto& entry : std::filesystem::directory_iterator(node_dir)) {
+    std::filesystem::remove_all(entry.path());
+  }
+  cluster.RestartNode(1);
+  ASSERT_TRUE(cluster.alive(1));
+  EXPECT_EQ(cluster.node(1).dag().Size(), 1u);
+  EXPECT_EQ(cluster.AggregateSnapshot().counters.at("fault.acked_blocks_lost"),
+            acked - 1);
+  EXPECT_TRUE(ConvergedBy(cluster, 300'000));
+}
+
+// The acceptance soak: an 8-node durable cluster under simultaneous
 // corruption (p=0.05), 20% link flap and two crash-restarts, all
 // seeded. After the storm window closes, the cluster must reconverge
 // to identical frontiers within bounded sim-time with zero invalid
@@ -275,6 +317,7 @@ TEST(ChaosTest, CombinedSoakReconvergesWithExactAccounting) {
   ClusterConfig cfg;
   cfg.node_count = 8;
   cfg.seed = 424'242;
+  cfg.data_dir = FreshDataDir("combined");
   cfg.faults = sim::FaultPlan::Corruption(0.05);
   cfg.faults.Merge(sim::FaultPlan::LinkFlap(5'000, 0.2));
   cfg.faults.Merge(sim::FaultPlan::CrashRestart(2, 40'000, 80'000));
@@ -320,6 +363,8 @@ TEST(ChaosTest, CombinedSoakReconvergesWithExactAccounting) {
   EXPECT_GT(agg.counters.at("fault.sends_flap_blocked"), 0u);
   EXPECT_EQ(agg.counters.at("fault.crashes"), 2u);
   EXPECT_EQ(agg.counters.at("fault.restarts"), 2u);
+  // Both crashed nodes recovered every block they had acked.
+  ExpectNoAckedBlockLost(agg);
 
   // 3. No invalid block anywhere.
   ExpectAllBlocksValid(cluster);
@@ -381,21 +426,10 @@ TEST(ChaosTest, MixedSetdiffFleetSurvivesCorruptionSoak) {
 
 // ---- durable storage under chaos (DESIGN.md §13) -------------------
 
-// A fresh, empty data root for a durable cluster.
-std::string FreshDataDir(const std::string& name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / ("vgv_chaos_" + name))
-          .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 // The crash-restart-mid-append scenario: a durable node is powered
 // off while an append is in flight (a torn record lands after its
 // fsync'd prefix), and the restart must recover by log replay —
-// keeping every fsync'd block, truncating exactly the torn tail, and
-// NOT adopting any checkpoint snapshot.
+// keeping every fsync'd block and truncating exactly the torn tail.
 TEST(ChaosTest, DurableNodeRecoversByLogReplayAfterTornCrash) {
   sim::ExplicitTopology topo(3);
   topo.MakeClique();
@@ -425,8 +459,7 @@ TEST(ChaosTest, DurableNodeRecoversByLogReplayAfterTornCrash) {
   ASSERT_TRUE(written_while_down.ok());
   cluster.RunFor(10'000);
 
-  // No snapshot is ever adopted on the durable path: log replay only.
-  EXPECT_FALSE(cluster.RestartNode(1));
+  cluster.RestartNode(1);
   ASSERT_TRUE(cluster.alive(1));
   // History recovered from the local log, before any gossip ran.
   EXPECT_GE(cluster.node(1).dag().Size(), pre_crash_blocks);
@@ -435,6 +468,7 @@ TEST(ChaosTest, DurableNodeRecoversByLogReplayAfterTornCrash) {
   EXPECT_GT(m.CounterValue("storage.recovery.bytes_dropped"), 0u);
   EXPECT_GE(m.CounterValue("storage.recovery.records_replayed"),
             pre_crash_blocks);
+  ExpectNoAckedBlockLost(cluster.AggregateSnapshot());
 
   // ...and it catches up on what it missed while down.
   EXPECT_TRUE(ConvergedBy(cluster, 300'000));
@@ -451,8 +485,8 @@ TEST(ChaosTest, DurableNodeRecoversByLogReplayAfterTornCrash) {
 }
 
 // Scheduled crash/restart events on a durable cluster: the restart
-// path goes through TieredStore::Open + log replay instead of the
-// flash checkpoint, under ongoing gossip traffic.
+// goes through TieredStore::Open + log replay under ongoing gossip
+// traffic, and the node then catches up on what it missed.
 TEST(ChaosTest, DurableClusterSurvivesScheduledCrashes) {
   sim::ExplicitTopology topo(4);
   topo.MakeClique();
@@ -486,6 +520,7 @@ TEST(ChaosTest, DurableClusterSurvivesScheduledCrashes) {
   // one on everyone else.
   EXPECT_GE(agg.counters.at("storage.recovery.runs"),
             static_cast<std::uint64_t>(cluster.size()) + 1);
+  ExpectNoAckedBlockLost(agg);
   ExpectAllBlocksValid(cluster);
   ExpectExactByteAccounting(cluster.AggregateSnapshot());
 }
@@ -525,12 +560,13 @@ TEST(ChaosTest, EnospcParksBlocksInsteadOfLosingThem) {
 }
 
 TEST(ChaosTest, SoakIsDeterministicAcrossRuns) {
-  const auto run = [] {
+  const auto run = [](const std::string& dir) {
     sim::ExplicitTopology topo(5);
     topo.MakeClique();
     ClusterConfig cfg;
     cfg.node_count = 5;
     cfg.seed = 2'027;
+    cfg.data_dir = FreshDataDir(dir);
     cfg.faults = sim::FaultPlan::Corruption(0.1);
     cfg.faults.Merge(sim::FaultPlan::LinkFlap(4'000, 0.3));
     cfg.faults.Merge(sim::FaultPlan::CrashRestart(3, 20'000, 40'000));
@@ -539,13 +575,14 @@ TEST(ChaosTest, SoakIsDeterministicAcrossRuns) {
     cluster.RunFor(200'000);
     Bytes fp = cluster.node(0).Fingerprint();
     const telemetry::Snapshot agg = cluster.AggregateSnapshot();
+    ExpectNoAckedBlockLost(agg);
     fp.push_back(static_cast<std::uint8_t>(
         agg.counters.at("fault.messages_corrupted") & 0xFF));
     fp.push_back(static_cast<std::uint8_t>(
         agg.counters.at("net.messages_delivered") & 0xFF));
     return fp;
   };
-  EXPECT_EQ(run(), run());
+  EXPECT_EQ(run("determinism_a"), run("determinism_b"));
 }
 
 }  // namespace

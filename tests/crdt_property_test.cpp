@@ -7,13 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <type_traits>
+#include <ostream>
 #include <vector>
 
 #include "crdt/crdt.h"
 #include "util/rng.h"
 
 namespace vegvisir::crdt {
+
+// Names each case by its type (gtest would otherwise print the enum
+// as its raw bytes into the CTest name).
+void PrintTo(CrdtType type, std::ostream* os) { *os << CrdtTypeName(type); }
+
 namespace {
 
 struct GeneratedOp {
@@ -154,15 +159,14 @@ Bytes ApplyInOrder(CrdtType type, const std::vector<GeneratedOp>& ops,
   return crdt->StateFingerprint();
 }
 
-// gtest prints a parameter as its raw bytes and CTest keeps them in the
-// test name, so the struct spells out its padding: uninitialised padding
-// bytes would give the case a different name on every discovery.
 struct ConvergenceCase {
   CrdtType type;
-  std::uint8_t unused[7] = {};
   std::uint64_t seed;
 };
-static_assert(std::has_unique_object_representations_v<ConvergenceCase>);
+
+void PrintTo(const ConvergenceCase& c, std::ostream* os) {
+  *os << CrdtTypeName(c.type) << "_seed" << c.seed;
+}
 
 class CrdtConvergenceTest : public ::testing::TestWithParam<ConvergenceCase> {};
 
@@ -186,19 +190,15 @@ std::vector<ConvergenceCase> AllCases() {
   std::vector<ConvergenceCase> cases;
   for (int t = 0; t <= static_cast<int>(CrdtType::kEwFlag); ++t) {
     for (std::uint64_t seed : {11ull, 22ull, 33ull}) {
-      cases.push_back(ConvergenceCase{static_cast<CrdtType>(t), {}, seed});
+      cases.push_back(ConvergenceCase{static_cast<CrdtType>(t), seed});
     }
   }
   return cases;
 }
 
-std::string CaseName(const ::testing::TestParamInfo<ConvergenceCase>& info) {
-  return std::string(CrdtTypeName(info.param.type)) + "_seed" +
-         std::to_string(info.param.seed);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllTypes, CrdtConvergenceTest,
-                         ::testing::ValuesIn(AllCases()), CaseName);
+                         ::testing::ValuesIn(AllCases()),
+                         ::testing::PrintToStringParamName());
 
 // Idempotence at the state level: re-applying an entire history on
 // top of itself must not change set/register semantics that dedupe by
@@ -281,9 +281,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CrdtType::kLwwRegister, CrdtType::kMvRegister,
                       CrdtType::kLwwMap, CrdtType::kRga,
                       CrdtType::kEwFlag),
-    [](const ::testing::TestParamInfo<CrdtType>& info) {
-      return std::string(CrdtTypeName(info.param));
-    });
+    ::testing::PrintToStringParamName());
 
 INSTANTIATE_TEST_SUITE_P(
     DedupingTypes, CrdtReapplyTest,
@@ -291,9 +289,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CrdtType::kLwwRegister, CrdtType::kMvRegister,
                       CrdtType::kLwwMap, CrdtType::kRga,
                       CrdtType::kEwFlag),
-    [](const ::testing::TestParamInfo<CrdtType>& info) {
-      return std::string(CrdtTypeName(info.param));
-    });
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace vegvisir::crdt

@@ -43,6 +43,13 @@ struct ChaosCase {
   double loss;
 };
 
+// Names each case by its parameters (gtest would otherwise print the
+// struct, padding included, as raw bytes into the CTest name).
+void PrintTo(const ChaosCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_groups" << c.groups << "_loss"
+      << static_cast<int>(c.loss * 100);
+}
+
 class ChaosTest : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(ChaosTest, RandomWorkloadConvergesCleanly) {
@@ -143,11 +150,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ChaosCase{1, 1, 0.0}, ChaosCase{2, 2, 0.0},
                       ChaosCase{3, 2, 0.1}, ChaosCase{4, 3, 0.1},
                       ChaosCase{5, 1, 0.2}),
-    [](const ::testing::TestParamInfo<ChaosCase>& info) {
-      return "seed" + std::to_string(info.param.seed) + "_groups" +
-             std::to_string(info.param.groups) + "_loss" +
-             std::to_string(static_cast<int>(info.param.loss * 100));
-    });
+    ::testing::PrintToStringParamName());
 
 // Delivery-order independence at the node level: the same block set
 // offered to fresh replicas in different orders (with a retry loop

@@ -20,12 +20,18 @@
 // diffing. The file is mandatory — a missing waiver list fails the
 // check rather than silently widening it.
 //
+// Every leg runs on a durable data dir, so its crash-restarts recover
+// by log replay; a leg whose restarts lost an acked block
+// (fault.acked_blocks_lost) fails the check too.
+//
 // Usage: determinism_check [--seed S] [--duration-ms D] [--nodes N]
 //                          [--threads T] [--exclude-file PATH]
-// Exit 0: byte-identical runs. Exit 1: divergence (diff on stdout).
+// Exit 0: byte-identical runs, no acked block lost. Exit 1: divergence
+// or loss (details on stdout).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -50,6 +56,9 @@ struct RunResult {
   // gauge and histogram across all nodes, so even a single stray
   // event shows up.
   std::string metrics_json;
+  // Blocks a restarted node had acked before its crash but did not
+  // recover from its log; anything but 0 is a durability bug.
+  std::uint64_t acked_blocks_lost = 0;
 };
 
 std::string HashHex(const chain::BlockHash& h) {
@@ -96,16 +105,19 @@ void Scrub(telemetry::Snapshot* snap, const std::set<std::string>& excluded) {
 
 // The storm mirrors the chaos acceptance soak
 // (tests/chaos_test.cpp CombinedSoakReconvergesWithExactAccounting):
-// corruption, link flap and two crash-restart windows on a clique,
-// with CRDT writes landing mid-storm.
-RunResult RunOnce(std::uint64_t seed, sim::TimeMs duration_ms, int nodes,
-                  unsigned threads, const std::set<std::string>& excluded) {
+// corruption, link flap and two crash-restart windows on a durable
+// clique, with CRDT writes landing mid-storm. Every restart recovers
+// by log replay, so the storage.* counters are diffed too.
+RunResult RunStorm(const std::string& data_dir, std::uint64_t seed,
+                   sim::TimeMs duration_ms, int nodes, unsigned threads,
+                   const std::set<std::string>& excluded) {
   sim::ExplicitTopology topo(nodes);
   topo.MakeClique();
   node::ClusterConfig cfg;
   cfg.node_count = nodes;
   cfg.seed = seed;
   cfg.exec.threads = threads;
+  cfg.data_dir = data_dir;
   cfg.faults = sim::FaultPlan::Corruption(0.05);
   cfg.faults.Merge(sim::FaultPlan::LinkFlap(5'000, 0.2));
   if (nodes > 2) cfg.faults.Merge(sim::FaultPlan::CrashRestart(2, 40'000, 80'000));
@@ -149,8 +161,26 @@ RunResult RunOnce(std::uint64_t seed, sim::TimeMs duration_ms, int nodes,
     result.fingerprints.push_back(ToHex(cluster.node(i).Fingerprint()));
   }
   telemetry::Snapshot snap = cluster.AggregateSnapshot();
+  result.acked_blocks_lost = snap.counters.at("fault.acked_blocks_lost");
   Scrub(&snap, excluded);
   result.metrics_json = telemetry::ToJson(snap);
+  return result;
+}
+
+// One leg: the storm on a fresh data dir under the temp directory,
+// removed once the leg's cluster has closed its stores.
+RunResult RunOnce(const std::string& leg, std::uint64_t seed,
+                  sim::TimeMs duration_ms, int nodes, unsigned threads,
+                  const std::set<std::string>& excluded) {
+  const std::string data_dir =
+      (std::filesystem::temp_directory_path() /
+       ("vgv_determinism_" + std::to_string(seed) + "_" + leg))
+          .string();
+  std::filesystem::remove_all(data_dir);
+  std::filesystem::create_directories(data_dir);
+  RunResult result =
+      RunStorm(data_dir, seed, duration_ms, nodes, threads, excluded);
+  std::filesystem::remove_all(data_dir);
   return result;
 }
 
@@ -236,14 +266,22 @@ int main(int argc, char** argv) {
   const std::set<std::string> excluded = LoadExclusions(exclude_file);
 
   // Leg 1+2: the PR-3 guarantee — same seed, serial, byte-identical.
-  const RunResult serial1 = RunOnce(seed, duration_ms, nodes, 1, excluded);
-  const RunResult serial2 = RunOnce(seed, duration_ms, nodes, 1, excluded);
+  const RunResult serial1 =
+      RunOnce("serial1", seed, duration_ms, nodes, 1, excluded);
+  const RunResult serial2 =
+      RunOnce("serial2", seed, duration_ms, nodes, 1, excluded);
   int diffs = Diff("same-seed serial", serial1, serial2);
   // Leg 3: the PR-5 guarantee — the parallel engine must reproduce
   // the serial run exactly (modulo the scrubbed pool internals).
   const RunResult parallel =
-      RunOnce(seed, duration_ms, nodes, threads, excluded);
+      RunOnce("parallel", seed, duration_ms, nodes, threads, excluded);
   diffs += Diff("threads=1 vs threads=N", serial1, parallel);
+  // A leg that differs from serial1 has already failed the diff.
+  if (serial1.acked_blocks_lost != 0) {
+    std::printf("LOST %llu acked block(s) across crash-restarts\n",
+                static_cast<unsigned long long>(serial1.acked_blocks_lost));
+    ++diffs;
+  }
   if (diffs == 0) {
     std::printf(
         "deterministic: %d nodes, seed %llu, %llu ms — frontiers, "
@@ -254,6 +292,6 @@ int main(int argc, char** argv) {
         serial1.metrics_json.size(), threads, excluded.size());
     return 0;
   }
-  std::printf("%d divergence(s) between same-seed runs\n", diffs);
+  std::printf("%d divergence(s) or acked-block loss\n", diffs);
   return 1;
 }
