@@ -24,13 +24,38 @@ Dag::Dag(Block genesis) {
   e.block = std::move(genesis);
   stored_count_ = 1;
   stored_bytes_ = e.encoded_size;
-  frontier_.insert(genesis_hash_);
-  entries_.emplace(genesis_hash_, std::move(e));
+  Append(genesis_hash_, std::move(e), {});
 }
 
 const Dag::Entry* Dag::FindEntry(const BlockHash& h) const {
-  const auto it = entries_.find(h);
-  return it == entries_.end() ? nullptr : &it->second;
+  const auto it = index_.find(h);
+  return it == index_.end() ? nullptr : &entries_[it->second];
+}
+
+Status Dag::FindParents(const std::vector<BlockHash>& parents,
+                        std::vector<Slot>* slots) const {
+  slots->reserve(parents.size());
+  for (const BlockHash& p : parents) {
+    const auto it = index_.find(p);
+    if (it == index_.end()) {
+      return NotFoundError("missing parent " + HashShort(p));
+    }
+    slots->push_back(it->second);
+  }
+  return Status::Ok();
+}
+
+void Dag::Append(const BlockHash& hash, Entry e,
+                 const std::vector<Slot>& parent_slots) {
+  const Slot slot = static_cast<Slot>(hashes_.size());
+  for (const Slot p : parent_slots) {
+    entries_[p].children.push_back(slot);
+    frontier_.erase(hashes_[p]);
+  }
+  frontier_.insert(hash);
+  entries_.push_back(std::move(e));
+  hashes_.push_back(hash);
+  index_.emplace(hash, slot);
 }
 
 Presence Dag::PresenceOf(const BlockHash& h) const {
@@ -47,18 +72,15 @@ const Block* Dag::Find(const BlockHash& h) const {
 
 Status Dag::Insert(Block block) {
   const BlockHash h = block.hash();
-  if (entries_.count(h) > 0) {
+  if (index_.count(h) > 0) {
     return AlreadyExistsError("block " + HashShort(h));
   }
   if (block.header().parents.empty()) {
     return FailedPreconditionError(
         "parentless block is not this chain's genesis");
   }
-  for (const BlockHash& p : block.header().parents) {
-    if (entries_.count(p) == 0) {
-      return NotFoundError("missing parent " + HashShort(p));
-    }
-  }
+  std::vector<Slot> parent_slots;
+  VEGVISIR_RETURN_IF_ERROR(FindParents(block.header().parents, &parent_slots));
 
   Entry e;
   e.parents = block.header().parents;
@@ -66,15 +88,9 @@ Status Dag::Insert(Block block) {
   e.timestamp = block.header().timestamp_ms;
   e.encoded_size = block.EncodedSize();
   e.block = std::move(block);
-
-  for (const BlockHash& p : e.parents) {
-    entries_[p].children.push_back(h);
-    frontier_.erase(p);
-  }
-  frontier_.insert(h);
   stored_count_ += 1;
   stored_bytes_ += e.encoded_size;
-  entries_.emplace(h, std::move(e));
+  Append(h, std::move(e), parent_slots);
   return Status::Ok();
 }
 
@@ -115,9 +131,12 @@ const std::vector<BlockHash>& Dag::ParentsOf(const BlockHash& h) const {
   return e == nullptr ? kNoHashes : e->parents;
 }
 
-const std::vector<BlockHash>& Dag::ChildrenOf(const BlockHash& h) const {
-  const Entry* e = FindEntry(h);
-  return e == nullptr ? kNoHashes : e->children;
+std::vector<BlockHash> Dag::ChildrenOf(const BlockHash& h) const {
+  std::vector<BlockHash> children;
+  if (const Entry* e = FindEntry(h)) {
+    for (const Slot c : e->children) children.push_back(hashes_[c]);
+  }
+  return children;
 }
 
 const std::string& Dag::CreatorOf(const BlockHash& h) const {
@@ -130,29 +149,37 @@ std::uint64_t Dag::TimestampOf(const BlockHash& h) const {
   return e == nullptr ? 0 : e->timestamp;
 }
 
-std::vector<BlockHash> Dag::TopologicalOrder() const {
+std::vector<Dag::Slot> Dag::TopologicalSlots() const {
   // Kahn's algorithm; the ready set is a min-heap on block hash so the
   // order is deterministic across replicas.
-  std::unordered_map<BlockHash, std::size_t, BlockHashHasher> pending_parents;
-  pending_parents.reserve(entries_.size());
-  for (const auto& [h, e] : entries_) {
-    pending_parents[h] = e.parents.size();
+  std::vector<std::size_t> pending_parents(entries_.size());
+  for (std::size_t s = 0; s < entries_.size(); ++s) {
+    pending_parents[s] = entries_[s].parents.size();
   }
-  std::priority_queue<BlockHash, std::vector<BlockHash>,
-                      std::greater<BlockHash>>
-      ready;
-  ready.push(genesis_hash_);
+  const auto hash_greater = [this](Slot a, Slot b) {
+    return hashes_[a] > hashes_[b];
+  };
+  std::priority_queue<Slot, std::vector<Slot>, decltype(hash_greater)> ready(
+      hash_greater);
+  ready.push(0);  // genesis
 
-  std::vector<BlockHash> order;
+  std::vector<Slot> order;
   order.reserve(entries_.size());
   while (!ready.empty()) {
-    const BlockHash h = ready.top();
+    const Slot s = ready.top();
     ready.pop();
-    order.push_back(h);
-    for (const BlockHash& c : FindEntry(h)->children) {
+    order.push_back(s);
+    for (const Slot c : entries_[s].children) {
       if (--pending_parents[c] == 0) ready.push(c);
     }
   }
+  return order;
+}
+
+std::vector<BlockHash> Dag::TopologicalOrder() const {
+  std::vector<BlockHash> order;
+  order.reserve(entries_.size());
+  for (const Slot s : TopologicalSlots()) order.push_back(hashes_[s]);
   return order;
 }
 
@@ -190,13 +217,14 @@ std::set<BlockHash> Dag::Ancestors(const BlockHash& h) const {
 
 std::set<BlockHash> Dag::Descendants(const BlockHash& h) const {
   std::set<BlockHash> result;
-  if (!Contains(h)) return result;
-  std::vector<BlockHash> stack = {h};
+  const Entry* e = FindEntry(h);
+  if (e == nullptr) return result;
+  std::vector<const Entry*> stack = {e};
   while (!stack.empty()) {
-    const BlockHash cur = stack.back();
+    const Entry* cur = stack.back();
     stack.pop_back();
-    for (const BlockHash& c : FindEntry(cur)->children) {
-      if (result.insert(c).second) stack.push_back(c);
+    for (const Slot c : cur->children) {
+      if (result.insert(hashes_[c]).second) stack.push_back(&entries_[c]);
     }
   }
   return result;
@@ -223,9 +251,9 @@ std::set<std::string> Dag::WitnessesOf(const BlockHash& h) const {
 }
 
 Status Dag::Evict(const BlockHash& h) {
-  const auto it = entries_.find(h);
-  if (it == entries_.end()) return NotFoundError("block " + HashShort(h));
-  Entry& e = it->second;
+  const auto it = index_.find(h);
+  if (it == index_.end()) return NotFoundError("block " + HashShort(h));
+  Entry& e = entries_[it->second];
   if (!e.block.has_value()) {
     return FailedPreconditionError("block already evicted");
   }
@@ -246,37 +274,29 @@ Status Dag::InsertEvictedStub(const BlockHash& hash,
                               std::string creator,
                               std::uint64_t timestamp_ms,
                               std::size_t encoded_size) {
-  if (entries_.count(hash) > 0) {
+  if (index_.count(hash) > 0) {
     return AlreadyExistsError("block " + HashShort(hash));
   }
   if (parents.empty()) {
     return FailedPreconditionError("stub cannot be a second genesis");
   }
-  for (const BlockHash& p : parents) {
-    if (entries_.count(p) == 0) {
-      return NotFoundError("missing parent " + HashShort(p));
-    }
-  }
+  std::vector<Slot> parent_slots;
+  VEGVISIR_RETURN_IF_ERROR(FindParents(parents, &parent_slots));
   Entry e;
   e.parents = std::move(parents);
   e.creator = std::move(creator);
   e.timestamp = timestamp_ms;
   e.encoded_size = encoded_size;
-  for (const BlockHash& p : e.parents) {
-    entries_[p].children.push_back(hash);
-    frontier_.erase(p);
-  }
-  frontier_.insert(hash);
-  entries_.emplace(hash, std::move(e));
+  Append(hash, std::move(e), parent_slots);
   return Status::Ok();
 }
 
 Status Dag::Restore(Block block) {
-  const auto it = entries_.find(block.hash());
-  if (it == entries_.end()) {
+  const auto it = index_.find(block.hash());
+  if (it == index_.end()) {
     return NotFoundError("unknown block " + HashShort(block.hash()));
   }
-  Entry& e = it->second;
+  Entry& e = entries_[it->second];
   if (e.block.has_value()) {
     return AlreadyExistsError("block body already present");
   }
@@ -288,28 +308,27 @@ Status Dag::Restore(Block block) {
 }
 
 std::vector<BlockHash> Dag::StoredOldestFirst() const {
-  std::vector<BlockHash> stored;
+  std::vector<Slot> stored;
   stored.reserve(stored_count_);
-  for (const auto& [h, e] : entries_) {
-    if (e.block.has_value()) stored.push_back(h);
+  for (Slot s = 0; s < entries_.size(); ++s) {
+    if (entries_[s].block.has_value()) stored.push_back(s);
   }
-  std::sort(stored.begin(), stored.end(),
-            [this](const BlockHash& a, const BlockHash& b) {
-              const std::uint64_t ta = TimestampOf(a), tb = TimestampOf(b);
-              return ta != tb ? ta < tb : a < b;
-            });
-  return stored;
+  std::sort(stored.begin(), stored.end(), [this](Slot a, Slot b) {
+    const std::uint64_t ta = entries_[a].timestamp, tb = entries_[b].timestamp;
+    return ta != tb ? ta < tb : hashes_[a] < hashes_[b];
+  });
+  std::vector<BlockHash> out;
+  out.reserve(stored.size());
+  for (const Slot s : stored) out.push_back(hashes_[s]);
+  return out;
 }
 
 void Dag::ForEachStored(const std::function<void(const Block&)>& fn) const {
-  // Topological order, not entries_ bucket order: the callback is a
+  // Topological order, not insertion order: the callback is a
   // caller-visible emission channel, and callers digest or print what
   // they are handed (det_taint's callback-emit sink).
-  for (const BlockHash& h : TopologicalOrder()) {
-    const auto it = entries_.find(h);
-    if (it != entries_.end() && it->second.block.has_value()) {
-      fn(*it->second.block);
-    }
+  for (const Slot s : TopologicalSlots()) {
+    if (entries_[s].block.has_value()) fn(*entries_[s].block);
   }
 }
 

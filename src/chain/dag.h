@@ -18,9 +18,16 @@
 // timestamp) so frontier computation, reconciliation and witness
 // queries still work, but the transactions are gone and the storage
 // accounting drops accordingly.
+//
+// Every block gets the next dense slot when it is inserted. Blocks
+// only ever arrive as sinks (their parents are already present), so
+// slot order is a valid topological order and the first k slots are
+// exactly the DAG as it was when Size() was k. Topological walks and
+// descendant walks follow child slots without touching the hash index.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <set>
@@ -63,7 +70,7 @@ class Dag {
   Status Insert(Block block);
 
   // Number of known blocks (stored + evicted stubs).
-  std::size_t Size() const { return entries_.size(); }
+  std::size_t Size() const { return hashes_.size(); }
   // Number of blocks with bodies.
   std::size_t StoredCount() const { return stored_count_; }
   // Total bytes of stored block bodies.
@@ -84,13 +91,20 @@ class Dag {
   BlockHash FrontierDigest() const;
 
   const std::vector<BlockHash>& ParentsOf(const BlockHash& h) const;
-  const std::vector<BlockHash>& ChildrenOf(const BlockHash& h) const;
+  std::vector<BlockHash> ChildrenOf(const BlockHash& h) const;
   const std::string& CreatorOf(const BlockHash& h) const;
   std::uint64_t TimestampOf(const BlockHash& h) const;
 
   // Deterministic topological order (parents before children; ties
   // broken by block hash). The CRDT state machine replays this.
   std::vector<BlockHash> TopologicalOrder() const;
+
+  // Every known hash (stored + evicted stubs) in insertion order;
+  // Hashes()[0, k) is the DAG as it was when Size() was k. Insertion
+  // order is deterministic on one replica but differs across
+  // replicas, so this may only feed commutative folds (a digest, an
+  // IBLT, a set); anything order-sensitive uses TopologicalOrder().
+  const std::vector<BlockHash>& Hashes() const { return hashes_; }
 
   // True iff `ancestor` is a strict ancestor of `descendant` or equal
   // to it when `include_self` (default excludes self).
@@ -140,18 +154,34 @@ class Dag {
   void ForEachStored(const std::function<void(const Block&)>& fn) const;
 
  private:
+  using Slot = std::uint32_t;
+
   struct Entry {
     std::optional<Block> block;  // nullopt once evicted
     std::vector<BlockHash> parents;
-    std::vector<BlockHash> children;
+    std::vector<Slot> children;
     std::string creator;
     std::uint64_t timestamp = 0;
     std::size_t encoded_size = 0;
   };
 
   const Entry* FindEntry(const BlockHash& h) const;
+  // Resolves every parent before anything is mutated; fails with
+  // kNotFound on the first unknown one.
+  Status FindParents(const std::vector<BlockHash>& parents,
+                     std::vector<Slot>* slots) const;
+  // Appends `e` as the next slot: links it under `parent_slots`,
+  // makes it a frontier block and indexes it by `hash`.
+  void Append(const BlockHash& hash, Entry e,
+              const std::vector<Slot>& parent_slots);
+  // Kahn's algorithm over slots; ties broken by block hash.
+  std::vector<Slot> TopologicalSlots() const;
 
-  std::unordered_map<BlockHash, Entry, BlockHashHasher> entries_;
+  // Slot-indexed: entries_[s] is the block hashes_[s]. A deque, so
+  // Find() pointers survive later inserts.
+  std::deque<Entry> entries_;
+  std::vector<BlockHash> hashes_;
+  std::unordered_map<BlockHash, Slot, BlockHashHasher> index_;
   std::set<BlockHash> frontier_;
   BlockHash genesis_hash_{};
   std::size_t stored_count_ = 0;

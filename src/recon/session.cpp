@@ -205,7 +205,8 @@ Bytes InitiatorSession::MakeFrontierRequest() {
 Bytes InitiatorSession::MakeDiffProbe() {
   DiffProbe probe;
   probe.requested_cells = diff_cells_requested_;
-  for (const chain::BlockHash& h : host_->dag().TopologicalOrder()) {
+  // The range digest is a commutative fold: insertion order suffices.
+  for (const chain::BlockHash& h : host_->dag().Hashes()) {
     probe.digest.Insert(h);
   }
   diff_phase_ = DiffPhase::kAwaitSketch;
@@ -392,7 +393,7 @@ Status InitiatorSession::HandleDiffSketch(ByteSpan data,
   const std::uint64_t salt = sketch.seed;
   setdiff::Iblt diff(sketch.sketch.cell_count(), salt);
   std::vector<std::uint64_t> own;
-  for (const chain::BlockHash& h : host_->dag().TopologicalOrder()) {
+  for (const chain::BlockHash& h : host_->dag().Hashes()) {
     own.push_back(setdiff::ShortId(h, salt));
     diff.Insert(own.back());
   }
@@ -614,8 +615,10 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
   stats_.rounds += 1;
   metrics_.rounds.Inc();
 
+  // The digest and the table are commutative folds, so the DAG's
+  // insertion order is as good as any; no sort.
   const chain::Dag& dag = host_->dag();
-  std::vector<chain::BlockHash> all = dag.TopologicalOrder();
+  const std::vector<chain::BlockHash>& all = dag.Hashes();
 
   // Size the sketch from the digest delta estimate unless the probe
   // asks for a specific (escalated) cell count.
@@ -643,7 +646,7 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
     sketch.sketch.Insert(setdiff::ShortId(h, sketch.seed));
   }
   salt_ = sketch.seed;
-  sketched_ = std::move(all);
+  sketched_ = all.size();
 
   Bytes encoded = EncodeMessage(sketch);
   metrics_.setdiff_sketches_sent.Inc();
@@ -671,18 +674,29 @@ Status ResponderSession::HandleDiffResult(ByteSpan data,
   }
   const std::set<std::uint64_t> want(result.want.begin(), result.want.end());
   std::set<std::uint64_t> found;
-  BlockResponse resp;
-  // The sketched set in topological order, so the initiator can merge
-  // parents first. Blocks the DAG gained since were not in the sketch,
-  // so no `want` ID can name them.
-  for (const chain::BlockHash& h : sketched_) {
-    const std::uint64_t id = setdiff::ShortId(h, *salt_);
+  // The sketched set is the DAG's first `sketched_` slots. Blocks the
+  // DAG gained since were not in the sketch, so no `want` ID can name
+  // them.
+  const chain::Dag& dag = host_->dag();
+  std::set<chain::BlockHash> matched;
+  for (std::size_t i = 0; i < sketched_; ++i) {
+    const std::uint64_t id = setdiff::ShortId(dag.Hashes()[i], *salt_);
     if (want.count(id) == 0) continue;
     found.insert(id);
-    // Evicted bodies cannot be served; the initiator can fetch them
-    // from a superpeer / the support blockchain.
-    if (const chain::Block* block = host_->dag().Find(h)) {
-      resp.blocks.push_back(block->Serialize());
+    matched.insert(dag.Hashes()[i]);
+  }
+  // Served in topological order, so the initiator can merge parents
+  // first. Adding sinks never reorders older blocks, so this is the
+  // order the sketched DAG itself had.
+  BlockResponse resp;
+  if (!matched.empty()) {
+    for (const chain::BlockHash& h : dag.TopologicalOrder()) {
+      if (matched.count(h) == 0) continue;
+      // Evicted bodies cannot be served; the initiator can fetch them
+      // from a superpeer / the support blockchain.
+      if (const chain::Block* block = dag.Find(h)) {
+        resp.blocks.push_back(block->Serialize());
+      }
     }
   }
   // An ID naming none of our blocks is skipped, not fatal: the

@@ -291,10 +291,11 @@ class ResponderSession {
   // A FrontierRequest (which checks genesis) has been accepted; a
   // DiffProbe is only served after one.
   bool frontier_seen_ = false;
-  // The salt of the last sketch sent and the hashes it covered, in
-  // topological order; a DiffResult's `want` IDs are resolved there.
+  // The salt of the last sketch sent and how many of the DAG's
+  // insertion-ordered hashes it covered (a prefix of Dag::Hashes());
+  // a DiffResult's `want` IDs are resolved there.
   std::optional<std::uint64_t> salt_;
-  std::vector<chain::BlockHash> sketched_;
+  std::size_t sketched_ = 0;
 };
 
 // Runs a complete session over a lossless in-process "wire",

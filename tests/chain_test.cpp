@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <queue>
+#include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "chain/block.h"
 #include "chain/certificate.h"
@@ -9,6 +15,7 @@
 #include "chain/transaction.h"
 #include "crypto/drbg.h"
 #include "crypto/ed25519.h"
+#include "util/rng.h"
 
 namespace vegvisir::chain {
 namespace {
@@ -362,6 +369,189 @@ TEST(DagTest, ForEachStoredVisitsInTopologicalOrder) {
   std::vector<BlockHash> expected = dag.TopologicalOrder();
   expected.erase(std::find(expected.begin(), expected.end(), a.hash()));
   EXPECT_EQ(after, expected);
+}
+
+// The canonical order as a plain hash-map Kahn over a parent table:
+// parents first, ready ties broken by the smallest hash. The DAG's
+// slot-indexed walk must reproduce it byte for byte.
+std::vector<BlockHash> CanonicalOrder(
+    const BlockHash& genesis,
+    const std::map<BlockHash, std::vector<BlockHash>>& parents_of) {
+  std::unordered_map<BlockHash, std::vector<BlockHash>, BlockHashHasher>
+      children;
+  std::unordered_map<BlockHash, std::size_t, BlockHashHasher> pending;
+  for (const auto& [h, parents] : parents_of) {
+    pending[h] = parents.size();
+    for (const BlockHash& p : parents) children[p].push_back(h);
+  }
+  std::priority_queue<BlockHash, std::vector<BlockHash>,
+                      std::greater<BlockHash>>
+      ready;
+  ready.push(genesis);
+  std::vector<BlockHash> order;
+  while (!ready.empty()) {
+    const BlockHash h = ready.top();
+    ready.pop();
+    order.push_back(h);
+    for (const BlockHash& c : children[h]) {
+      if (--pending[c] == 0) ready.push(c);
+    }
+  }
+  return order;
+}
+
+// A random parent-respecting permutation of `blocks`, which are in
+// creation order (every parent precedes its children).
+std::vector<const Block*> RandomTopologicalPermutation(
+    const BlockHash& genesis, const std::vector<Block>& blocks, Rng* rng) {
+  std::set<BlockHash> placed = {genesis};
+  std::vector<const Block*> left;
+  for (const Block& b : blocks) left.push_back(&b);
+  std::vector<const Block*> out;
+  while (!left.empty()) {
+    std::vector<std::size_t> ready;
+    for (std::size_t i = 0; i < left.size(); ++i) {
+      const auto& parents = left[i]->header().parents;
+      if (std::all_of(parents.begin(), parents.end(), [&](const BlockHash& p) {
+            return placed.count(p) > 0;
+          })) {
+        ready.push_back(i);
+      }
+    }
+    const std::size_t pick = ready[rng->NextBelow(ready.size())];
+    out.push_back(left[pick]);
+    placed.insert(left[pick]->hash());
+    left.erase(left.begin() + static_cast<std::ptrdiff_t>(pick));
+  }
+  return out;
+}
+
+TEST(DagTest, TopologicalOrderMatchesCanonicalOracle) {
+  Fixture f;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    // Random DAG: each block names one to three distinct earlier
+    // blocks (or the genesis) as parents.
+    std::vector<Block> blocks;
+    std::vector<BlockHash> known = {f.genesis.hash()};
+    std::map<BlockHash, std::vector<BlockHash>> parents_of = {
+        {f.genesis.hash(), {}}};
+    for (int i = 0; i < 40; ++i) {
+      std::set<BlockHash> picked;
+      const std::uint64_t want = 1 + rng.NextBelow(3);
+      for (std::uint64_t j = 0; j < want; ++j) {
+        picked.insert(known[rng.NextBelow(known.size())]);
+      }
+      const std::vector<BlockHash> parents(picked.begin(), picked.end());
+      blocks.push_back(f.MakeBlock(parents, 200 + seed * 1000 + i, f.owner,
+                                   "owner"));
+      known.push_back(blocks.back().hash());
+      parents_of[blocks.back().hash()] = parents;
+    }
+    const std::vector<BlockHash> oracle =
+        CanonicalOrder(f.genesis.hash(), parents_of);
+    ASSERT_EQ(oracle.size(), blocks.size() + 1);
+
+    // Several replicas, each fed its own parent-respecting order, with
+    // some blocks arriving as evicted stubs and some bodies evicted
+    // afterwards.
+    std::vector<std::vector<const Block*>> orders;
+    orders.emplace_back();
+    for (const Block& b : blocks) orders.back().push_back(&b);
+    for (int r = 0; r < 3; ++r) {
+      orders.push_back(RandomTopologicalPermutation(f.genesis.hash(), blocks, &rng));
+    }
+    for (const auto& order : orders) {
+      Dag dag(f.genesis);
+      std::set<BlockHash> bodiless;
+      for (const Block* b : order) {
+        if (rng.NextBelow(5) == 0) {
+          ASSERT_TRUE(dag.InsertEvictedStub(b->hash(), b->header().parents,
+                                            b->header().user_id,
+                                            b->header().timestamp_ms,
+                                            b->EncodedSize())
+                          .ok());
+          bodiless.insert(b->hash());
+        } else {
+          ASSERT_TRUE(dag.Insert(*b).ok());
+        }
+      }
+      for (const Block& b : blocks) {
+        if (rng.NextBelow(4) == 0 && dag.Evict(b.hash()).ok()) {
+          bodiless.insert(b.hash());
+        }
+      }
+      EXPECT_EQ(dag.TopologicalOrder(), oracle);
+
+      std::vector<BlockHash> stored;
+      dag.ForEachStored([&](const Block& b) { stored.push_back(b.hash()); });
+      std::vector<BlockHash> expected_stored;
+      for (const BlockHash& h : oracle) {
+        if (bodiless.count(h) == 0) expected_stored.push_back(h);
+      }
+      EXPECT_EQ(stored, expected_stored);
+    }
+
+    // A copy extended after the copy leaves the original untouched.
+    Dag original(f.genesis);
+    const std::size_t split = blocks.size() / 2;
+    for (std::size_t i = 0; i < split; ++i) {
+      ASSERT_TRUE(original.Insert(blocks[i]).ok());
+    }
+    const std::vector<BlockHash> order_before = original.TopologicalOrder();
+    const std::vector<BlockHash> hashes_before = original.Hashes();
+    Dag copy = original;
+    for (std::size_t i = split; i < blocks.size(); ++i) {
+      ASSERT_TRUE(copy.Insert(blocks[i]).ok());
+    }
+    EXPECT_EQ(original.TopologicalOrder(), order_before);
+    EXPECT_EQ(original.Hashes(), hashes_before);
+    EXPECT_EQ(original.Size(), split + 1);
+    EXPECT_EQ(copy.TopologicalOrder(), oracle);
+  }
+}
+
+// Hashes() is insertion order, so each prefix is the DAG as it was at
+// that size, and that earlier DAG's canonical order is the current
+// order filtered to the prefix: adding sinks never reorders older
+// blocks.
+TEST(DagTest, HashesPrefixIsTheEarlierDag) {
+  Fixture f;
+  Rng rng(7);
+  Dag dag(f.genesis);
+  std::vector<BlockHash> known = {f.genesis.hash()};
+  std::map<BlockHash, std::vector<BlockHash>> parents_of = {
+      {f.genesis.hash(), {}}};
+  std::vector<std::map<BlockHash, std::vector<BlockHash>>> dag_at_size = {
+      {}, parents_of};
+  for (int i = 0; i < 30; ++i) {
+    std::set<BlockHash> picked = {known[rng.NextBelow(known.size())],
+                                  known[rng.NextBelow(known.size())]};
+    const std::vector<BlockHash> parents(picked.begin(), picked.end());
+    const Block b = f.MakeBlock(parents, 200 + i, f.owner, "owner");
+    ASSERT_TRUE(dag.Insert(b).ok());
+    known.push_back(b.hash());
+    parents_of[b.hash()] = parents;
+    dag_at_size.push_back(parents_of);
+    ASSERT_EQ(dag_at_size.size(), dag.Size() + 1);
+  }
+
+  const std::vector<BlockHash> order = dag.TopologicalOrder();
+  for (std::size_t k = 1; k <= dag.Size(); ++k) {
+    std::set<BlockHash> prefix(dag.Hashes().begin(),
+                               dag.Hashes().begin() +
+                                   static_cast<std::ptrdiff_t>(k));
+    std::set<BlockHash> then;
+    for (const auto& entry : dag_at_size[k]) then.insert(entry.first);
+    EXPECT_EQ(prefix, then) << "k=" << k;
+
+    std::vector<BlockHash> filtered;
+    for (const BlockHash& h : order) {
+      if (prefix.count(h) > 0) filtered.push_back(h);
+    }
+    EXPECT_EQ(filtered, CanonicalOrder(f.genesis.hash(), dag_at_size[k]))
+        << "k=" << k;
+  }
 }
 
 TEST(DagTest, AncestryQueries) {

@@ -596,6 +596,81 @@ TEST(SetdiffSessionTest, DecodedResultCarriesTheFetch) {
   EXPECT_EQ(metrics.CounterValue("setdiff.decode_success"), 1u);
 }
 
+// The responder answers a DiffResult from the set it sketched. Blocks
+// its DAG gains between the sketch and the result are never served,
+// even when the result's `want` names them, and the sketched bodies
+// come parents first, in canonical order.
+TEST(SetdiffSessionTest, ResponderServesOnlyWhatItSketched) {
+  Rig rig;
+  auto behind = rig.MakeNode();
+  auto ahead = rig.MakeNode();
+  rig.Diverge(behind.get(), ahead.get(), 20, 6);
+  recon::ReconConfig cfg;
+  cfg.mode = recon::ReconConfig::Mode::kSetDiff;
+  recon::InitiatorSession initiator(behind.get(), cfg);
+  recon::ResponderSession responder(ahead.get(), cfg);
+
+  // Level 1, then the probe, until the responder sends its sketch.
+  std::vector<Bytes> to_responder = {initiator.Start()};
+  std::vector<Bytes> replies;
+  for (;;) {
+    ASSERT_EQ(to_responder.size(), 1u);
+    replies.clear();
+    ASSERT_TRUE(responder.OnMessage(to_responder[0], &replies).ok());
+    ASSERT_EQ(replies.size(), 1u);
+    if (*recon::PeekType(replies[0]) == recon::MessageType::kDiffSketch) break;
+    to_responder.clear();
+    ASSERT_TRUE(initiator.OnMessage(replies[0], &to_responder).ok());
+  }
+  recon::DiffSketch sketch;
+  ASSERT_TRUE(recon::DecodeMessage(replies[0], &sketch).ok());
+  const std::vector<BlockHash> sketched_order =
+      ahead->dag().TopologicalOrder();
+
+  // The responder's DAG grows before the result arrives.
+  std::vector<BlockHash> later;
+  for (int i = 0; i < 3; ++i) {
+    const auto h = ahead->AddWitnessBlock();
+    ASSERT_TRUE(h.ok());
+    later.push_back(*h);
+  }
+
+  to_responder.clear();
+  ASSERT_TRUE(initiator.OnMessage(replies[0], &to_responder).ok());
+  ASSERT_EQ(to_responder.size(), 1u);
+  recon::DiffResult result;
+  ASSERT_TRUE(recon::DecodeMessage(to_responder[0], &result).ok());
+  ASSERT_TRUE(result.decoded);
+  const std::set<std::uint64_t> wanted(result.want.begin(), result.want.end());
+  std::vector<BlockHash> expected;
+  for (const BlockHash& h : sketched_order) {
+    if (wanted.count(ShortId(h, sketch.seed)) > 0) expected.push_back(h);
+  }
+  // The six-block delta minus the tip, fetched at level 1.
+  ASSERT_EQ(expected.size(), 5u);
+  ASSERT_EQ(result.want.size(), expected.size());
+  // Name the later blocks too: they were never sketched.
+  for (const BlockHash& h : later) {
+    result.want.push_back(ShortId(h, sketch.seed));
+  }
+
+  std::vector<Bytes> out;
+  ASSERT_TRUE(responder.OnMessage(recon::EncodeMessage(result), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  recon::BlockResponse resp;
+  ASSERT_TRUE(recon::DecodeMessage(out[0], &resp).ok());
+  std::vector<BlockHash> served;
+  for (const Bytes& raw : resp.blocks) {
+    const auto block = chain::Block::Deserialize(raw);
+    ASSERT_TRUE(block.ok());
+    served.push_back(block->hash());
+  }
+  EXPECT_EQ(served, expected);
+  EXPECT_EQ(
+      ahead->telemetry()->metrics.CounterValue("setdiff.want_unresolved"),
+      later.size());
+}
+
 // The gossip engine resumes a failed catch-up at the level it reached,
 // so the opening frontier round may already be deeper than level 1.
 // A failed negotiation must then walk on from below that level, not
