@@ -84,6 +84,29 @@ void BM_Ed25519Verify(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Verify)->Arg(64)->Arg(1024);
 
+// Verify under a key prepared once, as a node's BatchVerifier holds it.
+void BM_Ed25519VerifyPrepared(benchmark::State& state) {
+  Drbg drbg(std::uint64_t{42});
+  const KeyPair kp = KeyPair::Generate(drbg);
+  const Bytes msg(static_cast<std::size_t>(state.range(0)), 0x55);
+  const Signature sig = kp.Sign(msg);
+  const VerifyingKey key(kp.public_key());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.Verify(msg, sig));
+  }
+}
+BENCHMARK(BM_Ed25519VerifyPrepared)->Arg(64)->Arg(1024);
+
+// The one-time cost a node pays the first time it verifies under a key.
+void BM_Ed25519PrepareKey(benchmark::State& state) {
+  Drbg drbg(std::uint64_t{42});
+  const KeyPair kp = KeyPair::Generate(drbg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(VerifyingKey(kp.public_key()));
+  }
+}
+BENCHMARK(BM_Ed25519PrepareKey);
+
 void BM_ChaCha20(benchmark::State& state) {
   ChaCha20Key key{};
   key[0] = 1;

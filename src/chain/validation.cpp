@@ -38,17 +38,22 @@ ValidationResult ValidateBlock(const Block& block, const Dag& dag,
     // Consume a batched pre-verification verdict when one exists for
     // this exact (hash, key) pair; anything else — no cache, no
     // entry, or a certificate that changed since the job was enqueued
-    // — verifies synchronously right here. Lookup blocks on in-flight
-    // jobs (EXCLUDES contract): legal here because validation runs on
-    // the serial owner thread with no mutex held — the DAG, CSM and
-    // quarantine it touches are all single-threaded by design.
-    std::optional<bool> cached;
-    if (presig != nullptr) {
-      cached = presig->Lookup(block.hash(), cert->public_key);
+    // — verifies synchronously right here, under the verifier's
+    // prepared key when there is a verifier. Lookup blocks on
+    // in-flight jobs (EXCLUDES contract): legal here because
+    // validation runs on the serial owner thread with no mutex held —
+    // the DAG, CSM and quarantine it touches are all single-threaded
+    // by design.
+    bool signature_ok;
+    if (presig == nullptr) {
+      signature_ok = block.VerifySignature(cert->public_key);
+    } else if (const std::optional<bool> cached =
+                   presig->Lookup(block.hash(), cert->public_key)) {
+      signature_ok = *cached;
+    } else {
+      signature_ok = presig->Verify(cert->public_key, block.SigningPayload(),
+                                    block.signature());
     }
-    const bool signature_ok =
-        cached.has_value() ? *cached
-                           : block.VerifySignature(cert->public_key);
     if (!signature_ok) {
       return Reject(UnauthenticatedError("bad signature on block"));
     }

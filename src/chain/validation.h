@@ -76,8 +76,8 @@ struct ValidationParams {
 // when it holds a verdict for this block under the creator's current
 // certificate, check 4 consumes that verdict instead of re-running
 // Ed25519; a missing or key-mismatched entry falls back to a
-// synchronous verify. Verdicts — and therefore every counter — are
-// identical with or without the cache.
+// synchronous verify under the cache's prepared key. Verdicts — and
+// therefore every counter — are identical with or without the cache.
 ValidationResult ValidateBlock(const Block& block, const Dag& dag,
                                const MembershipView& membership,
                                std::uint64_t local_time_ms,

@@ -32,10 +32,16 @@ class Value {
  public:
   Value() : data_(std::int64_t{0}) {}
 
-  static Value OfBool(bool b) { return Value(Payload(b)); }
-  static Value OfInt(std::int64_t i) { return Value(Payload(i)); }
-  static Value OfStr(std::string s) { return Value(Payload(std::move(s))); }
-  static Value OfBytes(Bytes b) { return Value(Payload(std::move(b))); }
+  static Value OfBool(bool b) { return Value(std::in_place_type<bool>, b); }
+  static Value OfInt(std::int64_t i) {
+    return Value(std::in_place_type<std::int64_t>, i);
+  }
+  static Value OfStr(std::string s) {
+    return Value(std::in_place_type<std::string>, std::move(s));
+  }
+  static Value OfBytes(Bytes b) {
+    return Value(std::in_place_type<Bytes>, std::move(b));
+  }
 
   ValueType type() const;
 
@@ -57,7 +63,10 @@ class Value {
 
  private:
   using Payload = std::variant<bool, std::int64_t, std::string, Bytes>;
-  explicit Value(Payload p) : data_(std::move(p)) {}
+  // Builds the alternative in place: no temporary variant is moved, so
+  // GCC 12's -Wmaybe-uninitialized has no variant move to misread.
+  template <typename T>
+  Value(std::in_place_type_t<T> type, T v) : data_(type, std::move(v)) {}
 
   Payload data_;
 };

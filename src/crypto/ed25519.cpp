@@ -77,16 +77,19 @@ Signature KeyPair::Sign(ByteSpan message) const {
   return sig;
 }
 
-bool Verify(const PublicKey& public_key, ByteSpan message,
-            const Signature& signature) {
+namespace {
+
+// The part of RFC 8032 §5.1.7 both verifiers share once A has
+// decompressed: s must be canonical and R must decompress, and the
+// signature holds iff [s]B == R + [k]A, checked as
+// `mult(k, s)` = [k](-A) + [s]B == R by projective equality.
+template <typename Mult>
+bool VerifyWithNegA(const PublicKey& public_key, ByteSpan message,
+                    const Signature& signature, const Mult& mult) {
   const ByteSpan r_enc(signature.bytes.data(), 32);
   const ByteSpan s_enc(signature.bytes.data() + 32, 32);
 
   if (!ScIsCanonical(s_enc)) return false;
-
-  const auto a_point =
-      GeDecompress(ByteSpan(public_key.bytes.data(), public_key.bytes.size()));
-  if (!a_point) return false;
   const auto r_point = GeDecompress(r_enc);
   if (!r_point) return false;
 
@@ -98,12 +101,38 @@ bool Verify(const PublicKey& public_key, ByteSpan message,
   const Sha512Digest k_hash = h.Finish();
   const Scalar k = ScFromBytesModL(ByteSpan(k_hash.data(), k_hash.size()));
 
-  // Accept iff [s]B == R + [k]A, checked as [k](-A) + [s]B == R.
   std::array<std::uint8_t, 32> s_bytes;
   std::memcpy(s_bytes.data(), s_enc.data(), 32);
-  const GePoint check =
-      GeDoubleScalarMultBase(ScToBytes(k), GeNeg(*a_point), s_bytes);
-  return GeEqual(check, *r_point);
+  return GeEqual(mult(ScToBytes(k), s_bytes), *r_point);
+}
+
+}  // namespace
+
+bool Verify(const PublicKey& public_key, ByteSpan message,
+            const Signature& signature) {
+  const auto a_point =
+      GeDecompress(ByteSpan(public_key.bytes.data(), public_key.bytes.size()));
+  if (!a_point) return false;
+  const GePoint neg_a = GeNeg(*a_point);
+  return VerifyWithNegA(public_key, message, signature,
+                        [&neg_a](const auto& k, const auto& s) {
+                          return GeDoubleScalarMultBase(k, neg_a, s);
+                        });
+}
+
+VerifyingKey::VerifyingKey(const PublicKey& public_key)
+    : public_key_(public_key) {
+  const auto a_point =
+      GeDecompress(ByteSpan(public_key.bytes.data(), public_key.bytes.size()));
+  if (a_point) neg_a_ = GePrepare(GeNeg(*a_point));
+}
+
+bool VerifyingKey::Verify(ByteSpan message, const Signature& signature) const {
+  if (!neg_a_) return false;
+  return VerifyWithNegA(public_key_, message, signature,
+                        [this](const auto& k, const auto& s) {
+                          return GeDoubleScalarMultBase(k, *neg_a_, s);
+                        });
 }
 
 }  // namespace vegvisir::crypto

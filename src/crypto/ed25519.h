@@ -7,8 +7,10 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 
 #include "crypto/drbg.h"
+#include "crypto/ge25519.h"
 #include "util/bytes.h"
 
 namespace vegvisir::crypto {
@@ -60,5 +62,21 @@ class KeyPair {
 // projective equality.
 bool Verify(const PublicKey& public_key, ByteSpan message,
             const Signature& signature);
+
+// A public key prepared for verifying many signatures: A is
+// decompressed and -A tabled once (GePrepare: about 15 KB and the cost
+// of a few verifies), after which each Verify runs the half-length
+// loop. Its verdicts are exactly crypto::Verify's under the same key,
+// down to false for every signature when A is not a curve point.
+class VerifyingKey {
+ public:
+  explicit VerifyingKey(const PublicKey& public_key);
+
+  bool Verify(ByteSpan message, const Signature& signature) const;
+
+ private:
+  PublicKey public_key_;
+  std::optional<GePrepared> neg_a_;  // empty when A does not decompress
+};
 
 }  // namespace vegvisir::crypto

@@ -10,7 +10,8 @@
 namespace vegvisir::crypto {
 namespace {
 
-// ref10's point forms. GePoint is the extended form ("P3").
+// ref10's point forms. GePoint is the extended form ("P3") and
+// GeAffineCached (ge25519.h) the affine cached one.
 //
 // Projective (X : Y : Z), x = X/Z, y = Y/Z: what doubling reads.
 struct P2 {
@@ -26,12 +27,6 @@ struct P1P1 {
 // Cached (Y + X, Y - X, Z, 2dT): an addend reused many times.
 struct Cached {
   Fe y_plus_x, y_minus_x, z, t2d;
-};
-
-// Affine cached (y + x, y - x, 2dxy) with Z = 1: table entries built
-// once; adding one saves the Z multiplication.
-struct AffineCached {
-  Fe y_plus_x, y_minus_x, xy2d;
 };
 
 P2 ToP2(const P1P1& p) {
@@ -53,8 +48,8 @@ Cached Neg(const Cached& q) {
   return Cached{q.y_minus_x, q.y_plus_x, q.z, FeNeg(q.t2d)};
 }
 
-AffineCached Neg(const AffineCached& q) {
-  return AffineCached{q.y_minus_x, q.y_plus_x, FeNeg(q.xy2d)};
+GeAffineCached Neg(const GeAffineCached& q) {
+  return GeAffineCached{q.y_minus_x, q.y_plus_x, FeNeg(q.xy2d)};
 }
 
 // 2p (ref10 ge_p2_dbl).
@@ -85,14 +80,14 @@ P1P1 Add(const GePoint& p, const Cached& q) {
   return AddTerms(p, q.y_plus_x, q.y_minus_x, q.t2d, FeMul(p.z, q.z));
 }
 
-P1P1 Add(const GePoint& p, const AffineCached& q) {
+P1P1 Add(const GePoint& p, const GeAffineCached& q) {
   return AddTerms(p, q.y_plus_x, q.y_minus_x, q.xy2d, p.z);
 }
 
 // Converts points to affine cached form with a single field inversion
 // (Montgomery's trick): prefix products of the Z coordinates, one
 // inversion of the total, then a backward pass peeling off each 1/Z.
-std::vector<AffineCached> ToAffineCached(const std::vector<GePoint>& points) {
+std::vector<GeAffineCached> ToAffineCached(const std::vector<GePoint>& points) {
   std::vector<Fe> prefix(points.size());  // Z_0 * ... * Z_(i-1)
   Fe acc = FeOne();
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -100,14 +95,14 @@ std::vector<AffineCached> ToAffineCached(const std::vector<GePoint>& points) {
     acc = FeMul(acc, points[i].z);
   }
   Fe inv = FeInvert(acc);
-  std::vector<AffineCached> out(points.size());
+  std::vector<GeAffineCached> out(points.size());
   for (std::size_t i = points.size(); i-- > 0;) {
     const Fe z_inv = FeMul(inv, prefix[i]);
     inv = FeMul(inv, points[i].z);
     const Fe x = FeMul(points[i].x, z_inv);
     const Fe y = FeMul(points[i].y, z_inv);
-    out[i] = AffineCached{FeAdd(y, x), FeSub(y, x),
-                          FeMul(FeMul(x, y), FeConstD2())};
+    out[i] = GeAffineCached{FeAdd(y, x), FeSub(y, x),
+                            FeMul(FeMul(x, y), FeConstD2())};
   }
   return out;
 }
@@ -122,20 +117,20 @@ std::vector<GePoint> OddMultiples(const GePoint& p, int n) {
 
 // NAF window widths of the joint verify loop. A width-w table holds
 // the 2^(w-2) odd multiples 1, 3, ..., 2^(w-1) - 1 of its point: built
-// per call for P, once for B.
+// per call for a bare P, once for B and for each prepared point.
 constexpr int kPointWindow = 5;
-constexpr int kBaseWindow = 8;
+constexpr int kPreparedWindow = 8;
 
-// Odd multiples B, 3B, ..., 127B for GeDoubleScalarMultBase.
-const std::vector<AffineCached>& BaseOddMultiples() {
-  static const std::vector<AffineCached> table = ToAffineCached(
-      OddMultiples(GeBasePoint(), 1 << (kBaseWindow - 2)));
+// B and [2^128]B prepared once, for both GeDoubleScalarMultBase
+// overloads.
+const GePrepared& BasePrepared() {
+  static const GePrepared table = GePrepare(GeBasePoint());
   return table;
 }
 
 // Row i holds j * 16^i * B for j = 1..8, for GeScalarMultBase.
-const std::vector<AffineCached>& BaseRadix16Table() {
-  static const std::vector<AffineCached> table = [] {
+const std::vector<GeAffineCached>& BaseRadix16Table() {
+  static const std::vector<GeAffineCached> table = [] {
     std::vector<GePoint> points;
     points.reserve(64 * 8);
     GePoint row_base = GeBasePoint();  // 16^i * B
@@ -185,6 +180,42 @@ std::array<int, 256> Wnaf(const std::array<std::uint8_t, 32>& scalar_le, int w) 
 template <typename Entry>
 Entry Select(const std::vector<Entry>& table, int digit) {
   return digit > 0 ? table[digit / 2] : Neg(table[-digit / 2]);
+}
+
+// One term [scalar]Q of a Straus sum: the scalar's NAF and Q's odd
+// multiples, in cached or affine cached form.
+template <typename Entry>
+struct StrausTerm {
+  std::array<int, 256> naf;
+  const std::vector<Entry>& table;
+};
+
+// The sum of the terms in one Horner loop over their digits, most
+// significant first, all terms sharing its doublings.
+template <typename... Entries>
+GePoint Straus(const StrausTerm<Entries>&... terms) {
+  int top = 255;
+  while (top >= 0 && ((terms.naf[top] == 0) && ...)) --top;
+
+  // t starts as the identity in completed form.
+  P1P1 t{FeZero(), FeOne(), FeOne(), FeOne()};
+  const auto add = [&t](const auto& term, int i) {
+    if (term.naf[i] != 0) t = Add(ToP3(t), Select(term.table, term.naf[i]));
+  };
+  for (int i = top; i >= 0; --i) {
+    t = Dbl(ToP2(t));
+    (add(terms, i), ...);
+  }
+  return ToP3(t);
+}
+
+// The low and the high 128 bits of a scalar, each as a 32-byte scalar.
+std::array<std::array<std::uint8_t, 32>, 2> SplitHalves(
+    const std::array<std::uint8_t, 32>& scalar_le) {
+  std::array<std::array<std::uint8_t, 32>, 2> halves{};
+  std::memcpy(halves[0].data(), scalar_le.data(), 16);
+  std::memcpy(halves[1].data(), scalar_le.data() + 16, 16);
+  return halves;
 }
 
 }  // namespace
@@ -265,11 +296,11 @@ GePoint GeScalarMultBase(const std::array<std::uint8_t, 32>& scalar_le) {
   }
   e[63] += carry;  // at most 7 + 1, as the scalar is below 2^255
 
-  const std::vector<AffineCached>& table = BaseRadix16Table();
+  const std::vector<GeAffineCached>& table = BaseRadix16Table();
   GePoint r = GeIdentity();
   for (int i = 0; i < 64; ++i) {
     if (e[i] == 0) continue;
-    const AffineCached& entry = table[8 * i + std::abs(e[i]) - 1];
+    const GeAffineCached& entry = table[8 * i + std::abs(e[i]) - 1];
     r = ToP3(Add(r, e[i] > 0 ? entry : Neg(entry)));
   }
   return r;
@@ -278,26 +309,41 @@ GePoint GeScalarMultBase(const std::array<std::uint8_t, 32>& scalar_le) {
 GePoint GeDoubleScalarMultBase(const std::array<std::uint8_t, 32>& a_le,
                                const GePoint& p,
                                const std::array<std::uint8_t, 32>& b_le) {
-  const auto a_naf = Wnaf(a_le, kPointWindow);
-  const auto b_naf = Wnaf(b_le, kBaseWindow);
   std::vector<Cached> p_table;
   for (const GePoint& m : OddMultiples(p, 1 << (kPointWindow - 2))) {
     p_table.push_back(ToCached(m));
   }
-  const std::vector<AffineCached>& b_table = BaseOddMultiples();
+  return Straus(
+      StrausTerm<Cached>{Wnaf(a_le, kPointWindow), p_table},
+      StrausTerm<GeAffineCached>{Wnaf(b_le, kPreparedWindow),
+                                 BasePrepared().low});
+}
 
-  int top = 255;
-  while (top >= 0 && a_naf[top] == 0 && b_naf[top] == 0) --top;
+GePrepared GePrepare(const GePoint& p) {
+  // [2^128]p, then both tables through one shared inversion.
+  P1P1 shifted = Dbl(p);
+  for (int i = 1; i < 128; ++i) shifted = Dbl(ToP2(shifted));
+  const int n = 1 << (kPreparedWindow - 2);
+  std::vector<GePoint> points = OddMultiples(p, n);
+  const std::vector<GePoint> high = OddMultiples(ToP3(shifted), n);
+  points.insert(points.end(), high.begin(), high.end());
+  const std::vector<GeAffineCached> table = ToAffineCached(points);
+  return GePrepared{{table.begin(), table.begin() + n},
+                    {table.begin() + n, table.end()}};
+}
 
-  // Horner over the digits, most significant first; t starts as the
-  // identity in completed form.
-  P1P1 t{FeZero(), FeOne(), FeOne(), FeOne()};
-  for (int i = top; i >= 0; --i) {
-    t = Dbl(ToP2(t));
-    if (a_naf[i] != 0) t = Add(ToP3(t), Select(p_table, a_naf[i]));
-    if (b_naf[i] != 0) t = Add(ToP3(t), Select(b_table, b_naf[i]));
-  }
-  return ToP3(t);
+GePoint GeDoubleScalarMultBase(const std::array<std::uint8_t, 32>& a_le,
+                               const GePrepared& p,
+                               const std::array<std::uint8_t, 32>& b_le) {
+  // [a]p + [b]B = [a_lo]p + [a_hi][2^128]p + [b_lo]B + [b_hi][2^128]B.
+  const auto a = SplitHalves(a_le);
+  const auto b = SplitHalves(b_le);
+  const GePrepared& base = BasePrepared();
+  return Straus(
+      StrausTerm<GeAffineCached>{Wnaf(a[0], kPreparedWindow), p.low},
+      StrausTerm<GeAffineCached>{Wnaf(a[1], kPreparedWindow), p.high},
+      StrausTerm<GeAffineCached>{Wnaf(b[0], kPreparedWindow), base.low},
+      StrausTerm<GeAffineCached>{Wnaf(b[1], kPreparedWindow), base.high});
 }
 
 std::array<std::uint8_t, 32> GeCompress(const GePoint& p) {

@@ -10,23 +10,30 @@
 //     double-and-add loop. They are the readable reference that the
 //     tests check the fast paths against; the signing and verifying
 //     code does not call them.
-//   - GeScalarMultBase and GeDoubleScalarMultBase: the fast paths.
-//     Internally they use ref10's point forms (projective, completed,
-//     cached and affine-cached; private to ge25519.cpp) so that
-//     doublings and additions skip the multiplications whose results
-//     the next step discards.
+//   - GeScalarMultBase and the two GeDoubleScalarMultBase overloads:
+//     the fast paths. Internally they use ref10's point forms
+//     (projective, completed and cached, private to ge25519.cpp, and
+//     the affine cached GeAffineCached) so that doublings and
+//     additions skip the multiplications whose results the next step
+//     discards.
 //       * [s]B for signing is a fixed-base signed radix-16 walk over
 //         a table of j * 16^i * B (i < 64, j <= 8) built once: about
 //         64 mixed additions and no doublings.
 //       * [a]P + [b]B for verifying is one joint width-w NAF loop
-//         (Straus): ~253 doublings shared by both scalars, with odd
-//         multiples of P (w = 5) built per call and of B (w = 8)
-//         built once; about 70 additions.
+//         (Straus) whose doublings all terms share. Given a bare P,
+//         it runs ~253 doublings over odd multiples of P (w = 5) built
+//         per call and of B (w = 8) built once; about 70 additions.
+//       * Given P prepared by GePrepare (a key verified many times),
+//         both scalars are split into 128-bit halves and the same loop
+//         runs four terms over w = 8 tables of P, [2^128]P, B and
+//         [2^128]B: ~128 doublings and about 60 additions. Preparing
+//         costs about 130 doublings, 126 additions and one inversion.
 // All of it is variable-time; see the fe25519.h timing note.
 #pragma once
 
 #include <array>
 #include <optional>
+#include <vector>
 
 #include "crypto/fe25519.h"
 #include "util/bytes.h"
@@ -62,6 +69,29 @@ GePoint GeScalarMultBase(const std::array<std::uint8_t, 32>& scalar_le);
 // 2^255; Verify passes values reduced mod L.
 GePoint GeDoubleScalarMultBase(const std::array<std::uint8_t, 32>& a_le,
                                const GePoint& p,
+                               const std::array<std::uint8_t, 32>& b_le);
+
+// A point with Z = 1 as (y + x, y - x, 2dxy): a table entry built
+// once, whose addition skips the Z multiplication. 120 bytes.
+struct GeAffineCached {
+  Fe y_plus_x, y_minus_x, xy2d;
+};
+
+// p tabled for many GeDoubleScalarMultBase calls: the 64 odd
+// multiples p, 3p, ..., 127p of p and of [2^128]p (2 x 64 x 120 B,
+// about 15 KB).
+struct GePrepared {
+  std::vector<GeAffineCached> low;   // j * p
+  std::vector<GeAffineCached> high;  // j * [2^128]p
+};
+
+GePrepared GePrepare(const GePoint& p);
+
+// [a] * p + [b] * B for any 256-bit scalars, p as prepared by
+// GePrepare: one loop over the 128-bit halves of both scalars, so
+// half the doublings of the overload above.
+GePoint GeDoubleScalarMultBase(const std::array<std::uint8_t, 32>& a_le,
+                               const GePrepared& p,
                                const std::array<std::uint8_t, 32>& b_le);
 
 // RFC 8032 point compression: 32 bytes = y with sign(x) in bit 255.

@@ -64,9 +64,11 @@ void BatchVerifier::Enqueue(std::vector<VerifyJob> jobs) {
     h_batch_size_.Observe(static_cast<double>(fresh.size()));
   }
   for (Pending& pending : fresh) {
-    auto run = [this, job = std::move(pending.job), gen = pending.gen] {
-      const bool valid = crypto::Verify(job.key, job.message, job.signature);
-      Record(job.id, gen, valid);
+    std::shared_ptr<const crypto::VerifyingKey> key =
+        Prepared(pending.job.key);
+    auto run = [this, key = std::move(key), job = std::move(pending.job),
+                gen = pending.gen] {
+      Record(job.id, gen, key->Verify(job.message, job.signature));
     };
     if (pool_ != nullptr) {
       pool_->Submit(std::move(run));
@@ -124,6 +126,21 @@ bool BatchVerifier::Cached(const ContentId& id,
 void BatchVerifier::Forget(const ContentId& id) {
   const util::MutexLock guard(mu_);
   entries_.erase(id);
+}
+
+bool BatchVerifier::Verify(const crypto::PublicKey& key, ByteSpan message,
+                           const crypto::Signature& signature) {
+  return Prepared(key)->Verify(message, signature);
+}
+
+std::shared_ptr<const crypto::VerifyingKey> BatchVerifier::Prepared(
+    const crypto::PublicKey& key) {
+  const auto it = keys_.find(key);
+  if (it != keys_.end()) return it->second;
+  if (keys_.size() >= capacity_) keys_.erase(keys_.begin());
+  auto prepared = std::make_shared<const crypto::VerifyingKey>(key);
+  keys_.emplace(key, prepared);
+  return prepared;
 }
 
 std::size_t BatchVerifier::SizeForTest() const {

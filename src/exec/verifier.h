@@ -15,6 +15,15 @@
 // with `Forget` once the block reaches a final accept/reject, and the
 // cache is bounded by FIFO eviction at enqueue time (both on the
 // serial thread, so cache contents stay deterministic).
+//
+// Each verifier also holds the node's prepared keys
+// (crypto::VerifyingKey, about 15 KB each): a creator's key is tabled
+// the first time this node verifies under it, on the owner thread,
+// and every later job under that key shares the immutable tables.
+// Preparation is lazy rather than done at enrolment, so CSM apply is
+// never billed for tables of keys this node may never verify under
+// (DESIGN.md §12); and it is per node, so simulated devices share no
+// verification work.
 #pragma once
 
 #include <array>
@@ -22,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -81,6 +91,12 @@ class BatchVerifier {
   // Drops the entry; call once the block reaches a final verdict.
   void Forget(const ContentId& id);
 
+  // Verifies one signature now, under this verifier's prepared copy of
+  // `key`: the cache-miss fallback of chain::ValidateBlock. Touches no
+  // verdict entry or counter. Owner thread only, like Enqueue.
+  bool Verify(const crypto::PublicKey& key, ByteSpan message,
+              const crypto::Signature& signature);
+
   std::size_t SizeForTest() const;
 
  private:
@@ -92,6 +108,10 @@ class BatchVerifier {
   };
 
   void Record(const ContentId& id, std::uint64_t gen, bool valid);
+
+  // The prepared key, built on first use. Owner thread only.
+  std::shared_ptr<const crypto::VerifyingKey> Prepared(
+      const crypto::PublicKey& key);
 
   ThreadPool* pool_;
   std::size_t capacity_;
@@ -111,6 +131,11 @@ class BatchVerifier {
   std::deque<ContentId> fifo_ VEGVISIR_GUARDED_BY(mu_);
   std::uint64_t gen_counter_ VEGVISIR_GUARDED_BY(mu_) = 0;
   std::size_t in_flight_ VEGVISIR_GUARDED_BY(mu_) = 0;
+
+  // Read and written on the owner thread only, so unguarded; workers
+  // see just the shared_ptr their job holds. Bounded by capacity_.
+  std::map<crypto::PublicKey, std::shared_ptr<const crypto::VerifyingKey>>
+      keys_;
 };
 
 }  // namespace vegvisir::exec

@@ -777,6 +777,41 @@ TEST(Ge25519Test, DoubleScalarMultMatchesReference) {
   }
 }
 
+// The prepared loop splits both scalars at bit 128; check it at the
+// split's edges (bit 127 or 128 alone, an all-ones low half, 0, L - 1,
+// 2^256 - 1) and on seeded full-width scalars, for a prime-order and
+// a mixed-order point.
+TEST(Ge25519Test, SplitScalarMultMatchesReference) {
+  Drbg drbg(std::uint64_t{2047});
+  const KeyPair kp = KeyPair::Generate(drbg);
+  const GePoint key = *GeDecompress(ByteSpan(kp.public_key().bytes.data(), 32));
+  const GePoint torsion = *GeDecompress(MustFromHex(kOrder8Hex));
+  std::array<std::uint8_t, 32> zero{}, bit127{}, bit128{}, low_ones{},
+      both_edges{};
+  bit127[15] = 0x80;
+  bit128[16] = 0x01;
+  std::memset(low_ones.data(), 0xff, 16);
+  both_edges[15] = 0x80;
+  both_edges[16] = 0x01;
+  std::vector<std::array<std::uint8_t, 32>> scalars = {
+      zero, bit127, bit128, low_ones, both_edges,
+      Bytes32(MustFromHex(kLMinus1Hex)), Bytes32(Bytes(32, 0xff))};
+  for (int i = 0; i < 8; ++i) scalars.push_back(Bytes32(drbg.Generate(32)));
+
+  for (const GePoint& p : {key, GeAdd(key, torsion)}) {
+    const GePrepared prepared = GePrepare(p);
+    for (const auto& a : scalars) {
+      for (const auto& b : scalars) {
+        const GePoint expect =
+            GeAdd(GeScalarMult(p, a), GeScalarMult(GeBasePoint(), b));
+        EXPECT_TRUE(GeEqual(GeDoubleScalarMultBase(a, prepared, b), expect))
+            << ToHex(ByteSpan(a.data(), 32)) << " "
+            << ToHex(ByteSpan(b.data(), 32));
+      }
+    }
+  }
+}
+
 TEST(Ge25519Test, FixedBaseMatchesReference) {
   auto scalars = TestScalars(64, 2044);
   // The clamped secret scalar and anything else up to 2^256 - 1.
@@ -1049,6 +1084,101 @@ TEST(Ed25519Test, MixedOrderKeyVerdictsAreCofactorless) {
   }
   EXPECT_GT(accepted, 0);  // both verdicts are exercised
   EXPECT_LT(accepted, 64);
+}
+
+// VerifyingKey must return crypto::Verify's verdict on every input:
+// the whole hostile-encoding matrix above, keys with a torsion
+// component, and seeded valid and tampered signatures.
+TEST(Ed25519Test, PreparedVerdictsMatchOneShot) {
+  int checked = 0, accepted = 0;
+  const auto check = [&](const PublicKey& pk, ByteSpan msg,
+                         const Signature& sig) {
+    const bool one_shot = Verify(pk, msg, sig);
+    EXPECT_EQ(VerifyingKey(pk).Verify(msg, sig), one_shot)
+        << ToHex(ByteSpan(pk.bytes.data(), 32)) << " "
+        << ToHex(ByteSpan(sig.bytes.data(), 64));
+    ++checked;
+    accepted += one_shot ? 1 : 0;
+  };
+
+  // The edge-case matrix: each encoding as A, as R, as both, and as A
+  // with R = B, under every s value.
+  std::array<std::uint8_t, 32> seed;
+  seed.fill(0x5e);
+  const KeyPair kp = KeyPair::FromSeed(seed);
+  const Bytes msg = BytesOf("edge-case message");
+  const Signature good = kp.Sign(msg);
+  const Bytes base = MustFromHex(
+      "5866666666666666666666666666666666666666666666666666666666666666");
+  Bytes one(32, 0);
+  one[0] = 1;
+  const std::vector<Bytes> s_values = {
+      Bytes(32, 0), one, MustFromHex(kLMinus1Hex), MustFromHex(kLHex),
+      Bytes(good.bytes.begin() + 32, good.bytes.end())};
+  for (const EdgeCase& c : kEdgeCases) {
+    const Bytes e = MustFromHex(c.encoding);
+    for (int role = 0; role < 4; ++role) {
+      for (const Bytes& s : s_values) {
+        PublicKey pk = kp.public_key();
+        Signature sig = good;
+        if (role != 1) std::memcpy(pk.bytes.data(), e.data(), 32);
+        if (role == 1 || role == 2) std::memcpy(sig.bytes.data(), e.data(), 32);
+        if (role == 3) std::memcpy(sig.bytes.data(), base.data(), 32);
+        std::memcpy(sig.bytes.data() + 32, s.data(), 32);
+        check(pk, msg, sig);
+      }
+    }
+  }
+
+  // Mixed-order keys A' = [a]B + T, signed by their owner: accepted
+  // exactly when k = 0 mod 8.
+  const GePoint torsion = *GeDecompress(MustFromHex(kOrder8Hex));
+  Drbg drbg(std::uint64_t{2048});
+  for (int i = 0; i < 32; ++i) {
+    const Sha512Digest expanded = Sha512::Hash(drbg.Generate(32));
+    auto a = Bytes32(Bytes(expanded.begin(), expanded.begin() + 32));
+    a[0] &= 0xf8;
+    a[31] = (a[31] & 0x7f) | 0x40;
+    PublicKey pk;
+    pk.bytes = GeCompress(GeAdd(GeScalarMult(GeBasePoint(), a), torsion));
+    const Bytes m = drbg.Generate(16);
+    const Scalar r = ScFromBytesModL(drbg.Generate(64));
+    const auto r_enc = GeCompress(GeScalarMult(GeBasePoint(), ScToBytes(r)));
+    Sha512 h;
+    h.Update(ByteSpan(r_enc.data(), 32));
+    h.Update(ByteSpan(pk.bytes.data(), 32));
+    h.Update(m);
+    const Sha512Digest k_hash = h.Finish();
+    const Scalar k = ScFromBytesModL(ByteSpan(k_hash.data(), k_hash.size()));
+    const auto s = ScToBytes(
+        ScMulAdd(k, ScFromBytesModL(ByteSpan(a.data(), 32)), r));
+    Signature sig;
+    std::memcpy(sig.bytes.data(), r_enc.data(), 32);
+    std::memcpy(sig.bytes.data() + 32, s.data(), 32);
+    check(pk, m, sig);
+  }
+
+  // Seeded keys, each signature checked as signed, with one bit of R,
+  // of s or of the message flipped, and under the wrong key.
+  for (int i = 0; i < 16; ++i) {
+    const KeyPair signer = KeyPair::Generate(drbg);
+    const KeyPair other = KeyPair::Generate(drbg);
+    Bytes m = drbg.Generate(1 + 13 * i);
+    const Signature sig = signer.Sign(m);
+    check(signer.public_key(), m, sig);
+    check(other.public_key(), m, sig);
+    for (const int byte : {i % 32, 32 + i % 32}) {
+      Signature tampered = sig;
+      tampered.bytes[byte] ^= static_cast<std::uint8_t>(1 << (i % 8));
+      check(signer.public_key(), m, tampered);
+    }
+    m[0] ^= 0x01;
+    check(signer.public_key(), m, sig);
+  }
+
+  // Both verdicts are exercised.
+  EXPECT_GT(accepted, 16);
+  EXPECT_LT(accepted, checked);
 }
 
 // SHA-256 over 16 seeded public keys and 256 signatures (16 per key,

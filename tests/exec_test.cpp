@@ -234,6 +234,50 @@ TEST(BatchVerifierTest, ReEnqueueUnderSameKeyIsDeduplicated) {
   EXPECT_EQ(sink.metrics.CounterValue("exec.presig_hits"), 1U);
 }
 
+// y = 1 with the sign bit set: x = 0 cannot carry a sign, so this is
+// no curve point.
+crypto::PublicKey UndecodableKey() {
+  crypto::PublicKey key{};
+  key.bytes[0] = 0x01;
+  key.bytes[31] = 0x80;
+  return key;
+}
+
+TEST(BatchVerifierTest, UndecodableKeyVerdictIsFalse) {
+  BatchVerifier verifier(nullptr, nullptr);
+  SignedJob entry = MakeSignedJob(30, "no such point");
+  entry.job.key = UndecodableKey();
+  verifier.Enqueue({entry.job});
+  const auto verdict = verifier.Lookup(entry.job.id, entry.job.key);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_FALSE(*verdict);
+  EXPECT_FALSE(verifier.Verify(entry.job.key, ByteSpan(entry.job.message),
+                               entry.job.signature));
+}
+
+// A re-enrolled creator: the job verified under the old key must never
+// answer for the new one, and re-enqueueing under the new key verifies
+// against the new key's own tables, not the old key's.
+TEST(BatchVerifierTest, RekeyedJobNeverAnswersUnderTheNewKey) {
+  BatchVerifier verifier(nullptr, nullptr);
+  const SignedJob old_key = MakeSignedJob(31, "signed under the old key");
+  crypto::Drbg drbg(32);
+  const crypto::PublicKey new_key =
+      crypto::KeyPair::Generate(drbg).public_key();
+  verifier.Enqueue({old_key.job});
+  EXPECT_FALSE(verifier.Lookup(old_key.job.id, new_key).has_value());
+
+  VerifyJob rekeyed = old_key.job;
+  rekeyed.key = new_key;
+  verifier.Enqueue({rekeyed});
+  EXPECT_FALSE(verifier.Lookup(old_key.job.id, old_key.job.key).has_value());
+  const auto verdict = verifier.Lookup(old_key.job.id, new_key);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_FALSE(*verdict);
+  EXPECT_TRUE(verifier.Verify(old_key.job.key, ByteSpan(old_key.job.message),
+                              old_key.job.signature));
+}
+
 // End to end: the same seeded storm at threads=1 and threads=4 must
 // produce identical frontiers, fingerprints and metrics (modulo the
 // scheduling internals the determinism tool also waives). A compact

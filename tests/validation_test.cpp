@@ -212,6 +212,36 @@ TEST(ValidationTest, PresigKeyMismatchFallsBackToSyncVerify) {
   EXPECT_EQ(result.verdict, BlockVerdict::kValid) << result.status.ToString();
 }
 
+// A CA-signed certificate can carry a key that is not a curve point;
+// that member's blocks fail check 4 on every path: no verifier, a
+// pre-verified verdict, and the verifier's synchronous fallback.
+TEST(ValidationTest, UndecodableMemberKeyIsBadSignature) {
+  Fixture f;
+  crypto::PublicKey bad_key{};
+  bad_key.bytes[0] = 0x01;  // y = 1 with the sign bit: x = 0 has none
+  bad_key.bytes[31] = 0x80;
+  EXPECT_TRUE(f.membership
+                  .Add(IssueCertificate("mallory", bad_key, "medic", f.owner),
+                       f.genesis.hash())
+                  .ok());
+  const Block b = f.MakeBlock({f.genesis.hash()}, 200, f.alice, "mallory");
+  const auto expect_bad_signature = [](const ValidationResult& result) {
+    EXPECT_EQ(result.verdict, BlockVerdict::kReject);
+    EXPECT_EQ(result.status.message(), "bad signature on block");
+  };
+  expect_bad_signature(ValidateBlock(b, f.dag, f.membership, 1'000));
+
+  exec::BatchVerifier presig(nullptr, nullptr);
+  presig.Enqueue(MakeVerifyJobs({&b}, f.membership));
+  ASSERT_TRUE(presig.Cached(b.hash(), bad_key));
+  expect_bad_signature(
+      ValidateBlock(b, f.dag, f.membership, 1'000, {}, &presig));
+
+  exec::BatchVerifier fallback(nullptr, nullptr);
+  expect_bad_signature(
+      ValidateBlock(b, f.dag, f.membership, 1'000, {}, &fallback));
+}
+
 TEST(ValidationTest, MakeVerifyJobsSkipsUnknownCreatorsAndCachedBlocks) {
   Fixture f;
   const Block known = f.MakeBlock({f.genesis.hash()}, 200, f.owner, "owner");
