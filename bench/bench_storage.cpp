@@ -1,11 +1,9 @@
 // E13b — storage engine cost model (DESIGN.md §13).
 //
-// Quantifies what the durable block log buys and what it charges:
-// append throughput with durability batched into one Sync vs fsync'd
-// per record (the WAL discipline nodes run under), indexed lookup
-// rate, crash-recovery time by log replay, and the RAM high-water of
-// a long chain with hot/cold tiering against the all-in-RAM baseline
-// — the local-disk analogue of the paper's §IV-I storage offload.
+// Quantifies what the durable block log charges: append throughput
+// with durability batched into one Sync vs fsync'd per record (the
+// WAL discipline nodes run under), and crash-recovery time by log
+// scan plus replay into a fresh DAG.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -89,9 +87,6 @@ storage::TieredStoreOptions Opts(std::string dir, bool fsync_each) {
 int main() {
   constexpr int kChain = 2'000;      // main chain length
   constexpr int kFsyncChain = 256;   // per-append-fsync sample (slow)
-  constexpr int kLookups = 10'000;
-  constexpr int kColdReads = 200;
-  constexpr std::size_t kKeepHot = 64;
 
   const ChainFixture fx = BuildChain(kChain);
   std::printf("E13b: storage engine, %d-block chain\n\n", kChain);
@@ -107,7 +102,7 @@ int main() {
   auto t0 = std::chrono::steady_clock::now();
   (void)store->Append(fx.genesis);
   for (const chain::Block& b : fx.blocks) (void)store->Append(b);
-  (void)store->SyncIndex();  // syncs the log, then the index
+  (void)store->Sync();
   const double append_ms = MsSince(t0);
   const double log_mb = static_cast<double>(store->GetStats().log_bytes) / 1e6;
   const double append_per_s = (kChain + 1) / (append_ms / 1e3);
@@ -129,22 +124,6 @@ int main() {
                 wal_per_s, kFsyncChain + 1);
   }
 
-  // -- Indexed lookups (hot path: index probe + log read + CRC) -----
-  t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kLookups; ++i) {
-    // Coprime stride walks the chain in a cache-hostile order.
-    const chain::Block& want = fx.blocks[(i * 1'009) % fx.blocks.size()];
-    auto got = store->Fetch(want.hash());
-    if (!got.ok()) {
-      std::printf("lookup failed: %s\n", got.status().message().c_str());
-      return 1;
-    }
-  }
-  const double lookup_ms = MsSince(t0);
-  const double lookups_per_s = kLookups / (lookup_ms / 1e3);
-  std::printf("indexed fetch         : %9.0f lookups/s  (%.1f us each)\n",
-              lookups_per_s, 1e3 * lookup_ms / kLookups);
-
   // -- Crash recovery: reopen + full log replay into a fresh DAG ----
   store.reset();  // crash-equivalent close
   t0 = std::chrono::steady_clock::now();
@@ -164,51 +143,16 @@ int main() {
   std::printf("crash recovery        : %9.1f ms  (%zu blocks replayed)\n",
               recover_ms, recovered->Size());
 
-  // -- Hot/cold tiering: RAM high-water vs the in-memory baseline ---
-  chain::Dag& dag = *recovered;
-  const std::size_t ram_inmemory = dag.StoredBytes();
-  const std::size_t migrated = store->MigrateCold(&dag, kKeepHot);
-  const std::size_t ram_tiered = dag.StoredBytes();
-  std::printf("tiering (keep_hot=%zu): %9zu B hot vs %zu B all-RAM  "
-              "(%zu migrated)\n",
-              kKeepHot, ram_tiered, ram_inmemory, migrated);
-
-  // -- Cold reads: on-demand body restore from the log --------------
-  std::vector<chain::BlockHash> cold;
-  for (const chain::Block& b : fx.blocks) {
-    if (cold.size() >= kColdReads) break;
-    if (dag.PresenceOf(b.hash()) == chain::Presence::kEvicted)
-      cold.push_back(b.hash());
-  }
-  t0 = std::chrono::steady_clock::now();
-  for (const chain::BlockHash& h : cold) {
-    const Status s = store->FetchCold(&dag, h);
-    if (!s.ok()) {
-      std::printf("cold read failed: %s\n", s.message().c_str());
-      return 1;
-    }
-  }
-  const double cold_ms = MsSince(t0);
-  const double cold_us =
-      cold.empty() ? 0 : 1e3 * cold_ms / static_cast<double>(cold.size());
-  std::printf("cold read             : %9.1f us/block  (%zu blocks)\n",
-              cold_us, cold.size());
-
   std::printf(
-      "\nExpected shape: batched appends run at disk-sequential speed and\n"
-      "fsync-each pays the device sync latency per block; recovery is a\n"
-      "linear scan; tiering pins RAM near the hot set while cold reads\n"
-      "stay a single index probe + pread away.\n");
+      "\nExpected shape: batched appends run at disk-sequential speed,\n"
+      "fsync-each pays the device sync latency per block, and recovery\n"
+      "is a linear scan plus replay.\n");
 
   benchio::WriteBench(
       "storage",
       {{"append_blocks_per_s", append_per_s},
        {"append_fsync_blocks_per_s", wal_per_s},
-       {"lookups_per_s", lookups_per_s},
        {"recover_ms", recover_ms},
-       {"cold_read_us", cold_us},
-       {"ram_bytes_inmemory", static_cast<double>(ram_inmemory)},
-       {"ram_bytes_tiered", static_cast<double>(ram_tiered)},
        {"log_bytes", static_cast<double>(store->GetStats().log_bytes)}});
   return 0;
 }

@@ -11,9 +11,10 @@
 //                                   Prometheus text format, plus its
 //                                   recon bytes by message on stderr
 //   ./chain_inspect storage [dir]   open a durable store (DESIGN.md
-//                                   §13) and dump its segments, index
-//                                   coverage and recovered chain; dir
-//                                   defaults to $VEGVISIR_DATA_DIR
+//                                   §13) and dump its segments,
+//                                   recovery counts and recovered
+//                                   chain; dir defaults to
+//                                   $VEGVISIR_DATA_DIR
 //
 // Demonstrates the storage / recovery workflow of a device that
 // reboots: the replica is loaded from flash, its integrity verified
@@ -134,7 +135,7 @@ int RunMetricsDemo() {
 
 // `storage` subcommand: open a node's durable data directory
 // read-only-in-spirit (a torn tail is truncated, exactly as a
-// restarting node would) and report what the log and index hold.
+// restarting node would) and report what the log holds.
 int InspectStorage(const std::string& dir) {
   if (dir.empty()) {
     std::fprintf(stderr,
@@ -169,11 +170,6 @@ int InspectStorage(const std::string& dir) {
               static_cast<unsigned long long>(rec.records_replayed),
               static_cast<unsigned long long>(rec.records_truncated),
               static_cast<unsigned long long>(rec.bytes_dropped));
-  std::printf("index     : %zu mapped + %zu unsynced entries, covers %llu "
-              "of %llu log bytes\n",
-              stats.index_mapped, stats.index_delta,
-              static_cast<unsigned long long>(stats.index_covered_bytes),
-              static_cast<unsigned long long>(stats.log_bytes));
 
   if (stats.log_records == 0) {
     std::printf("(empty log — nothing to replay)\n");

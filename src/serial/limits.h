@@ -84,8 +84,6 @@ inline constexpr std::uint64_t kMaxLogRecordBytes = 1u << 22;
 // this (storage::kSegmentTargetBytes), so a segment claiming more is
 // corrupt and recovery stops at the cap.
 inline constexpr std::uint64_t kMaxSegmentRecords = 1u << 16;
-// Entries per persisted index file (storage/index.h).
-inline constexpr std::uint64_t kMaxIndexEntries = 1u << 18;
 
 // --- membership & CSM snapshots (csm/) -----------------------------
 inline constexpr std::uint64_t kMaxMembers = 1u << 16;

@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/sha256.h"
-
 namespace vegvisir::storage {
 
 TieredStore::TieredStore(TieredStoreOptions opts)
@@ -16,22 +14,11 @@ TieredStore::TieredStore(TieredStoreOptions opts)
                        : std::make_unique<telemetry::Telemetry>()),
       telem_(opts_.telemetry != nullptr ? opts_.telemetry
                                         : owned_telem_.get()),
-      index_(std::make_unique<BlockIndex>(telem_)),
       c_append_failures_(
           telem_->metrics.GetCounter("storage.append_failures")),
-      c_cold_migrations_(
-          telem_->metrics.GetCounter("storage.cold_migrations")),
-      c_cold_reads_(telem_->metrics.GetCounter("storage.cold_reads")),
-      c_cold_read_bytes_(
-          telem_->metrics.GetCounter("storage.cold_read_bytes")),
-      c_index_rebuilds_(telem_->metrics.GetCounter("storage.index.rebuilds")),
       g_hot_blocks_(telem_->metrics.GetGauge("storage.hot_blocks")),
       g_cold_blocks_(telem_->metrics.GetGauge("storage.cold_blocks")),
       g_hot_bytes_(telem_->metrics.GetGauge("storage.hot_bytes")) {}
-
-std::string TieredStore::index_path() const {
-  return opts_.dir + "/index.vidx";
-}
 
 StatusOr<std::unique_ptr<TieredStore>> TieredStore::Open(
     TieredStoreOptions opts) {
@@ -39,140 +26,36 @@ StatusOr<std::unique_ptr<TieredStore>> TieredStore::Open(
   // Nobody else can hold the store yet, but recovery writes guarded
   // state, so it runs under the engine lock like every other writer.
   const util::MutexLock guard(store->mu_);
-
-  // The index (if usable) tells recovery how much of the log was
-  // already CRC-verified and made durable; the log scan then only
-  // re-hashes the suffix.
-  std::uint64_t covered = 0;
-  bool index_usable = false;
-  if (auto loaded = store->index_->Load(store->index_path()); loaded.ok()) {
-    covered = *loaded;
-    index_usable = true;
-  }
-
   BlockLog::Options lopts;
   lopts.dir = store->opts_.dir;
   lopts.io_faults = store->opts_.io_faults;
   lopts.io_seed = store->opts_.io_seed;
   lopts.telemetry = store->telem_;
-  lopts.trusted_prefix_bytes = covered;
   auto log = BlockLog::Open(std::move(lopts));
   if (!log.ok()) return log.status();
   store->log_ = std::move(*log);
-
-  // A truncation can leave the index covering bytes the log no longer
-  // has; such an index may point into the void, so it is discarded
-  // wholesale and rebuilt.
-  if (index_usable && covered > store->log_->total_bytes()) {
-    store->index_ = std::make_unique<BlockIndex>(store->telem_);
-    covered = 0;
-    index_usable = false;
-  }
-  if (!index_usable && store->log_->record_count() > 0) {
-    store->c_index_rebuilds_.Inc();
-  }
-
-  // Index every record beyond the coverage point. The payload hash is
-  // the block hash by construction (blocks hash their canonical
-  // serialization), so re-indexing needs no block decode. The lambda
-  // gets a plain pointer resolved under the lock held above —
-  // thread-safety analysis treats a lambda as a separate function, so
-  // it could not see the guard through a captured `store`.
-  BlockIndex* index = store->index_.get();
-  const Status indexed = store->log_->ForEachFrom(
-      covered, [index](const RecordLocation& loc, ByteSpan payload) {
-        const crypto::Sha256Digest digest = crypto::Sha256::Hash(payload);
-        chain::BlockHash hash;
-        std::copy(digest.begin(), digest.end(), hash.begin());
-        index->Add(hash, loc);
-        return Status::Ok();
-      });
-  if (!indexed.ok()) return indexed;
   return store;
 }
 
 Status TieredStore::Append(const chain::Block& block) {
   const util::MutexLock guard(mu_);
-  if (index_->Lookup(block.hash()).has_value()) return Status::Ok();
-  auto loc = log_->Append(block.Serialize());
-  if (!loc.ok()) {
-    c_append_failures_.Inc();
-    return loc.status();
-  }
-  if (opts_.fsync_each_append) {
-    const Status synced = log_->Sync();
-    if (!synced.ok()) {
-      c_append_failures_.Inc();
-      return synced;
-    }
-  }
-  index_->Add(block.hash(), *loc);
-  return Status::Ok();
+  Status s = log_->Append(block.Serialize());
+  if (s.ok() && opts_.fsync_each_append) s = log_->Sync();
+  if (!s.ok()) c_append_failures_.Inc();
+  return s;
 }
 
-bool TieredStore::Contains(const chain::BlockHash& hash) const {
+Status TieredStore::Sync() {
   const util::MutexLock guard(mu_);
-  return index_->Lookup(hash).has_value();
-}
-
-StatusOr<chain::Block> TieredStore::Fetch(const chain::BlockHash& hash) const {
-  const util::MutexLock guard(mu_);
-  return FetchLocked(hash);
-}
-
-StatusOr<chain::Block> TieredStore::FetchLocked(
-    const chain::BlockHash& hash) const {
-  const auto loc = index_->Lookup(hash);
-  if (!loc.has_value()) return NotFoundError("block not in storage index");
-  auto payload = log_->Read(*loc);
-  if (!payload.ok()) return payload.status();
-  c_cold_reads_.Inc();
-  c_cold_read_bytes_.Inc(payload->size());
-  auto block = chain::Block::Deserialize(*payload);
-  if (!block.ok()) return block.status();
-  if (block->hash() != hash) {
-    return InternalError("log payload does not hash to its index key");
-  }
-  return block;
-}
-
-std::size_t TieredStore::MigrateCold(chain::Dag* dag, std::size_t keep_hot) {
-  const util::MutexLock guard(mu_);
-  std::size_t migrated = 0;
-  if (dag->StoredCount() > keep_hot) {
-    // Bodies about to leave RAM must be durable first — without this
-    // an unsynced block could exist nowhere at all after a crash.
-    if (!log_->Sync().ok()) return 0;
-    for (const chain::BlockHash& h : dag->TopologicalOrder()) {
-      if (dag->StoredCount() <= keep_hot) break;
-      if (dag->PresenceOf(h) != chain::Presence::kStored) continue;
-      if (!index_->Lookup(h).has_value()) continue;
-      if (dag->Evict(h).ok()) {
-        migrated += 1;
-        c_cold_migrations_.Inc();
-      }
-    }
-  }
-  UpdateResidency(*dag);
-  return migrated;
-}
-
-Status TieredStore::FetchCold(chain::Dag* dag, const chain::BlockHash& hash) {
-  const util::MutexLock guard(mu_);
-  if (dag->PresenceOf(hash) == chain::Presence::kStored) return Status::Ok();
-  auto block = FetchLocked(hash);
-  if (!block.ok()) return block.status();
-  VEGVISIR_RETURN_IF_ERROR(dag->Restore(*std::move(block)));
-  UpdateResidency(*dag);
-  return Status::Ok();
+  return log_->Sync();
 }
 
 StatusOr<chain::Dag> TieredStore::RecoverDag() {
   const util::MutexLock guard(mu_);
   std::optional<chain::Dag> dag;
   std::vector<chain::Block> pending;
-  const Status replayed = log_->ForEachFrom(
-      0, [&dag, &pending](const RecordLocation&, ByteSpan payload) -> Status {
+  const Status replayed =
+      log_->ForEach([&dag, &pending](ByteSpan payload) -> Status {
         auto decoded = chain::Block::Deserialize(payload);
         if (!decoded.ok()) return decoded.status();
         chain::Block block = *std::move(decoded);
@@ -220,12 +103,6 @@ StatusOr<chain::Dag> TieredStore::RecoverDag() {
   return *std::move(dag);
 }
 
-Status TieredStore::SyncIndex() {
-  const util::MutexLock guard(mu_);
-  VEGVISIR_RETURN_IF_ERROR(log_->Sync());
-  return index_->Write(index_path(), log_->total_bytes());
-}
-
 TieredStoreStats TieredStore::GetStats() const {
   const util::MutexLock guard(mu_);
   TieredStoreStats stats;
@@ -234,9 +111,6 @@ TieredStoreStats TieredStore::GetStats() const {
   stats.log_wounded = log_->wounded();
   stats.segments = log_->segments();
   stats.recovery = log_->recovery();
-  stats.index_mapped = index_->mapped_entries();
-  stats.index_delta = index_->delta_entries();
-  stats.index_covered_bytes = index_->covered_bytes();
   return stats;
 }
 

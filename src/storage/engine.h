@@ -1,9 +1,8 @@
 // TieredStore: the durable block storage engine (DESIGN.md §13).
 //
-// Owns the append-only block log (storage/log.h) and the mmap'd
-// hash→offset index (storage/index.h) behind the existing store/DAG
-// interface: the Dag, reconciliation and checkpointing stay consumers
-// of block bytes rather than owners. Three promises:
+// Owns the append-only block log (storage/log.h) behind the existing
+// store/DAG interface: the Dag, reconciliation and checkpointing stay
+// consumers of block bytes rather than owners. Two promises:
 //
 //   1. Write-ahead: Append() returns OK only after the serialized
 //      block (and, unless configured off, an fsync) hit the log —
@@ -13,18 +12,14 @@
 //      DAG insert order, thanks to promise 1) into a fresh DAG; the
 //      CSM re-derives by deterministic replay (node/checkpoint.h's
 //      RecoverFromStorage).
-//   3. Hot/cold tiering: the support-chain offload promoted to a
-//      local cold tier — MigrateCold() evicts the oldest topological
-//      prefix's bodies from RAM (the log keeps the bytes; the DAG
-//      keeps stubs) and FetchCold() reads one back on demand, so the
-//      RAM high-water of a long chain is the hot working set, not
-//      the chain.
 //
-// Durability of the index is explicit (SyncIndex) and never happens
-// in a destructor: tearing the engine down is deliberately
-// crash-equivalent, and reopen rebuilds whatever the index misses.
-// Every series lands under storage.* in the supplied telemetry
-// bundle (or a private one when none is given).
+// The log is read one way: Open's CRC-checking scan, then
+// RecoverDag's replay. Nothing reads a single block back; shedding
+// old bodies from RAM is support::StorageManager's job (§IV-I), and
+// the residency gauges here only report what it left resident.
+// Tearing the engine down is deliberately crash-equivalent. Every
+// series lands under storage.* in the supplied telemetry bundle (or a
+// private one when none is given).
 #pragma once
 
 #include <cstdint>
@@ -35,7 +30,6 @@
 #include "chain/block.h"
 #include "chain/dag.h"
 #include "sim/faults.h"
-#include "storage/index.h"
 #include "storage/log.h"
 #include "telemetry/telemetry.h"
 #include "util/status.h"
@@ -44,7 +38,7 @@
 namespace vegvisir::storage {
 
 struct TieredStoreOptions {
-  // Directory holding segments + index; created if missing. Apps
+  // Directory holding the log segments; created if missing. Apps
   // conventionally derive it from VEGVISIR_DATA_DIR (DataDirFromEnv).
   std::string dir;
   // fsync after every append (the WAL discipline). Turning it off
@@ -56,7 +50,7 @@ struct TieredStoreOptions {
   telemetry::Telemetry* telemetry = nullptr;  // null → private bundle
 };
 
-// Point-in-time copy of the log/index bookkeeping, taken under the
+// Point-in-time copy of the log bookkeeping, taken under the
 // engine lock. The inspection surface (examples, tests, bench)
 // consumes this instead of references into live engine internals.
 struct TieredStoreStats {
@@ -65,86 +59,52 @@ struct TieredStoreStats {
   bool log_wounded = false;
   std::vector<BlockLog::SegmentInfo> segments;
   BlockLog::RecoveryStats recovery;
-  std::size_t index_mapped = 0;
-  std::size_t index_delta = 0;
-  std::uint64_t index_covered_bytes = 0;
 };
 
 class TieredStore {
  public:
-  // Opens the store: recovers the log (truncating any torn tail),
-  // loads the index, and re-indexes whatever the log holds beyond
-  // the index's coverage (all of it, if the index was missing or
-  // unusable — counted under storage.index.rebuilds).
+  // Opens the store: recovers the log, truncating any torn tail.
   static StatusOr<std::unique_ptr<TieredStore>> Open(TieredStoreOptions opts);
 
   TieredStore(const TieredStore&) = delete;
   TieredStore& operator=(const TieredStore&) = delete;
 
-  // Write-ahead append of one block. Idempotent for a block already
-  // in the log. The caller may ack the block only after OK.
+  // Write-ahead append of one block. The caller may ack the block
+  // only after OK. Callers append only blocks their DAG lacks; a
+  // repeated block is a second record, which replay skips.
   Status Append(const chain::Block& block);
 
-  bool Contains(const chain::BlockHash& hash) const;
-
-  // Reads a block back from the log via the index (CRC re-verified,
-  // hash checked). Works for hot and cold blocks alike.
-  StatusOr<chain::Block> Fetch(const chain::BlockHash& hash) const;
-
-  // Evicts bodies of the oldest topological prefix from the DAG until
-  // at most `keep_hot` stored bodies remain. Genesis and frontier
-  // blocks never migrate (Dag::Evict's rules) and neither does any
-  // block the log does not durably hold. Returns blocks migrated.
-  std::size_t MigrateCold(chain::Dag* dag, std::size_t keep_hot);
-
-  // On-demand re-read: restores one evicted block's body into the DAG.
-  Status FetchCold(chain::Dag* dag, const chain::BlockHash& hash);
+  // Makes every append so far durable (the explicit sync point when
+  // fsync_each_append is off).
+  Status Sync();
 
   // Crash recovery: replays the whole log into a fresh DAG. The first
   // record must be the genesis block.
   StatusOr<chain::Dag> RecoverDag();
 
-  // Durably persists the index (log synced first, so the index never
-  // covers bytes that could still vanish).
-  Status SyncIndex();
-
   // Refreshes the hot/cold residency gauges from the DAG.
   void UpdateResidency(const chain::Dag& dag);
 
-  // Locked snapshot of the log/index bookkeeping.
+  // Locked snapshot of the log bookkeeping.
   TieredStoreStats GetStats() const;
 
-  std::string index_path() const;
   telemetry::Telemetry* telemetry() const { return telem_; }
 
  private:
   explicit TieredStore(TieredStoreOptions opts);
-  // Fetch body with mu_ held; shared by Fetch and FetchCold (the
-  // public pair must not nest, or the engine lock would deadlock on
-  // itself).
-  StatusOr<chain::Block> FetchLocked(const chain::BlockHash& hash) const
-      VEGVISIR_REQUIRES(mu_);
 
   TieredStoreOptions opts_;
   std::unique_ptr<telemetry::Telemetry> owned_telem_;
   telemetry::Telemetry* telem_ = nullptr;
-  // Guards the log and index objects (the pointers themselves are set
-  // once during Open, before the store is shared; the pointees mutate
-  // on every append/migrate). The sharded-ingest roadmap item lands
-  // concurrent Fetch/Append on this lock. Rank kStorageEngine — the
-  // one may-block rank: append+fsync under this lock IS the WAL
-  // discipline (DESIGN.md §13/§15), and it orders below
-  // kTelemetryRegistry because Open registers metrics cells while
-  // holding it.
+  // Guards the log object (the pointer itself is set once during
+  // Open, before the store is shared; the pointee mutates on every
+  // append). Rank kStorageEngine — the one may-block rank:
+  // append+fsync under this lock IS the WAL discipline (DESIGN.md
+  // §13/§15), and it orders below kTelemetryRegistry because Open
+  // registers metrics cells while holding it.
   mutable util::Mutex mu_{util::LockRank::kStorageEngine};
-  std::unique_ptr<BlockIndex> index_ VEGVISIR_PT_GUARDED_BY(mu_);
   std::unique_ptr<BlockLog> log_ VEGVISIR_PT_GUARDED_BY(mu_);
   telemetry::Counter c_append_failures_;
-  telemetry::Counter c_cold_migrations_;
-  // Mutable: Fetch is logically const but still counts its reads.
-  mutable telemetry::Counter c_cold_reads_;
-  mutable telemetry::Counter c_cold_read_bytes_;
-  telemetry::Counter c_index_rebuilds_;
   telemetry::Gauge g_hot_blocks_;
   telemetry::Gauge g_cold_blocks_;
   telemetry::Gauge g_hot_bytes_;

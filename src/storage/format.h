@@ -7,8 +7,9 @@
 //   record               u32 payload length | u32 CRC-32 of payload |
 //                        payload (one canonically serialized block)
 //
-// plus one mmap-able index file (storage/index.h) rebuildable from
-// the segments. All integers are little-endian via serial::Writer/
+// The segments are the whole on-disk state: there is no side index,
+// and a reader finds a block only by scanning records in append
+// order. All integers are little-endian via serial::Writer/
 // Reader. The length field is wire-tainted: ParseRecordHeader bounds
 // it against serial::limits::kMaxLogRecordBytes before any caller
 // allocates. Torn tails are a normal artifact of power loss
@@ -28,7 +29,6 @@ namespace vegvisir::storage {
 
 inline constexpr std::size_t kMagicLen = 8;
 inline constexpr char kSegmentMagic[kMagicLen + 1] = "VGVSSEG1";
-inline constexpr char kIndexMagic[kMagicLen + 1] = "VGVSIDX1";
 inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::size_t kSegmentHeaderBytes = kMagicLen + 4 + 8;
 inline constexpr std::size_t kRecordHeaderBytes = 4 + 4;
@@ -41,13 +41,6 @@ inline constexpr std::uint64_t kSegmentTargetBytes = 4u << 20;
 // dependencies; protects each record payload against bit rot and
 // identifies the torn tail after a crash.
 std::uint32_t Crc32(ByteSpan data);
-
-// Where one record's payload lives in the log.
-struct RecordLocation {
-  std::uint64_t segment_id = 0;
-  std::uint64_t offset = 0;  // payload offset within the segment file
-  std::uint32_t length = 0;  // payload bytes
-};
 
 Bytes EncodeSegmentHeader(std::uint64_t segment_id);
 Status ParseSegmentHeader(ByteSpan data, std::uint64_t* segment_id);

@@ -71,10 +71,10 @@ BlockLog::BlockLog(Options opts)
       g_log_bytes_(opts_.telemetry->metrics.GetGauge("storage.log_bytes")) {}
 
 BlockLog::~BlockLog() {
-  // Deliberately no flush and no index write here: destruction must
-  // be indistinguishable from a crash, so tests that "pull the plug"
-  // by dropping the object exercise the same recovery path a real
-  // power loss does. Durability is Sync()'s job alone.
+  // Deliberately no flush here: destruction must be indistinguishable
+  // from a crash, so tests that "pull the plug" by dropping the object
+  // exercise the same recovery path a real power loss does.
+  // Durability is Sync()'s job alone.
   for (SegmentInfo& seg : segments_) {
     if (seg.fd >= 0) ::close(seg.fd);
   }
@@ -109,7 +109,6 @@ Status BlockLog::Recover() {
     SegmentInfo seg;
     seg.id = found[i].first;
     seg.path = found[i].second;
-    seg.global_start = total_bytes_;
     seg.fd = ::open(seg.path.c_str(), O_RDWR | O_APPEND);
     if (seg.fd < 0) return ErrnoError("open " + seg.path);
     struct stat st{};
@@ -198,18 +197,12 @@ Status BlockLog::ScanSegment(SegmentInfo* seg, bool is_last) {
       break;
     }
     const std::uint64_t payload_off = pos + kRecordHeaderBytes;
-    // Records the index already covers were CRC-verified before that
-    // index was durably written; header-walking them keeps reopen
-    // cost proportional to the unsynced suffix, not the chain length.
-    if (seg->global_start + payload_off + length >
-        opts_.trusted_prefix_bytes) {
-      payload.resize(length);
-      VEGVISIR_RETURN_IF_ERROR(
-          PreadAll(seg->fd, payload.data(), payload.size(), payload_off));
-      if (Crc32(payload) != crc) {
-        stop = "record CRC mismatch";
-        break;
-      }
+    payload.resize(length);
+    VEGVISIR_RETURN_IF_ERROR(
+        PreadAll(seg->fd, payload.data(), payload.size(), payload_off));
+    if (Crc32(payload) != crc) {
+      stop = "record CRC mismatch";
+      break;
     }
     records += 1;
     pos = payload_off + length;
@@ -234,14 +227,12 @@ Status BlockLog::ScanSegment(SegmentInfo* seg, bool is_last) {
 Status BlockLog::RollSegment() {
   if (!segments_.empty()) {
     // The outgoing segment becomes immutable; make it durable now so
-    // the trusted-prefix rule ("whole segments before the active one
-    // are synced") holds.
+    // Sync() only ever has the active segment left to fsync.
     VEGVISIR_RETURN_IF_ERROR(io_.Sync(segments_.back().fd));
   }
   SegmentInfo seg;
   seg.id = segments_.empty() ? 0 : segments_.back().id + 1;
   seg.path = opts_.dir + "/" + SegmentFileName(seg.id);
-  seg.global_start = total_bytes_;
   seg.fd = ::open(seg.path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_APPEND,
                   0644);
   if (seg.fd < 0) return ErrnoError("open " + seg.path);
@@ -262,7 +253,7 @@ Status BlockLog::RollSegment() {
   return Status::Ok();
 }
 
-StatusOr<RecordLocation> BlockLog::Append(ByteSpan payload) {
+Status BlockLog::Append(ByteSpan payload) {
   if (wounded_) {
     return FailedPreconditionError(
         "log wounded by a failed append; reopen to recover");
@@ -282,8 +273,6 @@ StatusOr<RecordLocation> BlockLog::Append(ByteSpan payload) {
   Bytes record = EncodeRecordHeader(static_cast<std::uint32_t>(payload.size()),
                                     Crc32(payload));
   vegvisir::Append(&record, payload);
-  const RecordLocation loc{seg.id, seg.bytes + kRecordHeaderBytes,
-                           static_cast<std::uint32_t>(payload.size())};
   const Status written = io_.AppendRecord(seg.fd, record);
   if (!written.ok()) {
     // ENOSPC wrote nothing — retryable. Anything else may have left a
@@ -298,47 +287,12 @@ StatusOr<RecordLocation> BlockLog::Append(ByteSpan payload) {
   c_appends_.Inc();
   c_bytes_appended_.Inc(record.size());
   g_log_bytes_.Set(static_cast<double>(total_bytes_));
-  return loc;
+  return Status::Ok();
 }
 
 Status BlockLog::Sync() { return io_.Sync(segments_.back().fd); }
 
-StatusOr<Bytes> BlockLog::Read(const RecordLocation& loc) const {
-  const auto it = std::lower_bound(
-      segments_.begin(), segments_.end(), loc.segment_id,
-      [](const SegmentInfo& s, std::uint64_t id) { return s.id < id; });
-  if (it == segments_.end() || it->id != loc.segment_id) {
-    return NotFoundError("unknown log segment");
-  }
-  if (loc.length == 0 || loc.length > serial::limits::kMaxLogRecordBytes) {
-    return InvalidArgumentError("log record length exceeds limit");
-  }
-  if (loc.offset < kSegmentHeaderBytes + kRecordHeaderBytes ||
-      loc.offset + loc.length > it->bytes) {
-    return InvalidArgumentError("record location out of segment bounds");
-  }
-  std::array<std::uint8_t, kRecordHeaderBytes> head{};
-  VEGVISIR_RETURN_IF_ERROR(PreadAll(it->fd, head.data(), head.size(),
-                                    loc.offset - kRecordHeaderBytes));
-  std::uint32_t length = 0;
-  std::uint32_t crc = 0;
-  VEGVISIR_RETURN_IF_ERROR(
-      ParseRecordHeader(ByteSpan(head.data(), head.size()), &length, &crc));
-  if (length != loc.length) {
-    return InvalidArgumentError("record length mismatch at location");
-  }
-  Bytes payload(length);
-  VEGVISIR_RETURN_IF_ERROR(
-      PreadAll(it->fd, payload.data(), payload.size(), loc.offset));
-  if (Crc32(payload) != crc) {
-    return InvalidArgumentError("record CRC mismatch");
-  }
-  return payload;
-}
-
-Status BlockLog::ForEachFrom(
-    std::uint64_t from_global_offset,
-    const std::function<Status(const RecordLocation&, ByteSpan)>& fn) const {
+Status BlockLog::ForEach(const std::function<Status(ByteSpan)>& fn) const {
   Bytes payload;
   for (const SegmentInfo& seg : segments_) {
     std::uint64_t pos = kSegmentHeaderBytes;
@@ -351,14 +305,10 @@ Status BlockLog::ForEachFrom(
       VEGVISIR_RETURN_IF_ERROR(ParseRecordHeader(
           ByteSpan(head.data(), head.size()), &length, &crc));
       const std::uint64_t payload_off = pos + kRecordHeaderBytes;
-      const RecordLocation loc{seg.id, payload_off, length};
-      if (seg.global_start + payload_off + length > from_global_offset) {
-        payload.resize(length);
-        VEGVISIR_RETURN_IF_ERROR(
-            PreadAll(seg.fd, payload.data(), payload.size(), payload_off));
-        VEGVISIR_RETURN_IF_ERROR(
-            fn(loc, ByteSpan(payload.data(), payload.size())));
-      }
+      payload.resize(length);
+      VEGVISIR_RETURN_IF_ERROR(
+          PreadAll(seg.fd, payload.data(), payload.size(), payload_off));
+      VEGVISIR_RETURN_IF_ERROR(fn(ByteSpan(payload.data(), payload.size())));
       pos = payload_off + length;
     }
   }

@@ -43,11 +43,6 @@ class BlockLog {
     std::uint64_t io_seed = 0;
     // Must be non-null (the engine supplies its bundle).
     telemetry::Telemetry* telemetry = nullptr;
-    // Global byte offset (sum over segment files) below which records
-    // were already CRC-verified by a previous run and persisted into
-    // the index; recovery header-walks that prefix instead of
-    // re-hashing every payload. 0 = verify everything.
-    std::uint64_t trusted_prefix_bytes = 0;
   };
 
   struct RecoveryStats {
@@ -61,9 +56,8 @@ class BlockLog {
     std::uint64_t id = 0;
     std::string path;
     std::uint64_t records = 0;
-    std::uint64_t bytes = 0;         // file size including header
-    std::uint64_t global_start = 0;  // sum of preceding segments' bytes
-    int fd = -1;                     // open for the log's lifetime
+    std::uint64_t bytes = 0;  // file size including header
+    int fd = -1;              // open for the log's lifetime
   };
 
   // Opens (creating the directory if needed) and recovers the log.
@@ -74,19 +68,14 @@ class BlockLog {
   BlockLog& operator=(const BlockLog&) = delete;
 
   // Appends one record. NOT durable until Sync() returns OK.
-  StatusOr<RecordLocation> Append(ByteSpan payload);
+  Status Append(ByteSpan payload);
   // fsyncs the active segment (older segments were synced at roll).
   Status Sync();
 
-  // Reads one payload back, re-verifying its CRC.
-  StatusOr<Bytes> Read(const RecordLocation& loc) const;
-
-  // Replays records in append order, skipping any record that ends at
-  // or before `from_global_offset` (0 = everything). The span handed
-  // to `fn` is only valid during the call.
-  Status ForEachFrom(
-      std::uint64_t from_global_offset,
-      const std::function<Status(const RecordLocation&, ByteSpan)>& fn) const;
+  // Replays every record in append order, stopping at the first
+  // non-OK status `fn` returns. Open already CRC-verified each record.
+  // The span handed to `fn` is only valid during the call.
+  Status ForEach(const std::function<Status(ByteSpan)>& fn) const;
 
   std::uint64_t record_count() const { return record_count_; }
   std::uint64_t total_bytes() const { return total_bytes_; }

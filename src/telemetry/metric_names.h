@@ -153,17 +153,10 @@ inline constexpr std::string_view kCounters[] = {
     "storage.append_failures",
     "storage.appends",
     "storage.bytes_appended",
-    "storage.cold_migrations",
-    "storage.cold_read_bytes",
-    "storage.cold_reads",
     "storage.faults.enospc",
     "storage.faults.short_writes",
     "storage.faults.torn_records",
     "storage.fsyncs",
-    "storage.index.hits",
-    "storage.index.probes",
-    "storage.index.rebuilds",
-    "storage.index.writes",
     "storage.recovery.bytes_dropped",
     "storage.recovery.records_replayed",
     "storage.recovery.records_truncated",

@@ -7,8 +7,7 @@
 // on the parent directory the rename itself can vanish, taking the
 // file with it. DurableWriteFile does the full dance — write, fsync
 // the file, rename, fsync the directory — which is the guarantee the
-// checkpoint writers (chain/store.h, node/checkpoint.h) and the
-// storage engine's index (storage/index.h) build on.
+// checkpoint writers (chain/store.h, node/checkpoint.h) build on.
 #pragma once
 
 #include <string>

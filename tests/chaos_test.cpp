@@ -127,7 +127,7 @@ std::string FreshDataDir(const std::string& name) {
 }
 
 // Every block a durable node had acked at a crash came back at its
-// restart (DESIGN.md §13.3's write-ahead rule, checked by Cluster).
+// restart (DESIGN.md §13.2's write-ahead rule, checked by Cluster).
 void ExpectNoAckedBlockLost(const telemetry::Snapshot& agg) {
   EXPECT_EQ(agg.counters.at("fault.acked_blocks_lost"), 0u);
 }

@@ -36,11 +36,9 @@
 #include "serial/codec.h"
 #include "serial/limits.h"
 #include "storage/format.h"
-#include "storage/index.h"
 #include "storage/log.h"
 #include "telemetry/telemetry.h"
 #include "util/bytes.h"
-#include "util/fsio.h"
 
 namespace vegvisir {
 namespace {
@@ -450,52 +448,6 @@ TEST(LimitsTest, SegmentRecordCountAboveLimitTruncatedAtCap) {
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   EXPECT_EQ((*log)->record_count(), limits::kMaxSegmentRecords);
   EXPECT_EQ((*log)->recovery().records_truncated, 1u);
-}
-
-TEST(LimitsTest, IndexEntryShortBombRejected) {
-  // The cheap half: a count the file's own size cannot back.
-  serial::Writer w;
-  for (std::size_t i = 0; i < storage::kMagicLen; ++i) {
-    w.WriteU8(static_cast<std::uint8_t>(storage::kIndexMagic[i]));
-  }
-  w.WriteU32(storage::kFormatVersion);
-  w.WriteU64(limits::kMaxIndexEntries + 1);
-  w.WriteU64(0);  // covered bytes
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "vgv_limits_idx_short.vidx")
-          .string();
-  ASSERT_TRUE(DurableWriteFile(path, w.buffer()).ok());
-  telemetry::Telemetry telem;
-  storage::BlockIndex index(&telem);
-  const auto loaded = index.Load(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().message(), "index entry count exceeds input");
-}
-
-TEST(LimitsTest, IndexEntryLimitBombRejected) {
-  // The expensive half: the attacker pays for the padding (~13 MiB),
-  // so only the absolute cap rejects.
-  serial::Writer w;
-  for (std::size_t i = 0; i < storage::kMagicLen; ++i) {
-    w.WriteU8(static_cast<std::uint8_t>(storage::kIndexMagic[i]));
-  }
-  w.WriteU32(storage::kFormatVersion);
-  w.WriteU64(limits::kMaxIndexEntries + 1);
-  w.WriteU64(0);  // covered bytes
-  Bytes file = w.Take();
-  file.insert(file.end(),
-              static_cast<std::size_t>(limits::kMaxIndexEntries + 1) *
-                  storage::kIndexEntryBytes,
-              0);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "vgv_limits_idx_bomb.vidx")
-          .string();
-  ASSERT_TRUE(DurableWriteFile(path, file).ok());
-  telemetry::Telemetry telem;
-  storage::BlockIndex index(&telem);
-  const auto loaded = index.Load(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().message(), "index entry count exceeds limit");
 }
 
 // ----------------------------------------------------- CheckWireCount

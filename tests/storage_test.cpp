@@ -7,11 +7,10 @@
 //      unsynced tail — replay stops at the first bad record and
 //      drops nothing that was fsync'd. Corruption anywhere but the
 //      tail is an error, never a silent repair.
-//   3. The index is a cache: deleting it changes nothing but reopen
-//      cost (it rebuilds from the log, counted).
-//   4. Hot/cold tiering: eviction shrinks the DAG's resident bytes;
-//      FetchCold restores an identical block on demand.
-//   5. Bounds: record lengths and segment record counts are capped
+//   3. The log is the whole on-disk state: a repeated block is a
+//      second record that replay skips, and stray files in the data
+//      directory (an index left by an older build) change nothing.
+//   4. Bounds: record lengths and segment record counts are capped
 //      via serial/limits.h before any allocation trusts them.
 #include <gtest/gtest.h>
 
@@ -32,7 +31,6 @@
 #include "sim/faults.h"
 #include "storage/engine.h"
 #include "storage/format.h"
-#include "storage/index.h"
 #include "storage/log.h"
 #include "util/fsio.h"
 
@@ -107,6 +105,10 @@ std::string SegmentPath(const std::string& dir, std::uint64_t id) {
   return dir + "/" + SegmentFileName(id);
 }
 
+// File offset of a segment's first record payload.
+constexpr std::uint64_t kFirstPayloadOffset =
+    kSegmentHeaderBytes + kRecordHeaderBytes;
+
 void AppendRawBytes(const std::string& path, const Bytes& junk) {
   std::ofstream f(path, std::ios::binary | std::ios::app);
   f.write(reinterpret_cast<const char*>(junk.data()),
@@ -118,15 +120,13 @@ void AppendRawBytes(const std::string& path, const Bytes& junk) {
 TEST(BlockLogTest, AppendReopenIdentity) {
   const std::string dir = FreshDir("append_reopen");
   telemetry::Telemetry telem;
-  std::vector<RecordLocation> locs;
   {
     auto log = BlockLog::Open(LogOpts(dir, &telem));
     ASSERT_TRUE(log.ok()) << log.status().ToString();
     for (int i = 0; i < 50; ++i) {
-      auto loc = (*log)->Append(
+      const Status appended = (*log)->Append(
           Payload(static_cast<std::uint8_t>(i), 100 + 7 * i));
-      ASSERT_TRUE(loc.ok()) << loc.status().ToString();
-      locs.push_back(*loc);
+      ASSERT_TRUE(appended.ok()) << appended.ToString();
     }
     ASSERT_TRUE((*log)->Sync().ok());
     // Destructor = crash: no farewell flush.
@@ -135,20 +135,16 @@ TEST(BlockLogTest, AppendReopenIdentity) {
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   EXPECT_EQ((*log)->record_count(), 50u);
   EXPECT_EQ((*log)->recovery().records_truncated, 0u);
-  for (int i = 0; i < 50; ++i) {
-    auto payload = (*log)->Read(locs[static_cast<std::size_t>(i)]);
-    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-    EXPECT_EQ(*payload, Payload(static_cast<std::uint8_t>(i), 100 + 7 * i));
-  }
-  // Replay order == append order.
+  // Replay returns every payload byte for byte, in append order.
   int seen = 0;
   ASSERT_TRUE((*log)
-                  ->ForEachFrom(0,
-                                [&](const RecordLocation&, ByteSpan p) {
-                                  EXPECT_EQ(p.front(), seen & 0xFF);
-                                  ++seen;
-                                  return Status::Ok();
-                                })
+                  ->ForEach([&](ByteSpan p) {
+                    EXPECT_EQ(Bytes(p.begin(), p.end()),
+                              Payload(static_cast<std::uint8_t>(seen),
+                                      100 + 7 * seen));
+                    ++seen;
+                    return Status::Ok();
+                  })
                   .ok());
   EXPECT_EQ(seen, 50);
 }
@@ -160,7 +156,7 @@ TEST(BlockLogTest, RejectsEmptyAndOversizedRecords) {
   ASSERT_TRUE(log.ok());
   EXPECT_FALSE((*log)->Append(ByteSpan()).ok());
   const Status too_big =
-      (*log)->Append(Payload(0, limits::kMaxLogRecordBytes + 1)).status();
+      (*log)->Append(Payload(0, limits::kMaxLogRecordBytes + 1));
   ASSERT_FALSE(too_big.ok());
   EXPECT_EQ(too_big.message(), "log record length exceeds limit");
   // Neither rejection wounded the log.
@@ -243,13 +239,10 @@ TEST(BlockLogTest, TornPayloadTailIsTruncated) {
 TEST(BlockLogTest, MidLogCorruptionFailsOpenLoudly) {
   const std::string dir = FreshDir("mid_corrupt");
   telemetry::Telemetry telem;
-  RecordLocation first{};
   {
     auto log = BlockLog::Open(LogOpts(dir, &telem));
     ASSERT_TRUE(log.ok());
-    auto loc = (*log)->Append(Payload(0x10, 64));
-    ASSERT_TRUE(loc.ok());
-    first = *loc;
+    ASSERT_TRUE((*log)->Append(Payload(0x10, 64)).ok());
     ASSERT_TRUE((*log)->Append(Payload(0x20, 64)).ok());
     ASSERT_TRUE((*log)->Sync().ok());
   }
@@ -259,7 +252,7 @@ TEST(BlockLogTest, MidLogCorruptionFailsOpenLoudly) {
   {
     std::fstream f(SegmentPath(dir, 0),
                    std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(static_cast<std::streamoff>(first.offset + 5));
+    f.seekp(static_cast<std::streamoff>(kFirstPayloadOffset + 5));
     const char flip = 0x7F;
     f.write(&flip, 1);
   }
@@ -279,13 +272,10 @@ TEST(BlockLogTest, MidLogCorruptionFailsOpenLoudly) {
 TEST(BlockLogTest, CorruptionBeforeFinalSegmentIsAnError) {
   const std::string dir = FreshDir("corrupt_before_tail");
   telemetry::Telemetry telem;
-  RecordLocation first{};
   {
     auto log = BlockLog::Open(LogOpts(dir, &telem));
     ASSERT_TRUE(log.ok());
-    auto loc = (*log)->Append(Payload(0x10, 512 * 1024));
-    ASSERT_TRUE(loc.ok());
-    first = *loc;
+    ASSERT_TRUE((*log)->Append(Payload(0x10, 512 * 1024)).ok());
     // Enough volume to roll into a second segment.
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE((*log)->Append(Payload(0x20, 512 * 1024)).ok());
@@ -296,7 +286,7 @@ TEST(BlockLogTest, CorruptionBeforeFinalSegmentIsAnError) {
   {
     std::fstream f(SegmentPath(dir, 0),
                    std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(static_cast<std::streamoff>(first.offset + 9));
+    f.seekp(static_cast<std::streamoff>(kFirstPayloadOffset + 9));
     const char flip = 0x7F;
     f.write(&flip, 1);
   }
@@ -320,18 +310,18 @@ TEST(BlockLogTest, EnospcIsRetryableNotWounding) {
   std::uint64_t acked = 0;
   Status first_failure = Status::Ok();
   for (int i = 0; i < 64 && first_failure.ok(); ++i) {
-    const auto loc = (*log)->Append(Payload(0x42, 64));
-    if (loc.ok()) {
+    const Status appended = (*log)->Append(Payload(0x42, 64));
+    if (appended.ok()) {
       ++acked;
     } else {
-      first_failure = loc.status();
+      first_failure = appended;
     }
   }
   ASSERT_FALSE(first_failure.ok());
   EXPECT_EQ(first_failure.code(), ErrorCode::kResourceExhausted);
   EXPECT_FALSE((*log)->wounded());
   // Still refusing (the disk is still full), still not wounded.
-  const Status again = (*log)->Append(Payload(0x42, 64)).status();
+  const Status again = (*log)->Append(Payload(0x42, 64));
   EXPECT_EQ(again.code(), ErrorCode::kResourceExhausted);
   EXPECT_EQ((*log)->record_count(), acked);
   EXPECT_EQ(telem.metrics.CounterValue("storage.faults.enospc"), 2u);
@@ -353,12 +343,12 @@ TEST(BlockLogTest, FailedAppendWoundsUntilReopen) {
     }
     ASSERT_TRUE((*log)->Sync().ok());
     synced = (*log)->record_count();
-    const Status torn = (*log)->Append(Payload(0x99, 64)).status();
+    const Status torn = (*log)->Append(Payload(0x99, 64));
     ASSERT_FALSE(torn.ok());
     EXPECT_TRUE((*log)->wounded());
     // The wound refuses further appends: the partial record on disk
     // must not get more bytes stacked on top of it.
-    const Status refused = (*log)->Append(Payload(0x99, 64)).status();
+    const Status refused = (*log)->Append(Payload(0x99, 64));
     EXPECT_EQ(refused.code(), ErrorCode::kFailedPrecondition);
     EXPECT_EQ(telem.metrics.CounterValue("storage.faults.torn_records"), 1u);
   }
@@ -372,124 +362,60 @@ TEST(BlockLogTest, FailedAppendWoundsUntilReopen) {
   EXPECT_TRUE((*log)->Append(Payload(0x77, 64)).ok());
 }
 
-// -------------------------------------------------------- index layer
+// --------------------------------------------------------- log only
 
-TEST(TieredStoreTest, AppendFetchRoundTripAndIdempotence) {
+TEST(TieredStoreTest, DuplicateAppendRecoversOnce) {
   Fixture f;
   auto owner = f.MakeOwner(10);
-  const std::string dir = FreshDir("engine_roundtrip");
+  const std::string dir = FreshDir("duplicate_append");
+  {
+    auto store = TieredStore::Open(StoreOpts(dir));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (const chain::BlockHash& h : owner->dag().TopologicalOrder()) {
+      ASSERT_TRUE((*store)->Append(*owner->dag().Find(h)).ok());
+      ASSERT_TRUE((*store)->Append(*owner->dag().Find(h)).ok());
+    }
+    // Append does not deduplicate: every call is a record.
+    EXPECT_EQ((*store)->GetStats().log_records, 2 * owner->dag().Size());
+  }
   auto store = TieredStore::Open(StoreOpts(dir));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  for (const chain::BlockHash& h : owner->dag().TopologicalOrder()) {
-    ASSERT_TRUE((*store)->Append(*owner->dag().Find(h)).ok());
-    // Idempotent: the second append is a no-op, not a duplicate.
-    ASSERT_TRUE((*store)->Append(*owner->dag().Find(h)).ok());
-  }
-  EXPECT_EQ((*store)->GetStats().log_records, owner->dag().Size());
-  for (const chain::BlockHash& h : owner->dag().TopologicalOrder()) {
-    ASSERT_TRUE((*store)->Contains(h));
-    auto block = (*store)->Fetch(h);
-    ASSERT_TRUE(block.ok()) << block.status().ToString();
-    EXPECT_EQ(block->Serialize(), owner->dag().Find(h)->Serialize());
-  }
+  EXPECT_EQ((*store)->GetStats().log_records, 2 * owner->dag().Size());
+  // Replay skips the second copy of each block.
+  auto dag = (*store)->RecoverDag();
+  ASSERT_TRUE(dag.ok()) << dag.status().ToString();
+  EXPECT_EQ(dag->Size(), owner->dag().Size());
+  EXPECT_EQ(dag->TopologicalOrder(), owner->dag().TopologicalOrder());
 }
 
-TEST(TieredStoreTest, IndexRebuildsFromLogWhenDeleted) {
+TEST(TieredStoreTest, LeftoverIndexFileIsIgnored) {
   Fixture f;
   auto owner = f.MakeOwner(8);
-  const std::string dir = FreshDir("index_rebuild");
+  const std::string dir = FreshDir("leftover_index");
   {
     auto store = TieredStore::Open(StoreOpts(dir));
     ASSERT_TRUE(store.ok());
-    for (const chain::BlockHash& h : owner->dag().TopologicalOrder()) {
-      ASSERT_TRUE((*store)->Append(*owner->dag().Find(h)).ok());
-    }
-    ASSERT_TRUE((*store)->SyncIndex().ok());
-    EXPECT_GT((*store)->GetStats().index_mapped, 0u);
+    ASSERT_TRUE(owner->AttachStorage(store->get()).ok());
   }
-  // With the index present, reopen uses it (no rebuild).
-  {
-    auto opts = StoreOpts(dir);
-    telemetry::Telemetry telem;
-    opts.telemetry = &telem;
-    auto store = TieredStore::Open(std::move(opts));
-    ASSERT_TRUE(store.ok());
-    EXPECT_EQ(telem.metrics.CounterValue("storage.index.rebuilds"), 0u);
-  }
-  // Deleting it degrades nothing but reopen cost.
-  std::filesystem::remove(dir + "/index.vidx");
-  auto opts = StoreOpts(dir);
-  telemetry::Telemetry telem;
-  opts.telemetry = &telem;
-  auto store = TieredStore::Open(std::move(opts));
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ(telem.metrics.CounterValue("storage.index.rebuilds"), 1u);
-  for (const chain::BlockHash& h : owner->dag().TopologicalOrder()) {
-    EXPECT_TRUE((*store)->Contains(h));
-    EXPECT_TRUE((*store)->Fetch(h).ok());
-  }
-}
+  // An older build kept a hash index beside the segments; this one
+  // neither reads nor deletes it, junk or not.
+  const std::string index_path = dir + "/index.vidx";
+  const Bytes junk = Payload(0xA5, 333);
+  AppendRawBytes(index_path, junk);
 
-TEST(TieredStoreTest, StaleOverCoveringIndexIsDiscarded) {
-  Fixture f;
-  auto owner = f.MakeOwner(6);
-  const std::string dir = FreshDir("stale_index");
-  {
-    auto store = TieredStore::Open(StoreOpts(dir));
-    ASSERT_TRUE(store.ok());
-    for (const chain::BlockHash& h : owner->dag().TopologicalOrder()) {
-      ASSERT_TRUE((*store)->Append(*owner->dag().Find(h)).ok());
-    }
-    ASSERT_TRUE((*store)->SyncIndex().ok());
-  }
-  // Shrink the log behind the index's back (simulates an index that
-  // outlived a lost tail). Cut into the last record so the covered
-  // range exceeds what recovery keeps.
-  const std::string seg0 = SegmentPath(dir, 0);
-  const auto size = std::filesystem::file_size(seg0);
-  std::filesystem::resize_file(seg0, size - 10);
-
-  telemetry::Telemetry telem;
-  auto opts = StoreOpts(dir);
-  opts.telemetry = &telem;
-  auto store = TieredStore::Open(std::move(opts));
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  // The over-covering index was discarded and rebuilt from the log.
-  EXPECT_EQ(telem.metrics.CounterValue("storage.index.rebuilds"), 1u);
-  EXPECT_EQ((*store)->GetStats().log_records, owner->dag().Size() - 1);
-}
-
-// ------------------------------------------------------- hot/cold tier
-
-TEST(TieredStoreTest, ColdMigrationEvictsAndFetchColdRestores) {
-  Fixture f;
-  auto owner = f.MakeOwner(20);
-  const std::string dir = FreshDir("cold_tier");
   auto store = TieredStore::Open(StoreOpts(dir));
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(owner->AttachStorage(store->get()).ok());
-
-  chain::Dag* dag = owner->mutable_dag();
-  const std::size_t before_bytes = dag->StoredBytes();
-  const std::size_t total = dag->Size();
-  const std::size_t migrated = (*store)->MigrateCold(dag, 4);
-  EXPECT_GT(migrated, 0u);
-  EXPECT_LT(dag->StoredCount(), total);
-  EXPECT_LT(dag->StoredBytes(), before_bytes);
-
-  // Every evicted body comes back identical, on demand.
-  std::size_t restored = 0;
-  for (const chain::BlockHash& h : dag->TopologicalOrder()) {
-    if (dag->PresenceOf(h) != chain::Presence::kEvicted) continue;
-    ASSERT_TRUE((*store)->FetchCold(dag, h).ok());
-    EXPECT_EQ(dag->PresenceOf(h), chain::Presence::kStored);
-    ++restored;
-  }
-  EXPECT_EQ(restored, migrated);
-  EXPECT_EQ(dag->StoredBytes(), before_bytes);
-  const telemetry::MetricsRegistry& m = (*store)->telemetry()->metrics;
-  EXPECT_EQ(m.CounterValue("storage.cold_migrations"), migrated);
-  EXPECT_GE(m.CounterValue("storage.cold_reads"), restored);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->GetStats().log_records, owner->dag().Size());
+  node::NodeConfig cfg;
+  cfg.user_id = "owner";
+  auto recovered = node::RecoverFromStorage(cfg, f.owner_keys, store->get());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->dag().TopologicalOrder(),
+            owner->dag().TopologicalOrder());
+  EXPECT_EQ((*recovered)->Fingerprint(), owner->Fingerprint());
+  auto left = ReadFileBytes(index_path);
+  ASSERT_TRUE(left.ok());
+  EXPECT_EQ(*left, junk);
 }
 
 // -------------------------------------------------- crash + recovery
@@ -506,8 +432,8 @@ TEST(TieredStoreTest, CrashRestartRecoversExactlyAckedBlocks) {
       ASSERT_TRUE((*store)->Append(*owner->dag().Find(h)).ok());
       acked.push_back(h);
     }
-    // No SyncIndex on purpose: the crash happens before any index
-    // write, the fsync-per-append WAL is all that survives.
+    // No farewell sync: the fsync-per-append WAL is all that
+    // survives the crash.
   }
   auto store = TieredStore::Open(StoreOpts(dir));
   ASSERT_TRUE(store.ok());
