@@ -180,7 +180,7 @@ void ThreadPool::ParallelFor(
     // Same chunking as the parallel path so exec.tasks_executed is
     // identical for every thread count.
     for (std::size_t begin = 0; begin < n; begin += grain) {
-      const std::size_t end = begin < n - grain ? begin + grain : n;
+      const std::size_t end = n - begin > grain ? begin + grain : n;
       body(begin, end);
       c_tasks_.Inc();
       total_tasks_.fetch_add(1, std::memory_order_relaxed);
@@ -190,7 +190,7 @@ void ThreadPool::ParallelFor(
   {
     const util::MutexLock guard(mu_);
     for (std::size_t begin = 0; begin < n; begin += grain) {
-      const std::size_t end = begin < n - grain ? begin + grain : n;
+      const std::size_t end = n - begin > grain ? begin + grain : n;
       // Chunks go straight into worker deques round-robin; the global
       // queue stays free for Submit() traffic.
       workers_[next_worker_]->local.push_back(

@@ -30,7 +30,7 @@ StatusOr<std::unique_ptr<Node>> LoadCheckpoint(NodeConfig config,
 StatusOr<std::unique_ptr<Node>> RecoverFromStorage(NodeConfig config,
                                                    crypto::KeyPair keys,
                                                    storage::TieredStore* store) {
-  auto dag = store->RecoverDag();
+  auto dag = store->RecoverDag(config.exec_pool);
   if (!dag.ok()) return dag.status();
   // No snapshot on purpose: the log's replay order is deterministic,
   // so replaying through the CSM reproduces the pre-crash state for

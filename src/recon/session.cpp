@@ -138,6 +138,17 @@ SessionMetrics SessionMetrics::Resolve(telemetry::Telemetry* sink,
   return m;
 }
 
+const SessionMetrics& ReconHost::session_metrics(SessionSide side) {
+  std::optional<SessionMetrics>& slot =
+      session_metrics_[static_cast<std::size_t>(side)];
+  if (!slot.has_value()) {
+    slot = SessionMetrics::Resolve(
+        telemetry(),
+        side == SessionSide::kInitiator ? "initiator" : "responder");
+  }
+  return *slot;
+}
+
 void SessionMetrics::CountSent(const Bytes& message) {
   bytes_sent.Inc(message.size());
   // Every message a session sends came from EncodeMessage, so its
@@ -171,7 +182,7 @@ void SessionMetrics::CountDecodeReject(const Status& status) {
 InitiatorSession::InitiatorSession(ReconHost* host, ReconConfig config)
     : host_(host),
       config_(config),
-      metrics_(SessionMetrics::Resolve(host->telemetry(), "initiator")),
+      metrics_(host->session_metrics(SessionSide::kInitiator)),
       level_(std::max<std::uint32_t>(1, config.start_level)) {}
 
 Bytes InitiatorSession::Send(Bytes message) {
@@ -562,7 +573,7 @@ void InitiatorSession::FinishMaybePush(std::vector<Bytes>* out) {
 ResponderSession::ResponderSession(ReconHost* host, ReconConfig config)
     : host_(host),
       config_(config),
-      metrics_(SessionMetrics::Resolve(host->telemetry(), "responder")) {}
+      metrics_(host->session_metrics(SessionSide::kResponder)) {}
 
 Bytes ResponderSession::Send(Bytes message) {
   stats_.bytes_sent += message.size();

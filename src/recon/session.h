@@ -50,76 +50,10 @@
 
 namespace vegvisir::recon {
 
-// What a session needs from its node: the local DAG and a way to
-// offer received blocks (the host validates, inserts, feeds the CSM
-// and manages its quarantine).
-class ReconHost {
- public:
-  virtual ~ReconHost() = default;
-
-  virtual const chain::Dag& dag() const = 0;
-
-  // Offers a block received from a peer. kValid means it was inserted.
-  virtual chain::BlockVerdict OfferBlock(const chain::Block& block) = 0;
-
-  // True if the host already holds this block's bytes — inserted in
-  // the DAG *or* parked in a quarantine. Sessions use it to avoid
-  // re-fetching bodies the host cannot attach yet.
-  virtual bool HasBlock(const chain::BlockHash& h) const {
-    return dag().Contains(h);
-  }
-
-  // The host's telemetry sink; sessions resolve their counter handles
-  // from it once, at construction. May be null (uninstrumented host):
-  // the handles then degrade to no-ops.
-  virtual telemetry::Telemetry* telemetry() const { return nullptr; }
-
-  // Pipelined-ingest hook: a session hands every fetched-level block
-  // here the moment it lands, so the host can fan the stateless
-  // signature checks across its execution pool while the serial merge
-  // (and the radio round-trip for the next level) proceeds. Results
-  // are consumed later by validation; the default host does nothing
-  // and validation verifies synchronously.
-  virtual void PreverifyBlocks(
-      const std::vector<const chain::Block*>& blocks) {
-    (void)blocks;
-  }
-};
-
-struct ReconConfig {
-  enum class Mode { kBlockPush = 0, kHashFirst = 1, kSetDiff = 2 };
-  Mode mode = Mode::kBlockPush;
-  // Ceiling on IBLT cells this node will build or request. Defaults
-  // to the wire cap (serial::limits::kMaxIbltCells); tests lower it
-  // to force peel failures and exercise the fallback ladder.
-  std::uint32_t max_iblt_cells = 1u << 16;
-  // Give up escalating past this frontier level (a safety valve; the
-  // escalation naturally stops once the set reaches the genesis).
-  std::uint32_t max_level = 1u << 20;
-  bool push_back = false;
-  // First level to request (default 1); escalation is the paper's
-  // Algorithm 1 (n <- n+1). The gossip engine resumes a failed
-  // catch-up at the level the previous session reached, so
-  // multi-session progress accumulates across lossy links.
-  std::uint32_t start_level = 1;
-};
-
-// One session's result value (what RunLocalSession reports). Sessions
-// also count every field into the host's metrics registry
-// (recon.initiator.* / recon.responder.*); engine- and cluster-level
-// totals are read from there by name.
-struct SessionStats {
-  std::uint64_t rounds = 0;           // frontier requests sent/served
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-  std::uint64_t blocks_received = 0;  // bodies received over the wire
-  std::uint64_t blocks_inserted = 0;  // newly added to the DAG
-  std::uint64_t blocks_pushed = 0;    // bodies pushed to the peer
-};
-
-// The pre-resolved registry handles one session side holds. Resolving
-// happens once per session; every hot-path update is a handle
-// increment (see telemetry/metrics.h).
+// The pre-resolved registry handles one session side holds. A host
+// resolves each side's set once (ReconHost::session_metrics) and every
+// session copies it; every hot-path update is a handle increment (see
+// telemetry/metrics.h).
 struct SessionMetrics {
   // Binds recon.<side>.* metrics, e.g. side = "initiator".
   static SessionMetrics Resolve(telemetry::Telemetry* sink,
@@ -170,6 +104,83 @@ struct SessionMetrics {
   telemetry::Counter reject_trailing;
   telemetry::Counter reject_noncanonical;
   telemetry::Counter reject_other;
+};
+
+enum class SessionSide { kInitiator = 0, kResponder = 1 };
+
+// What a session needs from its node: the local DAG and a way to
+// offer received blocks (the host validates, inserts, feeds the CSM
+// and manages its quarantine).
+class ReconHost {
+ public:
+  virtual ~ReconHost() = default;
+
+  virtual const chain::Dag& dag() const = 0;
+
+  // Offers a block received from a peer. kValid means it was inserted.
+  virtual chain::BlockVerdict OfferBlock(const chain::Block& block) = 0;
+
+  // True if the host already holds this block's bytes — inserted in
+  // the DAG *or* parked in a quarantine. Sessions use it to avoid
+  // re-fetching bodies the host cannot attach yet.
+  virtual bool HasBlock(const chain::BlockHash& h) const {
+    return dag().Contains(h);
+  }
+
+  // The host's telemetry sink. May be null (uninstrumented host): the
+  // session handles then degrade to no-ops. Must not change over the
+  // host's lifetime, since session_metrics() resolves from it once.
+  virtual telemetry::Telemetry* telemetry() const { return nullptr; }
+
+  // The counter handles sessions on this host count into, one set per
+  // side, resolved from telemetry() by the first session of that side
+  // and copied by every later one.
+  const SessionMetrics& session_metrics(SessionSide side);
+
+  // Pipelined-ingest hook: a session hands every fetched-level block
+  // here the moment it lands, so the host can fan the stateless
+  // signature checks across its execution pool while the serial merge
+  // (and the radio round-trip for the next level) proceeds. Results
+  // are consumed later by validation; the default host does nothing
+  // and validation verifies synchronously.
+  virtual void PreverifyBlocks(
+      const std::vector<const chain::Block*>& blocks) {
+    (void)blocks;
+  }
+
+ private:
+  std::array<std::optional<SessionMetrics>, 2> session_metrics_;
+};
+
+struct ReconConfig {
+  enum class Mode { kBlockPush = 0, kHashFirst = 1, kSetDiff = 2 };
+  Mode mode = Mode::kBlockPush;
+  // Ceiling on IBLT cells this node will build or request. Defaults
+  // to the wire cap (serial::limits::kMaxIbltCells); tests lower it
+  // to force peel failures and exercise the fallback ladder.
+  std::uint32_t max_iblt_cells = 1u << 16;
+  // Give up escalating past this frontier level (a safety valve; the
+  // escalation naturally stops once the set reaches the genesis).
+  std::uint32_t max_level = 1u << 20;
+  bool push_back = false;
+  // First level to request (default 1); escalation is the paper's
+  // Algorithm 1 (n <- n+1). The gossip engine resumes a failed
+  // catch-up at the level the previous session reached, so
+  // multi-session progress accumulates across lossy links.
+  std::uint32_t start_level = 1;
+};
+
+// One session's result value (what RunLocalSession reports). Sessions
+// also count every field into the host's metrics registry
+// (recon.initiator.* / recon.responder.*); engine- and cluster-level
+// totals are read from there by name.
+struct SessionStats {
+  std::uint64_t rounds = 0;           // frontier requests sent/served
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t bytes_received = 0;
+  std::uint64_t blocks_received = 0;  // bodies received over the wire
+  std::uint64_t blocks_inserted = 0;  // newly added to the DAG
+  std::uint64_t blocks_pushed = 0;    // bodies pushed to the peer
 };
 
 enum class SessionState { kRunning, kDone, kFailed };

@@ -1,11 +1,56 @@
 #include "storage/engine.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "exec/pool.h"
+
 namespace vegvisir::storage {
+namespace {
+
+// Records per decode task: one decode is a few microseconds, so a
+// chunk of 64 keeps the pool's per-task overhead small.
+constexpr std::size_t kDecodeGrain = 64;
+
+bool ParentsPresent(const chain::Dag& dag, const chain::Block& block) {
+  const std::vector<chain::BlockHash>& parents = block.header().parents;
+  return std::all_of(parents.begin(), parents.end(),
+                     [&dag](const chain::BlockHash& p) {
+                       return dag.Contains(p);
+                     });
+}
+
+// Replays one decoded record in log order: the first founds the DAG,
+// later ones are moved into it. Dag::Insert consumes its block even
+// when it fails, so a block whose parents are missing is parked
+// before the move rather than lost.
+Status ReplayBlock(chain::Block block, std::optional<chain::Dag>* dag,
+                   std::vector<chain::Block>* pending) {
+  if (!dag->has_value()) {
+    if (!block.header().parents.empty()) {
+      return FailedPreconditionError(
+          "first log record is not a genesis block");
+    }
+    dag->emplace(std::move(block));
+    return Status::Ok();
+  }
+  if (!ParentsPresent(**dag, block)) {
+    // WAL order is insert order, so this should not happen; park and
+    // drain after the last record rather than losing a durable block.
+    pending->push_back(std::move(block));
+    return Status::Ok();
+  }
+  const Status inserted = (*dag)->Insert(std::move(block));
+  if (inserted.ok() || inserted.code() == ErrorCode::kAlreadyExists) {
+    return Status::Ok();
+  }
+  return inserted;
+}
+
+}  // namespace
 
 TieredStore::TieredStore(TieredStoreOptions opts)
     : opts_(std::move(opts)),
@@ -50,50 +95,58 @@ Status TieredStore::Sync() {
   return log_->Sync();
 }
 
-StatusOr<chain::Dag> TieredStore::RecoverDag() {
-  const util::MutexLock guard(mu_);
+StatusOr<chain::Dag> TieredStore::RecoverDag(exec::ThreadPool* pool) {
   std::optional<chain::Dag> dag;
   std::vector<chain::Block> pending;
-  const Status replayed =
-      log_->ForEach([&dag, &pending](ByteSpan payload) -> Status {
-        auto decoded = chain::Block::Deserialize(payload);
-        if (!decoded.ok()) return decoded.status();
-        chain::Block block = *std::move(decoded);
-        if (!dag.has_value()) {
-          if (!block.header().parents.empty()) {
-            return FailedPreconditionError(
-                "first log record is not a genesis block");
-          }
-          dag.emplace(std::move(block));
-          return Status::Ok();
-        }
-        const Status inserted = dag->Insert(block);
-        if (inserted.ok() ||
-            inserted.code() == ErrorCode::kAlreadyExists) {
-          return Status::Ok();
-        }
-        if (inserted.code() == ErrorCode::kNotFound) {
-          // WAL order is insert order, so this should not happen; park
-          // and drain below rather than losing a durable block.
-          pending.push_back(std::move(block));
-          return Status::Ok();
-        }
-        return inserted;
-      });
-  if (!replayed.ok()) return replayed;
+  BlockLog::SegmentRead segment;
+  std::vector<chain::Block> blocks;
+  std::vector<Status> decoded;
+  for (std::size_t i = 0;; ++i) {
+    {
+      const util::MutexLock guard(mu_);
+      if (i == log_->segments().size()) break;
+      VEGVISIR_RETURN_IF_ERROR(log_->ReadSegment(i, &segment));
+    }
+    // Decoding (a parse plus the block's SHA-256) is independent per
+    // record, so it fans out with the engine lock released.
+    const std::size_t n = segment.records.size();
+    blocks.clear();
+    blocks.resize(n);
+    decoded.assign(n, Status::Ok());
+    exec::ParallelFor(pool, n, kDecodeGrain,
+                      [&](std::size_t begin, std::size_t end) {
+                        for (std::size_t k = begin; k < end; ++k) {
+                          auto block =
+                              chain::Block::Deserialize(segment.records[k]);
+                          if (block.ok()) {
+                            blocks[k] = *std::move(block);
+                          } else {
+                            decoded[k] = block.status();
+                          }
+                        }
+                      });
+    for (std::size_t k = 0; k < n; ++k) {
+      VEGVISIR_RETURN_IF_ERROR(decoded[k]);
+      VEGVISIR_RETURN_IF_ERROR(
+          ReplayBlock(std::move(blocks[k]), &dag, &pending));
+    }
+  }
   if (!dag.has_value()) return NotFoundError("empty log: nothing to recover");
 
   bool progress = true;
   while (progress && !pending.empty()) {
     progress = false;
     for (auto it = pending.begin(); it != pending.end();) {
-      const Status inserted = dag->Insert(*it);
-      if (inserted.ok() || inserted.code() == ErrorCode::kAlreadyExists) {
-        it = pending.erase(it);
-        progress = true;
-      } else {
+      if (!ParentsPresent(*dag, *it)) {
         ++it;
+        continue;
       }
+      const Status inserted = dag->Insert(std::move(*it));
+      if (!inserted.ok() && inserted.code() != ErrorCode::kAlreadyExists) {
+        return inserted;
+      }
+      it = pending.erase(it);
+      progress = true;
     }
   }
   if (!pending.empty()) {

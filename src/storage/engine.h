@@ -14,9 +14,10 @@
 //      RecoverFromStorage).
 //
 // The log is read one way: Open's CRC-checking scan, then
-// RecoverDag's replay. Nothing reads a single block back; shedding
-// old bodies from RAM is support::StorageManager's job (§IV-I), and
-// the residency gauges here only report what it left resident.
+// RecoverDag's replay, each one read per segment. Nothing reads a
+// single block back; shedding old bodies from RAM is
+// support::StorageManager's job (§IV-I), and the residency gauges
+// here only report what it left resident.
 // Tearing the engine down is deliberately crash-equivalent. Every
 // series lands under storage.* in the supplied telemetry bundle (or a
 // private one when none is given).
@@ -34,6 +35,10 @@
 #include "telemetry/telemetry.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+
+namespace vegvisir::exec {
+class ThreadPool;
+}  // namespace vegvisir::exec
 
 namespace vegvisir::storage {
 
@@ -79,8 +84,12 @@ class TieredStore {
   Status Sync();
 
   // Crash recovery: replays the whole log into a fresh DAG. The first
-  // record must be the genesis block.
-  StatusOr<chain::Dag> RecoverDag();
+  // record must be the genesis block. Each segment is read once under
+  // the engine lock; its records are then decoded and hashed across
+  // `pool` with the lock released (null or serial: on this thread)
+  // and inserted on this thread in log order, so the result does not
+  // depend on the pool.
+  StatusOr<chain::Dag> RecoverDag(exec::ThreadPool* pool = nullptr);
 
   // Refreshes the hot/cold residency gauges from the DAG.
   void UpdateResidency(const chain::Dag& dag);

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <string>
 
+#include "serial/limits.h"
 #include "util/bytes.h"
 #include "util/status.h"
 
@@ -36,10 +37,18 @@ inline constexpr std::size_t kRecordHeaderBytes = 4 + 4;
 // this (a fault-free segment therefore also stays far below
 // serial::limits::kMaxSegmentRecords).
 inline constexpr std::uint64_t kSegmentTargetBytes = 4u << 20;
+// The largest segment file Append can leave behind, a torn tail
+// included: every record starts at or below the roll target. Recovery
+// reads a segment with one buffer sized from its file length, so a
+// longer file is refused as corruption before anything is allocated.
+inline constexpr std::uint64_t kMaxSegmentBytes =
+    kSegmentHeaderBytes + kSegmentTargetBytes + kRecordHeaderBytes +
+    serial::limits::kMaxLogRecordBytes;
 
-// CRC-32 (IEEE, reflected polynomial 0xEDB88320). Table-driven, no
-// dependencies; protects each record payload against bit rot and
-// identifies the torn tail after a crash.
+// CRC-32 (IEEE, reflected polynomial 0xEDB88320; "123456789" ->
+// 0xCBF43926). Slicing-by-8 tables, no dependencies; protects each
+// record payload against bit rot and identifies the torn tail after a
+// crash.
 std::uint32_t Crc32(ByteSpan data);
 
 Bytes EncodeSegmentHeader(std::uint64_t segment_id);

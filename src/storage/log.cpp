@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -47,6 +46,47 @@ Status PreadAll(int fd, std::uint8_t* buf, std::size_t len,
     got += static_cast<std::size_t>(n);
   }
   return Status::Ok();
+}
+
+// Walks the records of a segment image from just past its header to
+// the end of `seg`, stopping at the first bad record. Appends each
+// good record's payload span to `records`, returns the offset the
+// walk stopped at and names the defect in `stop` (left empty when the
+// walk reached the end). `check_crc` is off only for images Open has
+// already verified.
+std::uint64_t WalkRecords(ByteSpan seg, bool check_crc,
+                          std::vector<ByteSpan>* records, std::string* stop) {
+  std::uint64_t pos = kSegmentHeaderBytes;
+  while (pos < seg.size()) {
+    if (seg.size() - pos < kRecordHeaderBytes) {
+      *stop = "torn record header";
+      break;
+    }
+    std::uint32_t length = 0;
+    std::uint32_t crc = 0;
+    const Status parsed = ParseRecordHeader(
+        seg.subspan(pos, kRecordHeaderBytes), &length, &crc);
+    if (!parsed.ok()) {
+      *stop = parsed.message();
+      break;
+    }
+    if (length > seg.size() - pos - kRecordHeaderBytes) {
+      *stop = "torn record payload";
+      break;
+    }
+    if (records->size() + 1 > serial::limits::kMaxSegmentRecords) {
+      *stop = "segment record count exceeds limit";
+      break;
+    }
+    const ByteSpan payload = seg.subspan(pos + kRecordHeaderBytes, length);
+    if (check_crc && Crc32(payload) != crc) {
+      *stop = "record CRC mismatch";
+      break;
+    }
+    records->push_back(payload);
+    pos += kRecordHeaderBytes + length;
+  }
+  return pos;
 }
 
 }  // namespace
@@ -145,14 +185,16 @@ Status BlockLog::Recover() {
 
 Status BlockLog::ScanSegment(SegmentInfo* seg, bool is_last) {
   recovery_.segments_scanned += 1;
+  if (seg->bytes > kMaxSegmentBytes) {
+    // Append never writes a segment this long, torn tail or not.
+    return InvalidArgumentError("segment size exceeds limit: " + seg->path);
+  }
+  Bytes image(seg->bytes);
+  VEGVISIR_RETURN_IF_ERROR(PreadAll(seg->fd, image.data(), image.size(), 0));
   bool header_ok = false;
-  if (seg->bytes >= kSegmentHeaderBytes) {
-    std::array<std::uint8_t, kSegmentHeaderBytes> head{};
-    VEGVISIR_RETURN_IF_ERROR(
-        PreadAll(seg->fd, head.data(), head.size(), 0));
+  if (image.size() >= kSegmentHeaderBytes) {
     std::uint64_t id = 0;
-    const Status parsed =
-        ParseSegmentHeader(ByteSpan(head.data(), head.size()), &id);
+    const Status parsed = ParseSegmentHeader(image, &id);
     header_ok = parsed.ok() && id == seg->id;
   }
   if (!header_ok) {
@@ -169,44 +211,10 @@ Status BlockLog::ScanSegment(SegmentInfo* seg, bool is_last) {
     return Status::Ok();
   }
 
-  std::uint64_t pos = kSegmentHeaderBytes;
-  std::uint64_t records = 0;
-  Bytes payload;
+  std::vector<ByteSpan> records;
   std::string stop;  // nonempty: first bad record found at `pos`
-  while (pos < seg->bytes) {
-    if (seg->bytes - pos < kRecordHeaderBytes) {
-      stop = "torn record header";
-      break;
-    }
-    std::array<std::uint8_t, kRecordHeaderBytes> head{};
-    VEGVISIR_RETURN_IF_ERROR(PreadAll(seg->fd, head.data(), head.size(), pos));
-    std::uint32_t length = 0;
-    std::uint32_t crc = 0;
-    const Status parsed =
-        ParseRecordHeader(ByteSpan(head.data(), head.size()), &length, &crc);
-    if (!parsed.ok()) {
-      stop = parsed.message();
-      break;
-    }
-    if (length > seg->bytes - pos - kRecordHeaderBytes) {
-      stop = "torn record payload";
-      break;
-    }
-    if (records + 1 > serial::limits::kMaxSegmentRecords) {
-      stop = "segment record count exceeds limit";
-      break;
-    }
-    const std::uint64_t payload_off = pos + kRecordHeaderBytes;
-    payload.resize(length);
-    VEGVISIR_RETURN_IF_ERROR(
-        PreadAll(seg->fd, payload.data(), payload.size(), payload_off));
-    if (Crc32(payload) != crc) {
-      stop = "record CRC mismatch";
-      break;
-    }
-    records += 1;
-    pos = payload_off + length;
-  }
+  const std::uint64_t pos =
+      WalkRecords(image, /*check_crc=*/true, &records, &stop);
 
   if (!stop.empty()) {
     if (!is_last) {
@@ -220,7 +228,7 @@ Status BlockLog::ScanSegment(SegmentInfo* seg, bool is_last) {
     recovery_.bytes_dropped += seg->bytes - pos;
     seg->bytes = pos;
   }
-  seg->records = records;
+  seg->records = records.size();
   return Status::Ok();
 }
 
@@ -292,25 +300,23 @@ Status BlockLog::Append(ByteSpan payload) {
 
 Status BlockLog::Sync() { return io_.Sync(segments_.back().fd); }
 
-Status BlockLog::ForEach(const std::function<Status(ByteSpan)>& fn) const {
-  Bytes payload;
-  for (const SegmentInfo& seg : segments_) {
-    std::uint64_t pos = kSegmentHeaderBytes;
-    for (std::uint64_t i = 0; i < seg.records; ++i) {
-      std::array<std::uint8_t, kRecordHeaderBytes> head{};
-      VEGVISIR_RETURN_IF_ERROR(
-          PreadAll(seg.fd, head.data(), head.size(), pos));
-      std::uint32_t length = 0;
-      std::uint32_t crc = 0;
-      VEGVISIR_RETURN_IF_ERROR(ParseRecordHeader(
-          ByteSpan(head.data(), head.size()), &length, &crc));
-      const std::uint64_t payload_off = pos + kRecordHeaderBytes;
-      payload.resize(length);
-      VEGVISIR_RETURN_IF_ERROR(
-          PreadAll(seg.fd, payload.data(), payload.size(), payload_off));
-      VEGVISIR_RETURN_IF_ERROR(fn(ByteSpan(payload.data(), payload.size())));
-      pos = payload_off + length;
-    }
+Status BlockLog::ReadSegment(std::size_t index, SegmentRead* out) const {
+  if (index >= segments_.size()) {
+    return InvalidArgumentError("no such log segment");
+  }
+  const SegmentInfo& seg = segments_[index];
+  // Open bounded seg.bytes by kMaxSegmentBytes and Append keeps it
+  // there, so the buffer size is trusted.
+  out->bytes.resize(seg.bytes);
+  out->records.clear();
+  VEGVISIR_RETURN_IF_ERROR(
+      PreadAll(seg.fd, out->bytes.data(), out->bytes.size(), 0));
+  std::string stop;
+  WalkRecords(out->bytes, /*check_crc=*/false, &out->records, &stop);
+  if (!stop.empty() || out->records.size() != seg.records) {
+    return InternalError("segment changed since open (" +
+                         (stop.empty() ? "record count" : stop) + ") in " +
+                         seg.path);
   }
   return Status::Ok();
 }

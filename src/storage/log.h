@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,10 +71,19 @@ class BlockLog {
   // fsyncs the active segment (older segments were synced at roll).
   Status Sync();
 
-  // Replays every record in append order, stopping at the first
-  // non-OK status `fn` returns. Open already CRC-verified each record.
-  // The span handed to `fn` is only valid during the call.
-  Status ForEach(const std::function<Status(ByteSpan)>& fn) const;
+  // One segment as read from disk: the file's bytes and the span of
+  // each record payload within them, in append order.
+  struct SegmentRead {
+    Bytes bytes;
+    std::vector<ByteSpan> records;  // point into `bytes`
+  };
+
+  // Reads segments()[index] with one pread and walks its record
+  // headers. Open already CRC-checked every record, so this pass only
+  // bounds each length by the segment size Open verified (a mismatch
+  // is an error). `out` is reused: a caller walking the log holds one
+  // segment at a time, and the spans live until `out` is reused.
+  Status ReadSegment(std::size_t index, SegmentRead* out) const;
 
   std::uint64_t record_count() const { return record_count_; }
   std::uint64_t total_bytes() const { return total_bytes_; }

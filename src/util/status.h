@@ -105,6 +105,9 @@ class StatusOr {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  // `*std::move(s)` moves the value out (without this overload it
+  // binds to the const& one above and copies).
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

@@ -90,6 +90,45 @@ TEST(ThreadPoolTest, TaskCountIsThreadCountInvariant) {
   EXPECT_EQ(serial_tasks, (1'000 + 63) / 64);  // ceil(n / grain) chunks
 }
 
+// Ranges shorter than one grain, or ending mid-grain, get one short
+// last chunk: no chunk may run past n, and the chunk count (so
+// exec.tasks_executed) is the same inline and on workers.
+TEST(ThreadPoolTest, ParallelForShortRangesStayInBounds) {
+  constexpr std::size_t kGrain = 64;
+  for (const std::size_t n : {0U, 1U, 5U, 63U, 64U, 65U}) {
+    std::vector<std::uint64_t> tasks;
+    for (const unsigned threads : {0U, 1U, 4U}) {  // 0: null pool
+      ExecConfig cfg;
+      cfg.threads = threads == 0 ? 1 : threads;
+      telemetry::Telemetry sink;
+      ThreadPool pool(cfg, &sink);
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<bool> overran{false};
+      ParallelFor(threads == 0 ? nullptr : &pool, n, kGrain,
+                  [&](std::size_t begin, std::size_t end) {
+                    if (begin > end || end > n) {
+                      overran.store(true);
+                      return;
+                    }
+                    for (std::size_t i = begin; i < end; ++i) {
+                      hits[i].fetch_add(1, std::memory_order_relaxed);
+                    }
+                  });
+      EXPECT_FALSE(overran.load()) << "n=" << n << " threads=" << threads;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "n=" << n << " threads=" << threads << " index " << i;
+      }
+      if (threads != 0) {
+        tasks.push_back(sink.metrics.CounterValue("exec.tasks_executed"));
+      }
+    }
+    ASSERT_EQ(tasks.size(), 2U);
+    EXPECT_EQ(tasks[0], tasks[1]) << "n=" << n;
+    EXPECT_EQ(tasks[0], (n + kGrain - 1) / kGrain) << "n=" << n;
+  }
+}
+
 TEST(ThreadPoolTest, TinyQueueBackpressureLosesNothing) {
   ExecConfig cfg;
   cfg.threads = 2;

@@ -450,6 +450,41 @@ TEST(LimitsTest, SegmentRecordCountAboveLimitTruncatedAtCap) {
   EXPECT_EQ((*log)->recovery().records_truncated, 1u);
 }
 
+TEST(LimitsTest, SegmentFileAboveSizeLimitFailsOpen) {
+  // Recovery reads a whole segment into one buffer sized from the
+  // file length, so a file longer than Append can ever write
+  // (possible only via corruption) must fail Open before that buffer
+  // exists. A sparse file keeps the test cheap.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "vgv_limits_segsize").string();
+  const std::string path = dir + "/" + storage::SegmentFileName(0);
+  const auto open_with_size = [&](std::uint64_t size) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    {
+      std::ofstream seg(path, std::ios::binary);
+      const Bytes head = storage::EncodeSegmentHeader(0);
+      seg.write(reinterpret_cast<const char*>(head.data()),
+                static_cast<std::streamsize>(head.size()));
+    }
+    std::filesystem::resize_file(path, size);
+    telemetry::Telemetry telem;
+    storage::BlockLog::Options opts;
+    opts.dir = dir;
+    opts.telemetry = &telem;
+    return storage::BlockLog::Open(std::move(opts)).status();
+  };
+  const Status over = open_with_size(storage::kMaxSegmentBytes + 1);
+  ASSERT_FALSE(over.ok());
+  EXPECT_NE(over.message().find("segment size exceeds limit"),
+            std::string::npos)
+      << over.ToString();
+  // At the limit the file is read; its zero tail is a torn record.
+  EXPECT_TRUE(open_with_size(storage::kMaxSegmentBytes).ok());
+  EXPECT_EQ(std::filesystem::file_size(path), storage::kSegmentHeaderBytes);
+  std::filesystem::remove_all(dir);
+}
+
 // ----------------------------------------------------- CheckWireCount
 
 TEST(LimitsTest, CheckWireCountOrdersInputBoundBeforeCap) {

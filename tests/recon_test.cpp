@@ -256,6 +256,30 @@ TEST(SessionTest, PartialProgressSurvivesViaQuarantine) {
   EXPECT_EQ(a->dag().Size(), b->dag().Size());
 }
 
+// A host resolves each side's counter handles once; every later
+// session copies that set, and the counts land in the same cells.
+TEST(SessionTest, HostResolvesSessionMetricsOncePerSide) {
+  Cluster c;
+  auto a = c.MakeNode("owner", 1);
+  auto b = c.MakeNode("owner", 1);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(b->AddWitnessBlock().ok());
+  const SessionMetrics* initiator =
+      &a->session_metrics(SessionSide::kInitiator);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(RunLocalSession(a.get(), b.get(), ReconConfig{}),
+              SessionState::kDone);
+  }
+  EXPECT_EQ(&a->session_metrics(SessionSide::kInitiator), initiator);
+  EXPECT_NE(&a->session_metrics(SessionSide::kResponder), initiator);
+  const telemetry::MetricsRegistry& am = a->telemetry()->metrics;
+  EXPECT_EQ(am.CounterValue("recon.initiator.sessions_started"), 2u);
+  EXPECT_EQ(initiator->sessions_started.value(), 2u);
+  EXPECT_EQ(b->telemetry()->metrics.CounterValue("recon.responder.rounds"),
+            b->session_metrics(SessionSide::kResponder).rounds.value());
+  EXPECT_GE(b->session_metrics(SessionSide::kResponder).rounds.value(), 2u);
+  EXPECT_EQ(a->dag().Size(), b->dag().Size());
+}
+
 // Setdiff opens with Algorithm 1's level-1 request, whose frontier
 // digest ends a session between identical replicas in one round,
 // before any DiffProbe.

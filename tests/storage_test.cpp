@@ -14,6 +14,7 @@
 //      via serial/limits.h before any allocation trusts them.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +26,7 @@
 #include "crdt/sets.h"
 #include "crypto/drbg.h"
 #include "csm/state_machine.h"
+#include "exec/pool.h"
 #include "node/checkpoint.h"
 #include "node/node.h"
 #include "serial/limits.h"
@@ -135,18 +137,17 @@ TEST(BlockLogTest, AppendReopenIdentity) {
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   EXPECT_EQ((*log)->record_count(), 50u);
   EXPECT_EQ((*log)->recovery().records_truncated, 0u);
-  // Replay returns every payload byte for byte, in append order.
-  int seen = 0;
-  ASSERT_TRUE((*log)
-                  ->ForEach([&](ByteSpan p) {
-                    EXPECT_EQ(Bytes(p.begin(), p.end()),
-                              Payload(static_cast<std::uint8_t>(seen),
-                                      100 + 7 * seen));
-                    ++seen;
-                    return Status::Ok();
-                  })
-                  .ok());
-  EXPECT_EQ(seen, 50);
+  // The segment reader returns every payload byte for byte, in
+  // append order.
+  ASSERT_EQ((*log)->segments().size(), 1u);
+  BlockLog::SegmentRead seg;
+  ASSERT_TRUE((*log)->ReadSegment(0, &seg).ok());
+  ASSERT_EQ(seg.records.size(), 50u);
+  for (std::size_t i = 0; i < seg.records.size(); ++i) {
+    EXPECT_EQ(Bytes(seg.records[i].begin(), seg.records[i].end()),
+              Payload(static_cast<std::uint8_t>(i), 100 + 7 * i));
+  }
+  EXPECT_FALSE((*log)->ReadSegment(1, &seg).ok());
 }
 
 TEST(BlockLogTest, RejectsEmptyAndOversizedRecords) {
@@ -182,6 +183,94 @@ TEST(BlockLogTest, RollsSegmentsPastTargetBytes) {
   ASSERT_TRUE(log.ok());
   EXPECT_EQ((*log)->record_count(), count);
   EXPECT_GE((*log)->segments().size(), 2u);
+}
+
+// ------------------------------------------------------------ CRC-32
+
+// The byte-at-a-time table loop every log before slicing-by-8 was
+// written with: the reference the fast path must match bit for bit.
+std::uint32_t BytewiseCrc32(ByteSpan data) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < table.size(); ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+Bytes PseudoRandomBytes(std::size_t n, std::uint32_t seed) {
+  Bytes out(n);
+  for (std::uint8_t& b : out) {
+    seed = seed * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(seed >> 24);
+  }
+  return out;
+}
+
+TEST(CrcTest, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(ByteSpan(reinterpret_cast<const std::uint8_t*>(check.data()),
+                           check.size())),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32(ByteSpan()), 0u);
+  Bytes ramp(256);
+  for (std::size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(Crc32(ramp), 0x29058C73u);
+}
+
+TEST(CrcTest, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  const Bytes buf = PseudoRandomBytes(64 + 8, 7);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const ByteSpan span(buf.data() + offset, len);
+      ASSERT_EQ(Crc32(span), BytewiseCrc32(span))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  const Bytes big = PseudoRandomBytes(100'003, 11);
+  EXPECT_EQ(Crc32(big), BytewiseCrc32(big));
+}
+
+TEST(BlockLogTest, LogWrittenWithBytewiseCrcReopensIntact) {
+  // A segment laid out byte for byte as the format describes, its
+  // CRCs from the byte-at-a-time reference: the on-disk format did
+  // not change, so nothing in it may be truncated.
+  const std::string dir = FreshDir("bytewise_crc");
+  std::vector<Bytes> payloads;
+  Bytes image = EncodeSegmentHeader(0);
+  for (std::size_t i = 0; i < 40; ++i) {
+    payloads.push_back(
+        PseudoRandomBytes(1 + 37 * i, static_cast<std::uint32_t>(i)));
+    const Bytes& p = payloads.back();
+    Append(&image, EncodeRecordHeader(static_cast<std::uint32_t>(p.size()),
+                                      BytewiseCrc32(p)));
+    Append(&image, p);
+  }
+  AppendRawBytes(SegmentPath(dir, 0), image);
+
+  telemetry::Telemetry telem;
+  auto log = BlockLog::Open(LogOpts(dir, &telem));
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_EQ((*log)->recovery().records_truncated, 0u);
+  EXPECT_EQ((*log)->recovery().bytes_dropped, 0u);
+  EXPECT_EQ((*log)->record_count(), payloads.size());
+  EXPECT_EQ((*log)->total_bytes(), image.size());
+  BlockLog::SegmentRead seg;
+  ASSERT_TRUE((*log)->ReadSegment(0, &seg).ok());
+  ASSERT_EQ(seg.records.size(), payloads.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_EQ(Bytes(seg.records[i].begin(), seg.records[i].end()),
+              payloads[i]);
+  }
 }
 
 // --------------------------------------------------- torn-tail repair
@@ -492,6 +581,110 @@ TEST(TieredStoreTest, CrashMidAppendLosesOnlyTheTornTail) {
   (*recovered)->SetTime(20'000);
   ASSERT_TRUE((*recovered)->AddWitnessBlock().ok());
   EXPECT_EQ((*store)->GetStats().log_records, acked.size() + 1);
+}
+
+// ------------------------------------- recovery across pool widths
+
+struct Recovered {
+  std::vector<chain::BlockHash> slots;  // Dag::Hashes(): slot order
+  std::uint64_t records_replayed = 0;
+};
+
+// Reopens `dir` and rebuilds its DAG with recovery fanned out on
+// `pool` (null: no pool at all).
+Recovered RecoverWith(const std::string& dir, exec::ThreadPool* pool) {
+  Recovered r;
+  auto store = TieredStore::Open(StoreOpts(dir));
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return r;
+  auto dag = (*store)->RecoverDag(pool);
+  EXPECT_TRUE(dag.ok()) << dag.status().ToString();
+  if (!dag.ok()) return r;
+  r.slots = dag->Hashes();
+  r.records_replayed = (*store)->GetStats().recovery.records_replayed;
+  return r;
+}
+
+// Recovery decodes on the pool but inserts in log order, so no pool,
+// a serial pool and a 4-wide pool rebuild the same slots.
+void ExpectSameRecoveryAtEveryWidth(const std::string& dir,
+                                    std::size_t blocks) {
+  exec::ThreadPool serial(exec::ExecConfig{});
+  exec::ExecConfig wide_cfg;
+  wide_cfg.threads = 4;
+  exec::ThreadPool wide(wide_cfg);
+  const Recovered base = RecoverWith(dir, nullptr);
+  EXPECT_EQ(base.slots.size(), blocks);
+  EXPECT_EQ(base.records_replayed, blocks);
+  for (exec::ThreadPool* pool : {&serial, &wide}) {
+    const Recovered r = RecoverWith(dir, pool);
+    EXPECT_EQ(r.slots, base.slots) << "threads=" << pool->thread_count();
+    EXPECT_EQ(r.records_replayed, base.records_replayed)
+        << "threads=" << pool->thread_count();
+  }
+}
+
+TEST(TieredStoreTest, RecoveryIsIdenticalAtEveryPoolWidth) {
+  for (const int ops : {0, 4}) {  // logs of 1 and 5 blocks
+    Fixture f;
+    auto owner = f.MakeOwner(ops);
+    const std::string dir = FreshDir("width_parity_" + std::to_string(ops));
+    {
+      auto store = TieredStore::Open(StoreOpts(dir));
+      ASSERT_TRUE(store.ok());
+      ASSERT_TRUE(owner->AttachStorage(store->get()).ok());
+    }
+    ASSERT_EQ(owner->dag().Size(), static_cast<std::size_t>(ops) + 1);
+    ExpectSameRecoveryAtEveryWidth(dir, owner->dag().Size());
+    EXPECT_EQ(RecoverWith(dir, nullptr).slots, owner->dag().Hashes());
+  }
+}
+
+TEST(TieredStoreTest, MultiSegmentRecoveryIsIdenticalAtEveryPoolWidth) {
+  Fixture f;
+  auto owner = f.MakeOwner(1);
+  // ~80 blocks of ~64 KiB each cross the 4 MiB roll into a second
+  // segment, and span several decode chunks.
+  const std::string big(64 * 1024, 'v');
+  for (int i = 0; i < 80; ++i) {
+    ASSERT_TRUE(owner
+                    ->AppendOp("S", "add",
+                               {crdt::Value::OfStr(std::to_string(i) + big)})
+                    .ok());
+  }
+  const std::string dir = FreshDir("width_parity_segments");
+  {
+    auto store = TieredStore::Open(StoreOpts(dir));
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(owner->AttachStorage(store->get()).ok());
+    ASSERT_GE((*store)->GetStats().segments.size(), 2u);
+  }
+  ExpectSameRecoveryAtEveryWidth(dir, owner->dag().Size());
+  EXPECT_EQ(RecoverWith(dir, nullptr).slots, owner->dag().Hashes());
+}
+
+TEST(TieredStoreTest, ChildBeforeParentRecoversThroughPendingOnThePool) {
+  Fixture f;
+  auto owner = f.MakeOwner(2);  // genesis, then a chain of two
+  const std::vector<chain::BlockHash> order = owner->dag().TopologicalOrder();
+  ASSERT_EQ(order.size(), 3u);
+  const std::string dir = FreshDir("child_first");
+  {
+    auto store = TieredStore::Open(StoreOpts(dir));
+    ASSERT_TRUE(store.ok());
+    // Genesis, then the child, then its parent: the child must wait
+    // for the parent, not be lost.
+    for (const std::size_t i : {0u, 2u, 1u}) {
+      ASSERT_TRUE((*store)->Append(*owner->dag().Find(order[i])).ok());
+    }
+  }
+  exec::ExecConfig cfg;
+  cfg.threads = 4;
+  exec::ThreadPool pool(cfg);
+  const Recovered r = RecoverWith(dir, &pool);
+  EXPECT_EQ(r.slots, order);
+  EXPECT_EQ(r.records_replayed, 3u);
+  EXPECT_EQ(RecoverWith(dir, nullptr).slots, r.slots);
 }
 
 // --------------------------------------- durable checkpoint files (fsio)
