@@ -60,7 +60,7 @@ ShapeResult RunVegvisir(int groups, sim::TimeMs gossip_period) {
 
   const auto& dag = cluster.node(0).dag();
   std::size_t parent_sum = 0;
-  for (const auto& h : dag.TopologicalOrder()) {
+  for (const auto& h : dag.Hashes()) {
     parent_sum += dag.ParentsOf(h).size();
   }
   result.mean_frontier /= samples;

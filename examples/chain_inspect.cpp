@@ -44,9 +44,9 @@ void PrintDagSummary(const chain::Dag& dag) {
               dag.StoredCount(), dag.StoredBytes());
   std::printf("frontier  : %zu block(s)\n", dag.Frontier().size());
   std::size_t txs = 0;
-  dag.ForEachStored([&](const chain::Block& b) {
-    txs += b.transactions().size();
-  });
+  for (const chain::BlockHash& h : dag.Hashes()) {
+    if (const chain::Block* b = dag.Find(h)) txs += b->transactions().size();
+  }
   std::printf("txns      : %zu\n", txs);
 }
 
@@ -74,7 +74,7 @@ int InspectFile(const std::string& path) {
 
   // Rebuild the CSM by replay to recover membership, then audit.
   csm::StateMachine sm;
-  for (const chain::BlockHash& h : dag->TopologicalOrder()) {
+  for (const chain::BlockHash& h : dag->Hashes()) {
     const chain::Block* b = dag->Find(h);
     if (b != nullptr) sm.ApplyBlock(*b);
   }

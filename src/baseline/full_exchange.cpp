@@ -10,10 +10,10 @@ recon::SessionStats RunFullDagExchange(recon::ReconHost* initiator,
   // A minimal "send everything" request...
   stats.bytes_sent = 16;
 
-  // ...answered with every stored block, in topological order so the
-  // receiver can insert as it reads.
+  // ...answered with every stored block, in slot order (parents
+  // first) so the receiver can insert as it reads.
   const chain::Dag& remote = responder->dag();
-  for (const chain::BlockHash& h : remote.TopologicalOrder()) {
+  for (const chain::BlockHash& h : remote.Hashes()) {
     if (h == remote.genesis_hash()) continue;
     const chain::Block* block = remote.Find(h);
     if (block == nullptr) continue;  // evicted on the responder

@@ -8,7 +8,7 @@ namespace vegvisir::chain {
 
 AuditReport AuditDag(const Dag& dag, const MembershipView& membership) {
   AuditReport report;
-  for (const BlockHash& h : dag.TopologicalOrder()) {
+  for (const BlockHash& h : dag.Hashes()) {
     ++report.blocks_checked;
     const Block* block = dag.Find(h);
     if (block == nullptr) {
@@ -58,7 +58,7 @@ AuditReport AuditDag(const Dag& dag, const MembershipView& membership) {
 std::vector<ProvenanceEntry> ExtractProvenance(const Dag& dag,
                                                const std::string& crdt_name) {
   std::vector<ProvenanceEntry> entries;
-  for (const BlockHash& h : dag.TopologicalOrder()) {
+  for (const BlockHash& h : dag.Hashes()) {
     const Block* block = dag.Find(h);
     if (block == nullptr) continue;
     for (const Transaction& tx : block->transactions()) {

@@ -149,9 +149,9 @@ std::uint64_t Dag::TimestampOf(const BlockHash& h) const {
   return e == nullptr ? 0 : e->timestamp;
 }
 
-std::vector<Dag::Slot> Dag::TopologicalSlots() const {
+std::vector<BlockHash> Dag::TopologicalOrder() const {
   // Kahn's algorithm; the ready set is a min-heap on block hash so the
-  // order is deterministic across replicas.
+  // order is the same on every replica.
   std::vector<std::size_t> pending_parents(entries_.size());
   for (std::size_t s = 0; s < entries_.size(); ++s) {
     pending_parents[s] = entries_[s].parents.size();
@@ -163,23 +163,16 @@ std::vector<Dag::Slot> Dag::TopologicalSlots() const {
       hash_greater);
   ready.push(0);  // genesis
 
-  std::vector<Slot> order;
+  std::vector<BlockHash> order;
   order.reserve(entries_.size());
   while (!ready.empty()) {
     const Slot s = ready.top();
     ready.pop();
-    order.push_back(s);
+    order.push_back(hashes_[s]);
     for (const Slot c : entries_[s].children) {
       if (--pending_parents[c] == 0) ready.push(c);
     }
   }
-  return order;
-}
-
-std::vector<BlockHash> Dag::TopologicalOrder() const {
-  std::vector<BlockHash> order;
-  order.reserve(entries_.size());
-  for (const Slot s : TopologicalSlots()) order.push_back(hashes_[s]);
   return order;
 }
 
@@ -321,15 +314,6 @@ std::vector<BlockHash> Dag::StoredOldestFirst() const {
   out.reserve(stored.size());
   for (const Slot s : stored) out.push_back(hashes_[s]);
   return out;
-}
-
-void Dag::ForEachStored(const std::function<void(const Block&)>& fn) const {
-  // Topological order, not insertion order: the callback is a
-  // caller-visible emission channel, and callers digest or print what
-  // they are handed (det_taint's callback-emit sink).
-  for (const Slot s : TopologicalSlots()) {
-    if (entries_[s].block.has_value()) fn(*entries_[s].block);
-  }
 }
 
 }  // namespace vegvisir::chain

@@ -4,8 +4,7 @@
 // parent/child indexes, the frontier set, and the queries the
 // protocol layers need (level-N frontier sets for reconciliation,
 // ancestor/descendant walks for proof-of-witness and revocation
-// checks, deterministic topological order for the CRDT state
-// machine).
+// checks, and the slot order every parents-first walk reads).
 //
 // `Insert` performs structural checks only (duplicates, missing
 // parents, unique genesis); semantic validation — signatures,
@@ -21,14 +20,18 @@
 //
 // Every block gets the next dense slot when it is inserted. Blocks
 // only ever arrive as sinks (their parents are already present), so
-// slot order is a valid topological order and the first k slots are
-// exactly the DAG as it was when Size() was k. Topological walks and
-// descendant walks follow child slots without touching the hash index.
+// slot order -- Hashes() -- is a valid topological order and the first
+// k slots are exactly the DAG as it was when Size() was k. It is the
+// one order every replay, serve and persist walk reads: deterministic
+// on one replica (it is the order the node applied its blocks in), but
+// different across replicas that received blocks in different orders.
+// TopologicalOrder() is the cross-replica order; only Node::Fingerprint
+// needs it. Descendant walks follow child slots without touching the
+// hash index.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -95,15 +98,19 @@ class Dag {
   const std::string& CreatorOf(const BlockHash& h) const;
   std::uint64_t TimestampOf(const BlockHash& h) const;
 
-  // Deterministic topological order (parents before children; ties
-  // broken by block hash). The CRDT state machine replays this.
+  // The cross-replica topological order: Kahn's sort with ties broken
+  // by block hash, so every replica holding the same DAG returns the
+  // same sequence. Costs a sort of the whole DAG; Node::Fingerprint is
+  // its one user. Everything else walks Hashes().
   std::vector<BlockHash> TopologicalOrder() const;
 
-  // Every known hash (stored + evicted stubs) in insertion order;
-  // Hashes()[0, k) is the DAG as it was when Size() was k. Insertion
-  // order is deterministic on one replica but differs across
-  // replicas, so this may only feed commutative folds (a digest, an
-  // IBLT, a set); anything order-sensitive uses TopologicalOrder().
+  // Every known hash (stored + evicted stubs) in slot (insertion)
+  // order: parents always precede their children, and Hashes()[0, k)
+  // is the DAG as it was when Size() was k. This is the topological
+  // order for every walk on this replica -- replay, serve, persist,
+  // render. It is deterministic per replica but differs across
+  // replicas, so any byte stream meant to match another replica's uses
+  // TopologicalOrder() instead.
   const std::vector<BlockHash>& Hashes() const { return hashes_; }
 
   // True iff `ancestor` is a strict ancestor of `descendant` or equal
@@ -148,11 +155,6 @@ class Dag {
   // the order in which a device offloads when storage runs low.
   std::vector<BlockHash> StoredOldestFirst() const;
 
-  // Iterates all stored blocks in deterministic topological order
-  // (same order as TopologicalOrder, skipping evicted stubs), so any
-  // stream or digest the callback feeds is replica-independent.
-  void ForEachStored(const std::function<void(const Block&)>& fn) const;
-
  private:
   using Slot = std::uint32_t;
 
@@ -174,8 +176,6 @@ class Dag {
   // makes it a frontier block and indexes it by `hash`.
   void Append(const BlockHash& hash, Entry e,
               const std::vector<Slot>& parent_slots);
-  // Kahn's algorithm over slots; ties broken by block hash.
-  std::vector<Slot> TopologicalSlots() const;
 
   // Slot-indexed: entries_[s] is the block hashes_[s]. A deque, so
   // Find() pointers survive later inserts.

@@ -12,7 +12,7 @@ std::string DagToDot(const Dag& dag, const DotOptions& options) {
     return false;
   };
 
-  for (const BlockHash& h : dag.TopologicalOrder()) {
+  for (const BlockHash& h : dag.Hashes()) {
     std::string label = HashShort(h);
     if (options.show_creator) label += "\\n" + dag.CreatorOf(h);
     if (options.show_timestamp) {

@@ -21,7 +21,8 @@ Bytes SerializeDag(const Dag& dag) {
   const Block* genesis = dag.Find(dag.genesis_hash());
   w.WriteBytes(genesis->Serialize());
 
-  const auto order = dag.TopologicalOrder();
+  // Slot order: parents first, and the loaded DAG gets the same slots.
+  const auto& order = dag.Hashes();
   w.WriteVarint(order.size() - 1);  // everything but the genesis
   for (const BlockHash& h : order) {
     if (h == dag.genesis_hash()) continue;

@@ -2,13 +2,15 @@
 //
 // IoT devices reboot; a replica must survive power cycles without
 // re-fetching its history over the radio. The on-disk format is a
-// versioned header, the genesis block, every other stored block in
-// topological order, the hashes of evicted stubs, and a SHA-256
-// checksum over everything before it. Loading re-validates structure
-// (the DAG insert rules) and the checksum, so a corrupted or tampered
-// file is rejected rather than silently half-loaded. CSM state is not
-// persisted: it is a pure function of the blocks and is deterministically
-// rebuilt by replay (tested in store_test).
+// versioned header, the genesis block, then every other block -- a
+// stored body or an evicted stub's linkage -- in the DAG's slot order
+// (Dag::Hashes(): parents first, so the loaded DAG gets the same
+// slots; the bytes differ across replicas holding the same DAG), and
+// a SHA-256 checksum over everything before it. Loading re-validates
+// structure (the DAG insert rules) and the checksum, so a corrupted or
+// tampered file is rejected rather than silently half-loaded. CSM
+// state is not persisted: it is a pure function of the blocks and is
+// deterministically rebuilt by replay (tested in store_test).
 #pragma once
 
 #include <string>

@@ -184,7 +184,7 @@ void Cluster::CrashNode(int i) {
   // store fsync'd. Under the write-ahead rule that is exactly the
   // DAG, so its hashes are the acked set the restart must recover.
   if (stores_[idx] != nullptr) {
-    acked_at_crash_[idx] = nodes_[idx]->dag().TopologicalOrder();
+    acked_at_crash_[idx] = nodes_[idx]->dag().Hashes();
   }
   gossips_[idx]->Shutdown();
   retired_gossips_.push_back(std::move(gossips_[idx]));
@@ -238,10 +238,16 @@ bool Cluster::Converged() const {
   if (honest_.empty()) return true;
   const Node* reference_node = nodes_[static_cast<std::size_t>(honest_[0])].get();
   if (reference_node == nullptr) return false;
-  const Bytes reference = reference_node->Fingerprint();
+  // Equal frontiers mean equal DAGs (paper §IV-G), so this is
+  // Fingerprint() equality without sorting every node's DAG.
+  const chain::BlockHash frontier = reference_node->dag().FrontierDigest();
+  const Bytes state = reference_node->state().StateFingerprint();
   for (int i : honest_) {
     const Node* n = nodes_[static_cast<std::size_t>(i)].get();
-    if (n == nullptr || n->Fingerprint() != reference) return false;
+    if (n == nullptr || n->dag().FrontierDigest() != frontier ||
+        n->state().StateFingerprint() != state) {
+      return false;
+    }
   }
   return true;
 }

@@ -118,8 +118,9 @@ class Cluster {
   // holding it).
   int CountHaving(const chain::BlockHash& h) const;
 
-  // True iff every non-adversarial node is up and all their
-  // fingerprints are identical.
+  // True iff every non-adversarial node is up and all of them hold the
+  // same DAG (equal frontier digests) and the same CSM state: the
+  // same answer as comparing their Fingerprint()s.
   bool Converged() const;
 
   // The honest nodes' indexes.

@@ -51,7 +51,7 @@ StatusOr<std::unique_ptr<Node>> Node::Restore(NodeConfig config,
     if (candidate.LoadSnapshot(csm_snapshot).ok() &&
         candidate.AppliedBlockCount() == dag.Size()) {
       snapshot_ok = true;
-      for (const chain::BlockHash& h : dag.TopologicalOrder()) {
+      for (const chain::BlockHash& h : dag.Hashes()) {
         if (!candidate.HasApplied(h)) {
           snapshot_ok = false;
           break;
@@ -62,9 +62,10 @@ StatusOr<std::unique_ptr<Node>> Node::Restore(NodeConfig config,
   }
 
   if (!snapshot_ok) {
-    // Deterministic full replay; every body must be present.
+    // Full replay in slot order, the order the live node applied its
+    // blocks in; every body must be present.
     csm::StateMachine fresh(node->config_.csm, node->telem_);
-    for (const chain::BlockHash& h : dag.TopologicalOrder()) {
+    for (const chain::BlockHash& h : dag.Hashes()) {
       const chain::Block* block = dag.Find(h);
       if (block == nullptr) {
         return FailedPreconditionError(
@@ -89,9 +90,9 @@ Status Node::AttachStorage(storage::TieredStore* store) {
   if (store->GetStats().log_records == 0) {
     // Fresh log under an existing DAG (first attach, or a node loaded
     // from checkpoint files): seed it so the log's replay covers
-    // everything the node already acked. Topological order keeps the
+    // everything the node already acked. Slot order keeps the
     // parents-before-children invariant RecoverDag relies on.
-    for (const chain::BlockHash& h : dag_.TopologicalOrder()) {
+    for (const chain::BlockHash& h : dag_.Hashes()) {
       const chain::Block* block = dag_.Find(h);
       if (block == nullptr) {
         return FailedPreconditionError(

@@ -556,7 +556,7 @@ void InitiatorSession::FinishMaybePush(std::vector<Bytes>* out) {
   }
 
   PushBlocks push;
-  for (const chain::BlockHash& h : dag.TopologicalOrder()) {
+  for (const chain::BlockHash& h : dag.Hashes()) {
     if (peer_known.count(h) > 0) continue;
     const chain::Block* block = dag.Find(h);
     if (block == nullptr) continue;  // evicted body; peer must ask a superpeer
@@ -687,27 +687,19 @@ Status ResponderSession::HandleDiffResult(ByteSpan data,
   std::set<std::uint64_t> found;
   // The sketched set is the DAG's first `sketched_` slots. Blocks the
   // DAG gained since were not in the sketch, so no `want` ID can name
-  // them.
+  // them. Slot order puts parents first, so the initiator can merge
+  // the response as it reads it.
   const chain::Dag& dag = host_->dag();
-  std::set<chain::BlockHash> matched;
+  BlockResponse resp;
   for (std::size_t i = 0; i < sketched_; ++i) {
-    const std::uint64_t id = setdiff::ShortId(dag.Hashes()[i], *salt_);
+    const chain::BlockHash& h = dag.Hashes()[i];
+    const std::uint64_t id = setdiff::ShortId(h, *salt_);
     if (want.count(id) == 0) continue;
     found.insert(id);
-    matched.insert(dag.Hashes()[i]);
-  }
-  // Served in topological order, so the initiator can merge parents
-  // first. Adding sinks never reorders older blocks, so this is the
-  // order the sketched DAG itself had.
-  BlockResponse resp;
-  if (!matched.empty()) {
-    for (const chain::BlockHash& h : dag.TopologicalOrder()) {
-      if (matched.count(h) == 0) continue;
-      // Evicted bodies cannot be served; the initiator can fetch them
-      // from a superpeer / the support blockchain.
-      if (const chain::Block* block = dag.Find(h)) {
-        resp.blocks.push_back(block->Serialize());
-      }
+    // Evicted bodies cannot be served; the initiator can fetch them
+    // from a superpeer / the support blockchain.
+    if (const chain::Block* block = dag.Find(h)) {
+      resp.blocks.push_back(block->Serialize());
     }
   }
   // An ID naming none of our blocks is skipped, not fatal: the

@@ -6,9 +6,9 @@ std::size_t Superpeer::SyncToSupport(std::uint64_t timestamp_ms) {
   const chain::Dag& dag = node_->dag();
   std::size_t archived = 0;
   std::vector<chain::Block> batch;
-  // Topological order guarantees parents are archived (or batched)
-  // before children, which Archive() requires.
-  for (const chain::BlockHash& h : dag.TopologicalOrder()) {
+  // Slot order guarantees parents are archived (or batched) before
+  // children, which Archive() requires.
+  for (const chain::BlockHash& h : dag.Hashes()) {
     if (h == dag.genesis_hash() || chain_->IsArchived(h)) continue;
     const chain::Block* block = dag.Find(h);
     if (block == nullptr) continue;  // superpeer itself evicted it? skip

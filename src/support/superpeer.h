@@ -28,8 +28,8 @@ class Superpeer {
         c_blocks_archived_(node->telemetry()->metrics.GetCounter(
             "support.blocks_archived")) {}
 
-  // Archives every not-yet-archived block in the node's DAG, in
-  // topological order, batching `batch_size` blocks per support
+  // Archives every not-yet-archived block in the node's DAG, in slot
+  // order (parents first), batching `batch_size` blocks per support
   // block. Returns the number of Vegvisir blocks archived.
   std::size_t SyncToSupport(std::uint64_t timestamp_ms);
 

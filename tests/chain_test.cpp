@@ -12,6 +12,7 @@
 #include "chain/certificate.h"
 #include "chain/dag.h"
 #include "chain/genesis.h"
+#include "chain/store.h"
 #include "chain/transaction.h"
 #include "crypto/drbg.h"
 #include "crypto/ed25519.h"
@@ -344,33 +345,6 @@ TEST(DagTest, TopologicalOrderRespectsParents) {
   EXPECT_LT(pos(b.hash()), pos(m.hash()));
 }
 
-TEST(DagTest, ForEachStoredVisitsInTopologicalOrder) {
-  Fixture f;
-  Dag dag(f.genesis);
-  // A diamond plus a tail: enough entries that hash-table bucket
-  // order would differ from the pinned topological order.
-  const Block a = f.MakeBlock({f.genesis.hash()}, 200, f.owner, "owner");
-  const Block b = f.MakeBlock({f.genesis.hash()}, 201, f.owner, "owner");
-  const Block m = f.MakeBlock({a.hash(), b.hash()}, 300, f.owner, "owner");
-  const Block t = f.MakeBlock({m.hash()}, 400, f.owner, "owner");
-  for (const Block* blk : {&a, &b, &m, &t}) {
-    ASSERT_TRUE(dag.Insert(*blk).ok());
-  }
-
-  std::vector<BlockHash> visited;
-  dag.ForEachStored([&](const Block& blk) { visited.push_back(blk.hash()); });
-  EXPECT_EQ(visited, dag.TopologicalOrder());
-
-  // Evicting a body drops it from the walk without disturbing the
-  // relative order of the survivors.
-  ASSERT_TRUE(dag.Evict(a.hash()).ok());
-  std::vector<BlockHash> after;
-  dag.ForEachStored([&](const Block& blk) { after.push_back(blk.hash()); });
-  std::vector<BlockHash> expected = dag.TopologicalOrder();
-  expected.erase(std::find(expected.begin(), expected.end(), a.hash()));
-  EXPECT_EQ(after, expected);
-}
-
 // The canonical order as a plain hash-map Kahn over a parent table:
 // parents first, ready ties broken by the smallest hash. The DAG's
 // slot-indexed walk must reproduce it byte for byte.
@@ -483,11 +457,13 @@ TEST(DagTest, TopologicalOrderMatchesCanonicalOracle) {
       }
       EXPECT_EQ(dag.TopologicalOrder(), oracle);
 
-      std::vector<BlockHash> stored;
-      dag.ForEachStored([&](const Block& b) { stored.push_back(b.hash()); });
-      std::vector<BlockHash> expected_stored;
+      std::set<BlockHash> stored;
+      for (const BlockHash& h : dag.Hashes()) {
+        if (dag.Find(h) != nullptr) stored.insert(h);
+      }
+      std::set<BlockHash> expected_stored;
       for (const BlockHash& h : oracle) {
-        if (bodiless.count(h) == 0) expected_stored.push_back(h);
+        if (bodiless.count(h) == 0) expected_stored.insert(h);
       }
       EXPECT_EQ(stored, expected_stored);
     }
@@ -508,6 +484,93 @@ TEST(DagTest, TopologicalOrderMatchesCanonicalOracle) {
     EXPECT_EQ(original.Hashes(), hashes_before);
     EXPECT_EQ(original.Size(), split + 1);
     EXPECT_EQ(copy.TopologicalOrder(), oracle);
+  }
+}
+
+// Every block's parents sit at lower slots than the block itself, so
+// Hashes() is a parents-first walk.
+void ExpectSlotOrderIsTopological(const Dag& dag) {
+  std::unordered_map<BlockHash, std::size_t, BlockHashHasher> slot_of;
+  for (std::size_t s = 0; s < dag.Hashes().size(); ++s) {
+    slot_of.emplace(dag.Hashes()[s], s);
+  }
+  ASSERT_EQ(slot_of.size(), dag.Size());
+  for (std::size_t s = 0; s < dag.Hashes().size(); ++s) {
+    for (const BlockHash& p : dag.ParentsOf(dag.Hashes()[s])) {
+      ASSERT_EQ(slot_of.count(p), 1u);
+      EXPECT_LT(slot_of.at(p), s);
+    }
+  }
+}
+
+TEST(DagTest, SlotOrderIsTopological) {
+  Fixture f;
+  Rng rng(11);
+  // A wide DAG: each block names one to three of the last eight
+  // blocks as parents, so many blocks are concurrent.
+  std::vector<Block> blocks;
+  std::vector<BlockHash> known = {f.genesis.hash()};
+  for (int i = 0; i < 60; ++i) {
+    const std::size_t window = std::min<std::size_t>(known.size(), 8);
+    std::set<BlockHash> picked;
+    const std::uint64_t want = 1 + rng.NextBelow(3);
+    for (std::uint64_t j = 0; j < want; ++j) {
+      picked.insert(known[known.size() - 1 - rng.NextBelow(window)]);
+    }
+    const std::vector<BlockHash> parents(picked.begin(), picked.end());
+    blocks.push_back(
+        f.MakeBlock(parents, 200 + i, f.owner, "owner", {SampleTx()}));
+    known.push_back(blocks.back().hash());
+  }
+
+  std::vector<std::vector<const Block*>> orders;
+  orders.emplace_back();
+  for (const Block& b : blocks) orders.back().push_back(&b);
+  for (int r = 0; r < 3; ++r) {
+    orders.push_back(
+        RandomTopologicalPermutation(f.genesis.hash(), blocks, &rng));
+  }
+  for (const auto& order : orders) {
+    // Insert, some blocks arriving as evicted stubs: the slots are
+    // exactly the arrival order.
+    Dag dag(f.genesis);
+    std::vector<BlockHash> arrival = {f.genesis.hash()};
+    for (const Block* b : order) {
+      if (rng.NextBelow(5) == 0) {
+        ASSERT_TRUE(dag.InsertEvictedStub(b->hash(), b->header().parents,
+                                          b->header().user_id,
+                                          b->header().timestamp_ms,
+                                          b->EncodedSize())
+                        .ok());
+      } else {
+        ASSERT_TRUE(dag.Insert(*b).ok());
+      }
+      arrival.push_back(b->hash());
+    }
+    EXPECT_EQ(dag.Hashes(), arrival);
+    ExpectSlotOrderIsTopological(dag);
+
+    // Evicting and restoring bodies never moves a slot.
+    std::vector<const Block*> evicted;
+    for (const Block& b : blocks) {
+      if (rng.NextBelow(3) == 0 && dag.Evict(b.hash()).ok()) {
+        evicted.push_back(&b);
+      }
+    }
+    ASSERT_FALSE(evicted.empty());
+    EXPECT_EQ(dag.Hashes(), arrival);
+    for (const Block* b : evicted) ASSERT_TRUE(dag.Restore(*b).ok());
+    EXPECT_EQ(dag.Hashes(), arrival);
+    ExpectSlotOrderIsTopological(dag);
+
+    // A persisted replica reloads into the same slots, stubs included.
+    auto loaded = DeserializeDag(SerializeDag(dag));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->Hashes(), dag.Hashes());
+    for (const BlockHash& h : dag.Hashes()) {
+      EXPECT_EQ(loaded->PresenceOf(h), dag.PresenceOf(h));
+    }
+    ExpectSlotOrderIsTopological(*loaded);
   }
 }
 

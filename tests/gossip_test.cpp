@@ -118,6 +118,44 @@ TEST(GossipTest, PartitionThenHealLosesNothing) {
   }
 }
 
+// Converged() compares frontier digests and CSM state, not whole
+// Fingerprint()s. Equal frontiers mean equal DAGs, so at every poll of
+// a partition-and-heal run the answer is the same as comparing the
+// honest nodes' Fingerprint()s.
+TEST(ClusterTest, ConvergedMatchesFingerprintEquality) {
+  sim::ExplicitTopology base(6);
+  base.MakeClique();
+  sim::PartitionedTopology topo(&base);
+  topo.SplitEvenly(30'000, 90'000, 2);
+  ClusterConfig cfg;
+  cfg.node_count = 6;
+  cfg.seed = 5;
+  Cluster cluster(cfg, &topo);
+  const auto fingerprints_agree = [&] {
+    const Bytes reference = cluster.node(cluster.honest()[0]).Fingerprint();
+    for (int i : cluster.honest()) {
+      if (cluster.node(i).Fingerprint() != reference) return false;
+    }
+    return true;
+  };
+
+  int agreed = 0;
+  int disagreed = 0;
+  for (int second = 0; second < 210; ++second) {
+    // Writes on both sides of the partition and after the heal.
+    if (second % 7 == 0) {
+      ASSERT_TRUE(cluster.node(second % 6).AddWitnessBlock().ok());
+    }
+    cluster.RunFor(1'000);
+    const bool converged = cluster.Converged();
+    ASSERT_EQ(converged, fingerprints_agree()) << "t=" << second + 1 << "s";
+    (converged ? agreed : disagreed) += 1;
+  }
+  EXPECT_GT(disagreed, 0);
+  EXPECT_GT(agreed, 0);
+  EXPECT_TRUE(cluster.Converged());
+}
+
 TEST(GossipTest, LossyLinksStillConverge) {
   sim::ExplicitTopology topo(5);
   topo.MakeClique();

@@ -281,6 +281,51 @@ TEST(NodeTest, FingerprintsConvergeAfterSync) {
   EXPECT_EQ(b->state().FindCrdtAs<crdt::GCounter>("counter")->Value(), 3);
 }
 
+// Restore replays in slot order, the order the node applied its
+// blocks in. Where that differs from the cross-replica Kahn order, the
+// restored node still matches the source's Fingerprint().
+TEST(NodeTest, RestoreInSlotOrderMatchesSourceFingerprint) {
+  Fixture f;
+  auto a = f.MakeOwner();
+  auto b = f.MakeOwner();
+  ASSERT_TRUE(a->CreateCrdt("S", crdt::CrdtType::kGSet, crdt::ValueType::kStr,
+                            csm::AclPolicy::AllowAll())
+                  .ok());
+  f.Mirror(a.get(), b.get());
+  // Two concurrent branches off the shared history.
+  a->SetTime(20'000);
+  b->SetTime(20'500);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        a->AppendOp("S", "add", {crdt::Value::OfStr("a" + std::to_string(i))})
+            .ok());
+    ASSERT_TRUE(
+        b->AppendOp("S", "add", {crdt::Value::OfStr("b" + std::to_string(i))})
+            .ok());
+  }
+  f.Mirror(a.get(), b.get());
+  f.Mirror(b.get(), a.get());
+  ASSERT_EQ(a->Fingerprint(), b->Fingerprint());
+  // Each side slotted its own branch first, so the two slot orders
+  // disagree at the fork and one of them is not the Kahn order.
+  ASSERT_NE(a->dag().Hashes(), b->dag().Hashes());
+  Node* source =
+      a->dag().Hashes() != a->dag().TopologicalOrder() ? a.get() : b.get();
+  ASSERT_NE(source->dag().Hashes(), source->dag().TopologicalOrder());
+
+  for (const bool with_snapshot : {false, true}) {
+    const Bytes snapshot =
+        with_snapshot ? source->state().SaveSnapshot() : Bytes{};
+    bool used_snapshot = !with_snapshot;
+    auto restored = Node::Restore(NodeConfig{}, f.owner_keys, source->dag(),
+                                  snapshot, &used_snapshot);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(used_snapshot, with_snapshot);
+    EXPECT_EQ((*restored)->dag().Hashes(), source->dag().Hashes());
+    EXPECT_EQ((*restored)->Fingerprint(), source->Fingerprint());
+  }
+}
+
 TEST(NodeTest, EnergyMeterChargedOnSubmitAndVerify) {
   Fixture f;
   auto a = f.MakeOwner();

@@ -599,7 +599,7 @@ TEST(SetdiffSessionTest, DecodedResultCarriesTheFetch) {
 // The responder answers a DiffResult from the set it sketched. Blocks
 // its DAG gains between the sketch and the result are never served,
 // even when the result's `want` names them, and the sketched bodies
-// come parents first, in canonical order.
+// come parents first, in the responder's slot order.
 TEST(SetdiffSessionTest, ResponderServesOnlyWhatItSketched) {
   Rig rig;
   auto behind = rig.MakeNode();
@@ -624,8 +624,7 @@ TEST(SetdiffSessionTest, ResponderServesOnlyWhatItSketched) {
   }
   recon::DiffSketch sketch;
   ASSERT_TRUE(recon::DecodeMessage(replies[0], &sketch).ok());
-  const std::vector<BlockHash> sketched_order =
-      ahead->dag().TopologicalOrder();
+  const std::vector<BlockHash> sketched_order = ahead->dag().Hashes();
 
   // The responder's DAG grows before the result arrives.
   std::vector<BlockHash> later;
@@ -715,6 +714,66 @@ TEST(SetdiffSessionTest, MutualDivergenceWithPushBack) {
   EXPECT_TRUE(SameBlocks(*a, *b));
   EXPECT_EQ(stats.blocks_received, 6u);
   EXPECT_EQ(stats.blocks_pushed, 4u);
+}
+
+// A joiner catches up an eight-wide backlog. The DiffResult fetch
+// serves the responder's blocks in its slot order and the push-back
+// ships the joiner's own blocks in the joiner's slot order. Both are
+// parents first, so the only blocks parked are the eight tips fetched
+// at level 1, before the fetch brings their ancestry and drains them.
+TEST(SetdiffSessionTest, WideBacklogCatchUpParksOnlyLevelOneTips) {
+  Rig rig;
+  auto joiner = rig.MakeNode();
+  auto ahead = rig.MakeNode();
+  rig.Diverge(joiner.get(), ahead.get(), 10, 0);
+  // Eight writers fork from the shared history; `ahead` merges their
+  // branches round by round, so its frontier is eight blocks wide.
+  std::vector<std::unique_ptr<node::Node>> writers;
+  for (int w = 0; w < 8; ++w) {
+    auto writer = rig.MakeNode();
+    for (const BlockHash& h : ahead->dag().Hashes()) {
+      if (h == ahead->dag().genesis_hash()) continue;
+      ASSERT_EQ(writer->OfferBlock(*ahead->dag().Find(h)),
+                chain::BlockVerdict::kValid);
+    }
+    writer->SetTime(1'100'000 + static_cast<std::uint64_t>(w) * 1'000);
+    writers.push_back(std::move(writer));
+  }
+  joiner->SetTime(2'000'000);
+  ahead->SetTime(2'000'000);
+  for (int round = 0; round < 5; ++round) {
+    for (auto& writer : writers) {
+      const auto h = writer->AddWitnessBlock();
+      ASSERT_TRUE(h.ok());
+      ASSERT_EQ(ahead->OfferBlock(*writer->dag().Find(*h)),
+                chain::BlockVerdict::kValid);
+    }
+  }
+  const std::size_t tips = ahead->dag().Frontier().size();
+  ASSERT_EQ(tips, 8u);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(joiner->AddWitnessBlock().ok());
+
+  recon::ReconConfig cfg;
+  cfg.mode = recon::ReconConfig::Mode::kSetDiff;
+  cfg.push_back = true;
+  recon::SessionStats stats;
+  ASSERT_EQ(recon::RunLocalSession(joiner.get(), ahead.get(), cfg, &stats),
+            recon::SessionState::kDone);
+  EXPECT_TRUE(SameBlocks(*joiner, *ahead));
+  EXPECT_EQ(stats.blocks_received, 40u);
+  EXPECT_EQ(stats.blocks_pushed, 3u);
+  EXPECT_EQ(
+      joiner->telemetry()->metrics.CounterValue("setdiff.decode_success"), 1u);
+  EXPECT_EQ(
+      joiner->telemetry()->metrics.CounterValue("node.blocks_quarantined"),
+      tips);
+  EXPECT_EQ(
+      ahead->telemetry()->metrics.CounterValue("node.blocks_quarantined"), 0u);
+  for (const node::Node* n : {joiner.get(), ahead.get()}) {
+    EXPECT_EQ(n->QuarantineSize(), 0u);
+    EXPECT_EQ(n->telemetry()->metrics.CounterValue("node.quarantine_expired"),
+              0u);
+  }
 }
 
 // A hash-first initiator never emits a DiffProbe — it closes a gap

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -684,6 +685,63 @@ TEST(TieredStoreTest, ChildBeforeParentRecoversThroughPendingOnThePool) {
   const Recovered r = RecoverWith(dir, &pool);
   EXPECT_EQ(r.slots, order);
   EXPECT_EQ(r.records_replayed, 3u);
+  EXPECT_EQ(RecoverWith(dir, nullptr).slots, r.slots);
+}
+
+// A wide DAG logged with children ahead of their parents recovers
+// through the parked path into slots that still put every parent
+// before its children.
+TEST(TieredStoreTest, ParkedRecoveryKeepsSlotOrderTopological) {
+  Fixture f;
+  const auto make = [&](std::vector<chain::BlockHash> parents,
+                        std::uint64_t ts) {
+    chain::BlockHeader h;
+    h.user_id = "owner";
+    h.timestamp_ms = ts;
+    h.parents = std::move(parents);
+    return chain::Block::Create(std::move(h), {}, f.owner_keys);
+  };
+  // Eight concurrent children of genesis, a merge over all of them,
+  // and a tail on the merge.
+  std::vector<chain::Block> tips;
+  std::vector<chain::BlockHash> tip_hashes;
+  for (int i = 0; i < 8; ++i) {
+    tips.push_back(make({f.genesis.hash()}, 200 + i));
+    tip_hashes.push_back(tips.back().hash());
+  }
+  const chain::Block merge = make(tip_hashes, 300);
+  const chain::Block tail = make({merge.hash()}, 400);
+
+  const std::string dir = FreshDir("parked_slot_order");
+  {
+    auto store = TieredStore::Open(StoreOpts(dir));
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Append(f.genesis).ok());
+    ASSERT_TRUE((*store)->Append(tail).ok());   // parked on merge
+    ASSERT_TRUE((*store)->Append(merge).ok());  // parked on the tips
+    for (const chain::Block& b : tips) ASSERT_TRUE((*store)->Append(b).ok());
+  }
+  std::map<chain::BlockHash, std::vector<chain::BlockHash>> parents_of = {
+      {f.genesis.hash(), {}},
+      {merge.hash(), merge.header().parents},
+      {tail.hash(), tail.header().parents}};
+  for (const chain::Block& b : tips) parents_of[b.hash()] = b.header().parents;
+
+  exec::ExecConfig cfg;
+  cfg.threads = 4;
+  exec::ThreadPool pool(cfg);
+  const Recovered r = RecoverWith(dir, &pool);
+  ASSERT_EQ(r.slots.size(), parents_of.size());
+  EXPECT_EQ(r.records_replayed, parents_of.size());
+  std::map<chain::BlockHash, std::size_t> slot_of;
+  for (std::size_t s = 0; s < r.slots.size(); ++s) slot_of[r.slots[s]] = s;
+  ASSERT_EQ(slot_of.size(), parents_of.size());
+  for (const auto& [h, parents] : parents_of) {
+    ASSERT_EQ(slot_of.count(h), 1u);
+    for (const chain::BlockHash& p : parents) {
+      EXPECT_LT(slot_of.at(p), slot_of.at(h));
+    }
+  }
   EXPECT_EQ(RecoverWith(dir, nullptr).slots, r.slots);
 }
 

@@ -192,7 +192,8 @@ class Analyzer:
         callables = callable_params(fn.params)
 
         if seed_params:
-            for idx, (pname, _pint) in enumerate(wt.parse_params(fn.params)):
+            for idx, (pname, _pint, _out) in enumerate(
+                    wt.parse_params(fn.params)):
                 if pname and pname not in callables:
                     param_names[pname] = idx
                     taint[pname] = (f"param #{idx}", fn.line)

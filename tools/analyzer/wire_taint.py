@@ -32,8 +32,11 @@ The analysis is intraprocedural over each function body in statement
 order, with one-level summaries for the small decoder helpers: a
 helper whose parameter reaches a sink unsanitized ("sink param")
 propagates the finding to any caller passing it a tainted argument,
-and a helper that bounds a parameter against limits.h ("bounds
-param") sanitizes the caller's argument.
+a helper that bounds a parameter against limits.h ("bounds param")
+sanitizes the caller's argument, and a helper that writes wire data
+through a pointer or non-const reference parameter and returns it
+unbounded ("out param", e.g. a record header parser's length) taints
+the caller's argument from the call on.
 
 Front-ends: --frontend=tokens (default, dependency-free lexical
 front-end over the files named by compile_commands.json or
@@ -316,6 +319,11 @@ class Summary:
     def __init__(self):
         self.sink_params = {}    # index -> sink kind
         self.bounds_params = set()
+        self.out_params = {}     # index -> (flavor, wire source)
+
+    def empty(self):
+        return not (self.sink_params or self.bounds_params or
+                    self.out_params)
 
 
 class Analyzer:
@@ -352,13 +360,19 @@ class Analyzer:
         findings = []
         param_names = {}
         cleaned_params = set()
+        params = parse_params(fn.params)
+        out_names = {pname: idx for idx, (pname, _i, out) in
+                     enumerate(params) if pname and out}
 
         if seed_params:
-            for idx, (pname, pint) in enumerate(parse_params(fn.params)):
+            for idx, (pname, pint, _out) in enumerate(params):
                 if pname:
                     param_names[pname] = idx
                     taint[pname] = ("int" if pint else "data",
                                     f"param #{idx}", fn.line)
+
+        def seeded(name):
+            return name in taint and taint[name][1].startswith("param #")
 
         def add_finding(stmt, line, sink, tainted_var, source):
             findings.append(Finding(
@@ -464,18 +478,34 @@ class Analyzer:
                     add_finding(stmt, line, "overflow-arith", name, src)
 
             # --- sources (taint introduced for *subsequent* statements,
-            # but Read*(&x) guarded in the same statement stays tainted)
+            # but Read*(&x) guarded in the same statement stays tainted).
+            # An out param is already a pointer, so Read*(p) writes it.
             for m in re.finditer(
-                    r"\b(" + INT_SOURCES + r")\s*\(\s*&\s*([\w.\->\[\]]+)",
-                    flat):
-                name = norm(m.group(2))
-                taint[name] = ("int", m.group(1), line)
+                    r"\b(" + INT_SOURCES + r")\s*\(\s*(&)?\s*"
+                    r"([\w.\->\[\]]+)", flat):
+                name = norm(m.group(3))
+                if m.group(2) or name in out_names:
+                    taint[name] = ("int", m.group(1), line)
             for m in re.finditer(
                     r"\b(" + DATA_SOURCES + r")\s*(?:<[^>(]*>)?\s*"
                     r"\(\s*&?\s*([\w.\->\[\]]+)", flat):
                 name = norm(m.group(2))
-                if name not in taint:
+                if name not in taint or (name in out_names and seeded(name)):
                     taint[name] = ("data", m.group(1), line)
+            # helper out params: the argument holds what the helper
+            # wrote from the wire, unbounded.
+            for m in re.finditer(r"\b(\w+)\s*\(", flat):
+                summary = self.summaries.get(m.group(1))
+                if summary is None or not summary.out_params:
+                    continue
+                args = split_args(flat, m.end() - 1)
+                for idx, (flavor, src) in summary.out_params.items():
+                    if idx >= len(args):
+                        continue
+                    am = re.fullmatch(r"&?\s*([\w.\->\[\]]+)", args[idx])
+                    if am:
+                        taint[norm(am.group(1))] = (
+                            flavor, f"{src} via {m.group(1)}", line)
             for m in re.finditer(
                     r"\b(DecodeMessage|ParseEnvelope)\s*\([^,]+,\s*&\s*"
                     r"([\w.\->]+)", flat):
@@ -497,16 +527,20 @@ class Analyzer:
             # --- assignment propagation (after sources so `x = y + z`
             # with tainted y taints x from this statement on)
             am = re.match(
-                r"(?:[\w:<>,\s&*]+?\s)?([\w.\->\[\]]+)\s*[+\-*/|&^]?="
-                r"([^=].*)$", flat)
+                r"(?:[\w:<>,\s&*]+?\s)?\*?\s*([\w.\->\[\]]+)\s*"
+                r"[+\-*/|&^]?=([^=].*)$", flat)
             if am and "==" not in flat[:am.end(1) + 2]:
                 lhs = norm(am.group(1))
-                if lhs not in taint and lhs != clamped_lhs:
+                fresh = lhs not in taint or (lhs in out_names and seeded(lhs))
+                if fresh and lhs != clamped_lhs:
                     flavor, _var, src = self.expr_taint(am.group(2), taint)
                     if flavor:
                         taint[lhs] = (flavor, src, line)
 
-        return findings, param_names, cleaned_params
+        # Out params still holding wire data nothing bounded.
+        out_tainted = {idx: taint[name][:2] for name, idx in out_names.items()
+                       if name in taint and not seeded(name)}
+        return findings, param_names, cleaned_params, out_tainted
 
 
 def snip(stmt, width=60):
@@ -515,7 +549,8 @@ def snip(stmt, width=60):
 
 
 def parse_params(params_text):
-    """Yields (name, is_integer) per parameter."""
+    """Yields (name, is_integer, is_out) per parameter; an out param is
+    a pointer or a non-const lvalue reference the body may write."""
     out = []
     depth = 0
     current = []
@@ -536,13 +571,15 @@ def parse_params(params_text):
         part = part.split("=")[0].strip()
         m = re.search(r"([\w]+)\s*$", part)
         if not m or part in ("void",):
-            out.append((None, False))
+            out.append((None, False, False))
             continue
         name = m.group(1)
         typ = part[:m.start()]
         is_int = bool(INT_TYPE.search(typ)) and "*" not in typ \
             and "&" not in typ
-        out.append((name, is_int))
+        is_out = "*" in typ or ("&" in typ and "&&" not in typ and
+                                not re.search(r"\bconst\b", typ))
+        out.append((name, is_int, is_out))
     return out
 
 
@@ -686,6 +723,21 @@ def allowed(finding, allows):
     return False
 
 
+def summarize(analyzer, fn):
+    """The one-level summary of `fn`, analyzed with tainted params."""
+    findings, param_names, cleaned, out_tainted = analyzer.analyze(
+        fn, seed_params=True)
+    summary = Summary()
+    for finding in findings:
+        if finding.source.startswith("param #"):
+            idx = int(finding.source.split("#")[1])
+            summary.sink_params.setdefault(idx, finding.sink)
+    for pname in cleaned:
+        summary.bounds_params.add(param_names[pname])
+    summary.out_params = out_tainted
+    return summary
+
+
 def analyze_tree(files, root, tcb, frontend, compile_commands):
     # Pass 1: summaries for every function (helpers included), seeded
     # with tainted params; iterate once more so helper-of-helper
@@ -713,31 +765,23 @@ def analyze_tree(files, root, tcb, frontend, compile_commands):
         analyzer = Analyzer(summaries)
         next_summaries = {}
         for fn in all_functions:
-            findings, param_names, cleaned = analyzer.analyze(
-                fn, seed_params=True)
-            summary = Summary()
-            for finding in findings:
-                if finding.source.startswith("param #"):
-                    idx = int(finding.source.split("#")[1])
-                    summary.sink_params.setdefault(idx, finding.sink)
-            for pname in cleaned:
-                summary.bounds_params.add(param_names[pname])
-            if summary.sink_params or summary.bounds_params:
-                prev = next_summaries.get(fn.name)
-                if prev:  # same-named helpers: union conservatively
-                    prev.sink_params.update(summary.sink_params)
-                    prev.bounds_params &= summary.bounds_params
-                else:
-                    next_summaries[fn.name] = summary
+            summary = summarize(analyzer, fn)
+            if summary.empty():
+                continue
+            prev = next_summaries.get(fn.name)
+            if prev:  # same-named helpers: union conservatively
+                prev.sink_params.update(summary.sink_params)
+                prev.bounds_params &= summary.bounds_params
+                prev.out_params.update(summary.out_params)
+            else:
+                next_summaries[fn.name] = summary
         summaries = next_summaries
 
     # Pass 2: the real check — only wire reads introduce taint.
     analyzer = Analyzer(summaries)
     findings = []
     for fn in all_functions:
-        fn_findings, _params, _cleaned = analyzer.analyze(
-            fn, seed_params=False)
-        findings.extend(fn_findings)
+        findings.extend(analyzer.analyze(fn, seed_params=False)[0])
     return findings
 
 
@@ -763,16 +807,9 @@ def run_selftest(fixtures_dir, root):
             summaries = {}
             analyzer = Analyzer({})
             for fn in functions:
-                f, pn, cl = analyzer.analyze(fn, seed_params=True)
-                s = Summary()
-                for finding in f:
-                    if finding.source.startswith("param #"):
-                        s.sink_params.setdefault(
-                            int(finding.source.split("#")[1]), finding.sink)
-                for p in cl:
-                    s.bounds_params.add(pn[p])
-                if s.sink_params or s.bounds_params:
-                    summaries[fn.name] = s
+                summary = summarize(analyzer, fn)
+                if not summary.empty():
+                    summaries[fn.name] = summary
             analyzer = Analyzer(summaries)
             findings = []
             for fn in functions:
