@@ -2,9 +2,10 @@
 // DiffSketch, DiffResult — DESIGN.md §16).
 //
 // Dispatches on PeekType exactly like the sessions do, then decodes
-// the matching message. The hazards are the three new wire counts
-// (range cells, IBLT cells, DiffResult short IDs), each
-// CheckWireCount-bounded; the count-bomb regressions live under
+// the matching message. The hazards are the wire counts (a sketch's
+// symbols, DiffResult short IDs), each CheckWireCount-bounded, and the
+// stream positions a probe or sketch carries, each capped at
+// kMaxSymbols; the count-bomb regressions live under
 // tests/corpus/setdiff_messages/.
 // Canonicality gives the usual strong oracle: any accepted input must
 // re-encode byte-identically.

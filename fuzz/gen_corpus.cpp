@@ -141,23 +141,23 @@ void EmitReconSeeds(const chain::Block& genesis, const chain::Block& child) {
 
 void EmitSetdiffSeeds(const chain::Block& genesis, const chain::Block& child) {
   recon::DiffProbe probe;
-  probe.digest.Insert(genesis.hash());
-  probe.digest.Insert(child.hash());
+  probe.set_size = 1;
+  probe.missing = 1;
   WriteSeed("setdiff_messages", "seed-diff-probe.bin",
             recon::EncodeMessage(probe));
 
-  recon::DiffProbe escalated = probe;
-  escalated.requested_cells = 64;
-  WriteSeed("setdiff_messages", "seed-diff-probe-escalated.bin",
-            recon::EncodeMessage(escalated));
+  recon::DiffProbe next = probe;
+  next.begin = 16;
+  WriteSeed("setdiff_messages", "seed-diff-probe-next-chunk.bin",
+            recon::EncodeMessage(next));
 
   recon::DiffSketch sketch;
   sketch.seed = 0x5a175a175a175a17ULL;
   sketch.set_size = 2;
-  sketch.estimated_delta = 1;
-  sketch.sketch = setdiff::Iblt(16, sketch.seed);
-  sketch.sketch.Insert(setdiff::ShortId(genesis.hash(), sketch.seed));
-  sketch.sketch.Insert(setdiff::ShortId(child.hash(), sketch.seed));
+  sketch.symbols = setdiff::EncodeSymbols(
+      {setdiff::ShortId(genesis.hash(), sketch.seed),
+       setdiff::ShortId(child.hash(), sketch.seed)},
+      0, 16);
   WriteSeed("setdiff_messages", "seed-diff-sketch.bin",
             recon::EncodeMessage(sketch));
 
@@ -172,15 +172,15 @@ void EmitSetdiffSeeds(const chain::Block& genesis, const chain::Block& child) {
   WriteSeed("setdiff_messages", "seed-diff-result-fallback.bin",
             recon::EncodeMessage(fell_back));
 
-  // IBLT cell-count bomb inside a DiffSketch: tag, salt, set_size,
-  // delta, then the wrap-the-check count.
+  // Symbol-count bomb inside a DiffSketch: tag, salt, set_size,
+  // position, then the wrap-the-check count.
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffSketch));
   w.WriteU64(sketch.seed);
   w.WriteVarint(2);
-  w.WriteVarint(1);
+  w.WriteVarint(0);
   AppendCountBomb(&w);
-  WriteSeed("setdiff_messages", "crash-cell-count-bomb.bin", w.Take());
+  WriteSeed("setdiff_messages", "crash-symbol-count-bomb.bin", w.Take());
 }
 
 void EmitEnvelopeSeeds(const chain::Block& genesis) {

@@ -117,8 +117,9 @@ Bytes EncodeMessage(const PushBlocks& m) {
 Bytes EncodeMessage(const DiffProbe& m) {
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(MessageType::kDiffProbe));
-  w.WriteU32(m.requested_cells);
-  m.digest.Encode(&w);
+  w.WriteVarint(m.begin);
+  w.WriteVarint(m.set_size);
+  w.WriteVarint(m.missing);
   return w.Take();
 }
 
@@ -127,8 +128,8 @@ Bytes EncodeMessage(const DiffSketch& m) {
   w.WriteU8(static_cast<std::uint8_t>(MessageType::kDiffSketch));
   w.WriteU64(m.seed);
   w.WriteVarint(m.set_size);
-  w.WriteVarint(m.estimated_delta);
-  m.sketch.Encode(&w);
+  w.WriteVarint(m.begin);
+  setdiff::WriteSymbols(&w, m.symbols);
   return w.Take();
 }
 
@@ -195,13 +196,13 @@ Status DecodeMessage(ByteSpan data, PushBlocks* out) {
 Status DecodeMessage(ByteSpan data, DiffProbe* out) {
   serial::Reader r(data);
   VEGVISIR_RETURN_IF_ERROR(ExpectType(&r, MessageType::kDiffProbe));
-  VEGVISIR_RETURN_IF_ERROR(r.ReadU32(&out->requested_cells));
-  if (out->requested_cells > serial::limits::kMaxIbltCells) {
-    return InvalidArgumentError("cell count exceeds limit");
+  VEGVISIR_RETURN_IF_ERROR(r.ReadVarint(&out->begin));
+  // Not a wire count, but it sizes the responder's reply.
+  if (out->begin > serial::limits::kMaxSymbols) {
+    return InvalidArgumentError("symbol count exceeds limit");
   }
-  auto digest = setdiff::RangeDigest::Decode(&r);
-  if (!digest.ok()) return digest.status();
-  out->digest = std::move(digest).value();
+  VEGVISIR_RETURN_IF_ERROR(r.ReadVarint(&out->set_size));
+  VEGVISIR_RETURN_IF_ERROR(r.ReadVarint(&out->missing));
   return r.ExpectEnd();
 }
 
@@ -210,10 +211,11 @@ Status DecodeMessage(ByteSpan data, DiffSketch* out) {
   VEGVISIR_RETURN_IF_ERROR(ExpectType(&r, MessageType::kDiffSketch));
   VEGVISIR_RETURN_IF_ERROR(r.ReadU64(&out->seed));
   VEGVISIR_RETURN_IF_ERROR(r.ReadVarint(&out->set_size));
-  VEGVISIR_RETURN_IF_ERROR(r.ReadVarint(&out->estimated_delta));
-  auto sketch = setdiff::Iblt::Decode(&r, out->seed);
-  if (!sketch.ok()) return sketch.status();
-  out->sketch = std::move(sketch).value();
+  VEGVISIR_RETURN_IF_ERROR(r.ReadVarint(&out->begin));
+  if (out->begin > serial::limits::kMaxSymbols) {
+    return InvalidArgumentError("symbol count exceeds limit");
+  }
+  VEGVISIR_RETURN_IF_ERROR(setdiff::ReadSymbols(&r, &out->symbols));
   return r.ExpectEnd();
 }
 

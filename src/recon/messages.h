@@ -15,14 +15,16 @@
 // up, the initiator pushes the blocks the responder provably lacks.
 //
 // DiffProbe/DiffSketch/DiffResult are reconciliation v2 (DESIGN.md
-// §16). When the level-1 round leaves a gap, the initiator probes
-// with a range digest of its whole hash set, the responder answers
-// with a delta-sized IBLT over salted 64-bit short IDs, and the
-// initiator reports the peel outcome. A successful peel's DiffResult
-// also names the short IDs whose bodies the initiator wants, so the
-// responder answers it with the BlockResponse directly; failure falls
-// back to level escalation. There are no protocol versions: every
-// responder serves every message, whatever its own mode.
+// §16). When the level-1 round leaves a gap, the initiator asks for a
+// prefix of the responder's rateless symbol stream (setdiff/iblt.h)
+// over salted 64-bit short IDs, peels it against its own set, and
+// asks for the next chunk while symbol 0 still holds keys. Its
+// DiffResult reports the outcome; a successful peel's result also
+// names the short IDs whose bodies the initiator wants, so the
+// responder answers it with the BlockResponse directly. Failure, or a
+// stream past the symbol cap, falls back to level escalation. There
+// are no protocol versions: every responder serves every message,
+// whatever its own mode.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +32,6 @@
 
 #include "chain/types.h"
 #include "serial/codec.h"
-#include "setdiff/digest.h"
 #include "setdiff/iblt.h"
 #include "util/bytes.h"
 #include "util/status.h"
@@ -83,42 +84,42 @@ struct PushBlocks {
   std::vector<Bytes> blocks;
 };
 
-// Opens a setdiff negotiation once the level-1 round has shown the
-// replicas differ: the initiator's whole-set range digest plus enough
-// context for the responder to size an IBLT reply. The responder
-// always answers with a sketch. Genesis was already checked by the
-// session's opening FrontierRequest, so the probe does not repeat it.
+// Asks for the responder's stream from symbol `begin` on; the first
+// probe of a session has begin 0. The responder sizes the chunk: the
+// first one from the two fields below, each later one doubling the
+// prefix. Genesis was already checked by the session's opening
+// FrontierRequest, so the probe does not repeat it.
 struct DiffProbe {
-  // 0: responder sizes the sketch from the digest delta estimate.
-  // >0: escalation retry after a failed peel; the responder honours
-  // the request (clamped to its configured ceiling).
-  std::uint32_t requested_cells = 0;
-  setdiff::RangeDigest digest;
-};
-
-// The responder's delta-sized IBLT over the short IDs of its whole
-// block set.
-struct DiffSketch {
-  // The session salt: both the ShortId salt and the IBLT seed. The
-  // responder derives it from the probe, its own frontier and the
-  // cell count, so it changes on every escalation; carried explicitly
-  // so the initiator never guesses.
-  std::uint64_t seed = 0;
-  // Responder's total set size — lets the initiator sanity-check a
-  // peel that claims more one-sided difference than the peer holds.
+  std::uint64_t begin = 0;
+  // The initiator's set size and how many of the responder's level-1
+  // frontier blocks it lacks: with its own size, the responder bounds
+  // the difference from below.
   std::uint64_t set_size = 0;
-  // The responder's own delta estimate, for telemetry and tests.
-  std::uint64_t estimated_delta = 0;
-  setdiff::Iblt sketch{1, 0};
+  std::uint64_t missing = 0;
 };
 
-// The initiator's verdict on a sketch, in the sketch's short IDs. On
-// success it names the blocks the responder is missing (the peel's
+// One chunk of the responder's symbol stream over the short IDs of
+// the set it fixed at the session's first probe.
+struct DiffSketch {
+  // The session salt: the ShortId salt of every key in the stream. The
+  // responder derives it from the opening request's frontier digest
+  // and its own; carried explicitly so the initiator never guesses.
+  std::uint64_t seed = 0;
+  // Responder's set size: lets the initiator sanity-check a peel that
+  // claims more one-sided difference than the peer holds.
+  std::uint64_t set_size = 0;
+  // Stream index of symbols[0].
+  std::uint64_t begin = 0;
+  std::vector<setdiff::CodedSymbol> symbols;
+};
+
+// The initiator's verdict on a stream, in its short IDs. On success it
+// names the blocks the responder is missing (the peel's
 // initiator-only side) and `want`, the peer-only IDs whose bodies the
 // initiator still needs; the responder answers a non-empty `want`
 // with one BlockResponse. On failure both lists are empty and the
-// responder just learns the attempt is over (the initiator either
-// re-probes with more cells or falls back to level escalation).
+// responder just learns the attempt is over (level escalation
+// follows).
 struct DiffResult {
   bool decoded = false;
   std::vector<std::uint64_t> peer_missing;

@@ -15,16 +15,16 @@
 //     the bodies it is missing, and every gap is closed by level
 //     escalation.
 //   kSetDiff (reconciliation v2, DESIGN.md §16): hash-first, except
-//     that if level 1 leaves a gap, the initiator probes once
-//     with a range digest of its whole hash set, the responder
-//     replies with an IBLT of salted 64-bit short IDs sized to the
-//     estimated delta, and a successful peel yields exactly the
-//     differing IDs — wire cost proportional to the delta, not the
-//     DAG. The initiator resolves its own IDs to hashes and names the
-//     peer-only IDs it wants in its DiffResult, which the responder
-//     resolves and answers with the bodies. A failed peel (or an ID
-//     the initiator cannot resolve) escalates the cell count once,
-//     then falls back to hash-first level escalation.
+//     that if level 1 leaves a gap, the initiator reads a prefix of
+//     the responder's rateless symbol stream over salted 64-bit short
+//     IDs (setdiff/iblt.h) and peels it against its own set, asking
+//     for a twice-as-long prefix while it is stuck. A successful peel
+//     yields exactly the differing IDs — wire cost proportional to
+//     the delta, not the DAG. The initiator resolves its own IDs to
+//     hashes and names the peer-only IDs it wants in its DiffResult,
+//     which the responder resolves and answers with the bodies. A
+//     failed peel, an ID the initiator cannot resolve, or a stream
+//     past the symbol cap falls back to hash-first level escalation.
 //
 // The mode only shapes what an initiator asks for: every responder
 // serves every message, so fleets that mix modes interoperate.
@@ -82,13 +82,13 @@ struct SessionMetrics {
   telemetry::Counter level_cap_hit;
   // setdiff negotiation (global setdiff.* names, not per-side: the
   // probe/decode legs are initiator-only and the sketch legs
-  // responder-only, so per-side copies would just be zeros).
+  // responder-only, so per-side copies would just be zeros). A probe
+  // asks for one chunk of the symbol stream and a sketch carries it.
   telemetry::Counter setdiff_probes;          // initiator
   telemetry::Counter setdiff_sketches_sent;   // responder
   telemetry::Counter setdiff_sketch_bytes;    // responder
   telemetry::Counter setdiff_decode_success;  // initiator
   telemetry::Counter setdiff_decode_failure;  // initiator
-  telemetry::Counter setdiff_escalations;     // initiator
   telemetry::Counter setdiff_fallbacks;       // initiator
   telemetry::Counter setdiff_want_unresolved;  // responder
   // Bytes sent per message type (recon.bytes.<message>, both sides
@@ -155,10 +155,11 @@ class ReconHost {
 struct ReconConfig {
   enum class Mode { kBlockPush = 0, kHashFirst = 1, kSetDiff = 2 };
   Mode mode = Mode::kBlockPush;
-  // Ceiling on IBLT cells this node will build or request. Defaults
-  // to the wire cap (serial::limits::kMaxIbltCells); tests lower it
-  // to force peel failures and exercise the fallback ladder.
-  std::uint32_t max_iblt_cells = 1u << 16;
+  // Ceiling on the symbols of one session's stream, counted from its
+  // start, that this node will serve or request. Defaults to the wire
+  // cap (serial::limits::kMaxSymbols); tests lower it to force the
+  // fallback to level escalation.
+  std::uint32_t max_symbols = 1u << 16;
   // Give up escalating past this frontier level (a safety valve; the
   // escalation naturally stops once the set reaches the genesis).
   std::uint32_t max_level = 1u << 20;
@@ -205,12 +206,14 @@ class InitiatorSession {
   // setdiff negotiation progress (mode kSetDiff only).
   enum class DiffPhase {
     kInactive,     // not negotiated yet (or never: block-push, hash-first)
-    kAwaitSketch,  // probe sent, sketch not yet received
+    kAwaitSketch,  // probe sent, its chunk of the stream not yet received
     kAwaitBlocks,  // peel succeeded, fetching the missing bodies
     kFellBack,     // negotiation abandoned; level escalation active
   };
 
   Bytes MakeFrontierRequest();
+  // Asks for the responder's stream from the first symbol not yet
+  // received.
   Bytes MakeDiffProbe();
   // True when frontier responses should carry hashes only and gaps
   // are closed with BlockRequest fetches (hash-first, and setdiff
@@ -218,6 +221,10 @@ class InitiatorSession {
   bool HashFirstActive() const;
   Status HandleFrontierResponse(ByteSpan data, std::vector<Bytes>* out);
   Status HandleDiffSketch(ByteSpan data, std::vector<Bytes>* out);
+  // Peels the stream's first chunk against the DAG and the stash.
+  void StartDecoder(std::uint64_t salt);
+  // Reports a peeled difference and asks for the bodies it lacks.
+  Status SendDiffResult(std::vector<Bytes>* out);
   // Abandons the setdiff negotiation for level escalation, resuming
   // one level below the opening round. `notify` additionally tells
   // the responder the attempt failed (skipped when a DiffResult for
@@ -227,17 +234,18 @@ class InitiatorSession {
   Status StashBlocks(const std::vector<Bytes>& blocks);
   // Merges the stash into the DAG (fixpoint). Returns true if every
   // stashed block was resolved (inserted / duplicate / rejected);
-  // false if some still miss parents (they are handed to the host's
-  // quarantine so partial progress survives) and escalation must
-  // continue.
+  // false if some still miss parents and escalation must continue.
+  // Those stay stashed while the symbol stream is still to come (its
+  // delta brings their ancestry); otherwise they are handed to the
+  // host's quarantine so partial progress survives.
   bool TryMerge();
   // True once every block the peer advertised is *inserted* in the
   // local DAG (quarantined does not count — a quarantined frontier
   // still needs its ancestry fetched).
   bool CaughtUp() const;
-  // Called when a frontier round left a gap. A setdiff session that
-  // has not negotiated yet sends its one DiffProbe; otherwise the
-  // level goes up by one (or the session fails at max_level).
+  // Called when a round left a gap. A setdiff session that has not
+  // negotiated yet opens the symbol stream; otherwise the level goes
+  // up by one (or the session fails at max_level).
   Status EscalateOrFail(std::vector<Bytes>* out);
   void FinishMaybePush(std::vector<Bytes>* out);
   void MarkFailed();
@@ -250,17 +258,13 @@ class InitiatorSession {
   SessionMetrics metrics_;
   std::uint32_t level_ = 1;
   DiffPhase diff_phase_ = DiffPhase::kInactive;
-  // Cell count to request in the next probe (0 = let the responder
-  // size from its delta estimate; nonzero after a failed peel).
-  std::uint32_t diff_cells_requested_ = 0;
-  // The one cell-count escalation has been spent; the next peel
-  // failure falls back to level escalation.
-  bool diff_escalated_ = false;
+  // Peels the responder's stream; built at its first chunk.
+  std::optional<setdiff::SymbolDecoder> decoder_;
   // Bodies received this session, keyed by hash, not yet inserted.
   std::map<chain::BlockHash, chain::Block> stash_;
   // What this session asked for: hashes it requested or was
-  // advertised, and the short IDs of its last DiffResult's `want`
-  // under that sketch's salt. A body matching neither is unsolicited
+  // advertised, and the short IDs of its DiffResult's `want` under the
+  // stream's salt. A body matching neither is unsolicited
   // (wire corruption or a hostile peer) and is dropped before the
   // host can park it.
   std::set<chain::BlockHash> requested_;
@@ -299,12 +303,12 @@ class ResponderSession {
   ReconConfig config_;
   SessionStats stats_;
   SessionMetrics metrics_;
-  // A FrontierRequest (which checks genesis) has been accepted; a
-  // DiffProbe is only served after one.
-  bool frontier_seen_ = false;
-  // The salt of the last sketch sent and how many of the DAG's
-  // insertion-ordered hashes it covered (a prefix of Dag::Hashes());
-  // a DiffResult's `want` IDs are resolved there.
+  // The frontier digest of the session's opening FrontierRequest
+  // (which checks genesis); a DiffProbe is only served after one.
+  std::optional<chain::BlockHash> opening_digest_;
+  // The stream's salt and how many of the DAG's insertion-ordered
+  // hashes it codes (a prefix of Dag::Hashes()), both fixed by the
+  // first probe; a DiffResult's `want` IDs are resolved there.
   std::optional<std::uint64_t> salt_;
   std::size_t sketched_ = 0;
 };

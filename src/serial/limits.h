@@ -43,18 +43,15 @@ inline constexpr std::uint64_t kMaxWireBlocks = 1u << 16;
 inline constexpr std::uint64_t kMaxFrontierLevel = 1u << 20;
 
 // --- set-difference negotiation (setdiff/, recon/messages.cpp) -----
-// Range cells per DiffProbe digest. The probe partitions the 256-bit
-// hash space into a fixed number of ranges (64 today); anything
-// larger than this cap is a hostile or corrupt probe.
-inline constexpr std::uint64_t kMaxDiffRanges = 1u << 10;
-// IBLT cells per DiffSketch. Cells scale with the *delta*, not the
-// DAG, and the responder sizes them at ~1.5x the estimated symmetric
-// difference; a sketch claiming more cells than kMaxWireBlocks worth
-// of delta is useless anyway.
-inline constexpr std::uint64_t kMaxIbltCells = 1u << 16;
+// Coded symbols per session stream (setdiff/iblt.h): the most a
+// DiffProbe may ask for and a DiffSketch may carry, counted from the
+// stream's start. Symbols scale with the *delta*, not the DAG, at
+// about 1.35-2x it; a stream longer than kMaxWireBlocks worth of delta
+// is useless anyway.
+inline constexpr std::uint64_t kMaxSymbols = 1u << 16;
 // Short IDs per DiffResult list (peer_missing, want): each is one
 // side of a decoded difference, which can never legitimately exceed
-// the cell count that produced it.
+// the symbol count that produced it.
 inline constexpr std::uint64_t kMaxDiffIds = 1u << 16;
 
 // --- block / transaction encoding (chain/) -------------------------

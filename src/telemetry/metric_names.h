@@ -108,10 +108,10 @@ inline constexpr std::string_view kCounters[] = {
     // setdiff negotiation legs (src/recon/session, src/setdiff). The
     // names are global, not per-side: each leg runs on exactly one
     // side (probes/decodes on the initiator, sketches on the
-    // responder), so per-side copies would just be zeros.
+    // responder), so per-side copies would just be zeros. A probe asks
+    // for one chunk of the symbol stream; a sketch carries it.
     "setdiff.decode_failure",
     "setdiff.decode_success",
-    "setdiff.escalations",
     "setdiff.fallbacks",
     "setdiff.probes",
     "setdiff.sketch_bytes",

@@ -199,13 +199,13 @@ TEST(CorpusTest, SetdiffCellCountBombRejectedCleanly) {
   w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffSketch));
   w.WriteU64(0x5a17);  // salt
   w.WriteVarint(2);    // set_size
-  w.WriteVarint(1);    // estimated_delta
+  w.WriteVarint(0);    // begin
   AppendCountBomb(&w);
   const Bytes bomb = w.Take();
   recon::DiffSketch out;
   const Status status = recon::DecodeMessage(bomb, &out);
   ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "cell count exceeds input");
+  EXPECT_EQ(status.message(), "symbol count exceeds input");
 }
 
 TEST(CorpusTest, MembershipRevocationCountBombRejectedCleanly) {

@@ -84,33 +84,20 @@ TEST(LimitsTest, WireBlockLimitBombRejected) {
 
 // ------------------------------------------- setdiff wire messages
 
-TEST(LimitsTest, DiffRangeLimitBombRejected) {
-  serial::Writer w;
-  w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffProbe));
-  w.WriteU32(0);  // no requested cells
-  const Bytes bomb = WithLimitBomb(&w, limits::kMaxDiffRanges,
-                                   setdiff::kRangeCellWireBytes);
-  recon::DiffProbe out;
-  const Status status = recon::DecodeMessage(bomb, &out);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "range count exceeds limit");
-  EXPECT_STREQ(recon::DecodeRejectName(status), "count_overflow");
-}
-
 TEST(LimitsTest, IbltCellLimitBombRejected) {
-  // The expensive half (~2.6 MiB of padding) of the cell-count bomb;
+  // The expensive half (~1.1 MiB of padding) of the symbol-count bomb;
   // corpus_test pins the cheap "exceeds input" half.
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffSketch));
   w.WriteU64(7);     // salt
   w.WriteVarint(1);  // set_size
-  w.WriteVarint(1);  // estimated_delta
-  const Bytes bomb = WithLimitBomb(&w, limits::kMaxIbltCells,
-                                   setdiff::kIbltCellWireBytes);
+  w.WriteVarint(0);  // begin
+  const Bytes bomb = WithLimitBomb(&w, limits::kMaxSymbols,
+                                   setdiff::kSymbolWireBytes);
   recon::DiffSketch out;
   const Status status = recon::DecodeMessage(bomb, &out);
   ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "cell count exceeds limit");
+  EXPECT_EQ(status.message(), "symbol count exceeds limit");
   EXPECT_STREQ(recon::DecodeRejectName(status), "count_overflow");
 }
 
@@ -132,15 +119,23 @@ TEST(LimitsTest, DiffHashLimitBombRejected) {
 }
 
 TEST(LimitsTest, DiffProbeRequestedCellsAboveLimitRejected) {
-  // requested_cells is a fixed-width field, not a wire count, but it
-  // sizes the responder's reply sketch — so the decoder rejects any
-  // value above kMaxIbltCells outright.
+  // A probe's or a sketch's stream position is not a wire count, but
+  // it sizes the responder's reply chunk (or claims to extend a
+  // stream past the cap) — so the decoders reject one above
+  // kMaxSymbols outright.
   recon::DiffProbe probe;
-  probe.requested_cells = limits::kMaxIbltCells + 1;
-  recon::DiffProbe out;
-  const Status status = recon::DecodeMessage(recon::EncodeMessage(probe), &out);
+  probe.begin = limits::kMaxSymbols + 1;
+  recon::DiffProbe probe_out;
+  Status status =
+      recon::DecodeMessage(recon::EncodeMessage(probe), &probe_out);
   ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "cell count exceeds limit");
+  EXPECT_EQ(status.message(), "symbol count exceeds limit");
+  recon::DiffSketch sketch;
+  sketch.begin = limits::kMaxSymbols + 1;
+  recon::DiffSketch sketch_out;
+  status = recon::DecodeMessage(recon::EncodeMessage(sketch), &sketch_out);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message(), "symbol count exceeds limit");
 }
 
 TEST(LimitsTest, FrontierLevelIsCappedByProtocolLimit) {

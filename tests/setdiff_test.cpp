@@ -1,10 +1,11 @@
-// Reconciliation v2 (DESIGN.md §16): the IBLT codec, the range-digest
-// delta estimator, the three negotiation messages, and the kSetDiff
-// session ladder end to end — including the decode-failure escalation
-// and the level-escalation fallback, which must reconverge exactly.
+// Reconciliation v2 (DESIGN.md §16): the rateless symbol codec, the
+// three negotiation messages, and the kSetDiff session end to end —
+// including streams read over several chunks and the fallback to
+// level escalation, which must reconverge exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
@@ -17,7 +18,6 @@
 #include "recon/session.h"
 #include "serial/codec.h"
 #include "serial/limits.h"
-#include "setdiff/digest.h"
 #include "setdiff/iblt.h"
 #include "util/rng.h"
 
@@ -25,10 +25,6 @@ namespace vegvisir::setdiff {
 namespace {
 
 using chain::BlockHash;
-
-// Fixed table seeds for the codec tests; sessions derive theirs per
-// sketch (the session salt).
-constexpr std::uint64_t kSeed16 = 0x5eed0016;
 
 BlockHash HashFromRng(Rng* rng) {
   BlockHash h;
@@ -41,130 +37,190 @@ BlockHash HashFromRng(Rng* rng) {
   return h;
 }
 
-// ------------------------------------------------------------- IBLT
+std::vector<std::uint64_t> RandomKeys(Rng* rng, std::size_t n) {
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = 0; i < n; ++i) keys.push_back(rng->NextU64());
+  return keys;
+}
 
+std::vector<std::uint64_t> Sorted(std::vector<std::uint64_t> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+// Reads `remote`'s stream against `local` the way a session does:
+// SymbolsFor(hint) first, then twice as far while stuck.
+SymbolDecoder ReadStream(const std::vector<std::uint64_t>& remote,
+                         const std::vector<std::uint64_t>& local,
+                         std::uint64_t hint, int* chunks = nullptr) {
+  SymbolDecoder decoder(local);
+  std::uint64_t count = SymbolsFor(hint);
+  int n = 0;
+  while (!decoder.decoded() && !decoder.failed() &&
+         decoder.received() < serial::limits::kMaxSymbols) {
+    decoder.Add(EncodeSymbols(remote, decoder.received(), count));
+    ++n;
+    count = decoder.received();
+  }
+  if (chunks != nullptr) *chunks = n;
+  return decoder;
+}
+
+// ------------------------------------------------------ symbol codec
+
+// A set's stream is the sum of its keys' streams: erasing every key
+// from it, one key's stream at a time, leaves nothing.
 TEST(IbltTest, InsertEraseCancelsToZero) {
   Rng rng(1);
-  Iblt t(32, kSeed16);
-  std::vector<std::uint64_t> keys;
-  for (int i = 0; i < 10; ++i) keys.push_back(rng.NextU64());
-  for (const auto& k : keys) t.Insert(k);
-  for (const auto& k : keys) t.Erase(k);
-  for (const auto& cell : t.cells()) EXPECT_TRUE(cell.IsZero());
+  const std::vector<std::uint64_t> keys = RandomKeys(&rng, 10);
+  std::vector<CodedSymbol> stream = EncodeSymbols(keys, 0, 32);
+  ASSERT_EQ(stream.size(), 32u);
+  EXPECT_EQ(stream[0].count, 10);  // symbol 0 holds every key
+  for (const std::uint64_t k : keys) {
+    const std::vector<CodedSymbol> one = EncodeSymbols({k}, 0, 32);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      stream[i].count -= one[i].count;
+      stream[i].key_sum ^= one[i].key_sum;
+      stream[i].check_sum ^= one[i].check_sum;
+    }
+  }
+  for (const auto& symbol : stream) EXPECT_TRUE(symbol.IsZero());
 }
 
+// A chunk is the stream's slice at its own position: chunks tile the
+// stream exactly, and the decoder subtracts its set at the position
+// the chunk was coded for. A chunk coded for another position never
+// decodes to a difference.
 TEST(IbltTest, SubtractRequiresMatchingGeometry) {
-  Iblt a(16, 1);
-  Iblt wrong_cells(32, 1);
-  Iblt wrong_seed(16, 2);
-  EXPECT_FALSE(a.Subtract(wrong_cells).ok());
-  EXPECT_FALSE(a.Subtract(wrong_seed).ok());
-  Iblt ok(16, 1);
-  EXPECT_TRUE(a.Subtract(ok).ok());
+  Rng rng(2);
+  const std::vector<std::uint64_t> keys = RandomKeys(&rng, 40);
+  const std::vector<CodedSymbol> whole = EncodeSymbols(keys, 0, 50);
+  std::vector<CodedSymbol> tiled = EncodeSymbols(keys, 0, 13);
+  const std::vector<CodedSymbol> rest = EncodeSymbols(keys, 13, 37);
+  tiled.insert(tiled.end(), rest.begin(), rest.end());
+  EXPECT_EQ(tiled, whole);
+
+  const std::vector<std::uint64_t> local(keys.begin(), keys.begin() + 35);
+  SymbolDecoder shifted(local);
+  shifted.Add(EncodeSymbols(keys, 7, 50));
+  EXPECT_FALSE(shifted.decoded());
+  EXPECT_TRUE(shifted.remote_only().empty());
+  SymbolDecoder aligned(local);
+  aligned.Add(whole);
+  ASSERT_TRUE(aligned.decoded());
+  EXPECT_EQ(aligned.remote_only(),
+            Sorted(std::vector<std::uint64_t>(keys.begin() + 35, keys.end())));
 }
 
-// The core property: random symmetric differences within the sizing
-// margin peel back exactly — every differing key on the correct side,
-// both outputs sorted, nothing invented.
+// The index mapping: symbol i holds a key with probability
+// 1/(1 + i/2), so its expected count over n keys is 2n/(i+2).
+TEST(IbltTest, SymbolDensityFollowsTheRatelessMapping) {
+  Rng rng(3);
+  const std::size_t n = 20'000;
+  const std::vector<CodedSymbol> stream =
+      EncodeSymbols(RandomKeys(&rng, n), 0, 200);
+  for (const std::size_t i : {0u, 1u, 2u, 6u, 20u, 64u, 199u}) {
+    const double expected = 2.0 * n / static_cast<double>(i + 2);
+    // Five binomial standard deviations.
+    EXPECT_NEAR(static_cast<double>(stream[i].count), expected,
+                5 * std::sqrt(expected) + 1)
+        << "symbol " << i;
+  }
+}
+
+// The core property: random symmetric differences peel back exactly —
+// every differing key on the correct side, both outputs sorted,
+// nothing invented.
 TEST(IbltTest, RandomSymmetricDifferencesDecodeExactly) {
   Rng rng(42);
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t shared = rng.NextBelow(200);
-    const std::size_t a_only_n = rng.NextBelow(20);
-    const std::size_t b_only_n = rng.NextBelow(20);
-    const std::size_t cells =
-        CellsForDelta(a_only_n + b_only_n, serial::limits::kMaxIbltCells);
-    const std::uint64_t seed = rng.NextU64();
+    const std::vector<std::uint64_t> common = RandomKeys(&rng, shared);
+    const std::vector<std::uint64_t> a_only =
+        RandomKeys(&rng, rng.NextBelow(20));
+    const std::vector<std::uint64_t> b_only =
+        RandomKeys(&rng, rng.NextBelow(20));
+    std::vector<std::uint64_t> a = common, b = common;
+    a.insert(a.end(), a_only.begin(), a_only.end());
+    b.insert(b.end(), b_only.begin(), b_only.end());
 
-    Iblt a(cells, seed);
-    Iblt b(cells, seed);
-    std::vector<std::uint64_t> a_only, b_only;
-    for (std::size_t i = 0; i < shared; ++i) {
-      const std::uint64_t k = rng.NextU64();
-      a.Insert(k);
-      b.Insert(k);
-    }
-    for (std::size_t i = 0; i < a_only_n; ++i) {
-      a_only.push_back(rng.NextU64());
-      a.Insert(a_only.back());
-    }
-    for (std::size_t i = 0; i < b_only_n; ++i) {
-      b_only.push_back(rng.NextU64());
-      b.Insert(b_only.back());
-    }
-
-    // Mirror the session ladder: peel at the estimated size, and on
-    // the (rare, legitimate) failure retry once at the escalated
-    // size under a fresh seed, which must always succeed for
-    // in-margin deltas.
-    std::vector<std::uint64_t> plus, minus;
-    Iblt diff = a;
-    ASSERT_TRUE(diff.Subtract(b).ok());
-    if (!diff.Peel(&plus, &minus)) {
-      const std::size_t big =
-          EscalatedCells(cells, serial::limits::kMaxIbltCells);
-      const std::uint64_t big_seed = rng.NextU64();
-      // Rebuild at the escalated geometry. Shared keys cancel under
-      // subtraction, so inserting only the difference is equivalent.
-      Iblt a2(big, big_seed), b2(big, big_seed);
-      for (const auto& k : a_only) a2.Insert(k);
-      for (const auto& k : b_only) b2.Insert(k);
-      ASSERT_TRUE(a2.Subtract(b2).ok());
-      ASSERT_TRUE(a2.Peel(&plus, &minus))
-          << "trial " << trial << ": delta " << (a_only_n + b_only_n)
-          << " failed to peel even at " << big << " cells";
-    }
-    std::sort(a_only.begin(), a_only.end());
-    std::sort(b_only.begin(), b_only.end());
-    EXPECT_EQ(plus, a_only) << "trial " << trial;
-    EXPECT_EQ(minus, b_only) << "trial " << trial;
-    EXPECT_TRUE(std::is_sorted(plus.begin(), plus.end()));
-    EXPECT_TRUE(std::is_sorted(minus.begin(), minus.end()));
+    // The peer (b) streams; this side (a) peels.
+    const SymbolDecoder decoder = ReadStream(b, a, 1);
+    ASSERT_TRUE(decoder.decoded()) << "trial " << trial;
+    EXPECT_EQ(decoder.remote_only(), Sorted(b_only)) << "trial " << trial;
+    EXPECT_EQ(decoder.local_only(), Sorted(a_only)) << "trial " << trial;
   }
 }
 
-// Oversized deltas must fail loudly — Peel returns false with empty
-// outputs — never silently return a subset.
+// Streaming peel: a difference the first chunk cannot decode finishes
+// after later chunks, with exactly the output one long chunk gives.
+TEST(IbltTest, StreamingPeelMatchesOneChunk) {
+  Rng rng(43);
+  const std::vector<std::uint64_t> common = RandomKeys(&rng, 300);
+  const std::vector<std::uint64_t> a_only = RandomKeys(&rng, 45);
+  const std::vector<std::uint64_t> b_only = RandomKeys(&rng, 30);
+  std::vector<std::uint64_t> a = common, b = common;
+  a.insert(a.end(), a_only.begin(), a_only.end());
+  b.insert(b.end(), b_only.begin(), b_only.end());
+
+  SymbolDecoder first(a);
+  first.Add(EncodeSymbols(b, 0, SymbolsFor(1)));
+  EXPECT_FALSE(first.decoded());
+  EXPECT_FALSE(first.failed());
+
+  int chunks = 0;
+  const SymbolDecoder streamed = ReadStream(b, a, 1, &chunks);
+  ASSERT_TRUE(streamed.decoded());
+  EXPECT_GE(chunks, 4);
+  SymbolDecoder whole(a);
+  whole.Add(EncodeSymbols(b, 0, streamed.received()));
+  ASSERT_TRUE(whole.decoded());
+  EXPECT_EQ(streamed.remote_only(), whole.remote_only());
+  EXPECT_EQ(streamed.local_only(), whole.local_only());
+  EXPECT_EQ(streamed.remote_only(), Sorted(b_only));
+  EXPECT_EQ(streamed.local_only(), Sorted(a_only));
+}
+
+// A prefix too short for the difference fails loudly: no lists, never
+// a silent subset, and the decoder asks for more rather than failing.
 TEST(IbltTest, OversizedDeltaFailsLoudly) {
   Rng rng(7);
-  const std::size_t cells = 16;
-  Iblt a(cells, kSeed16);
-  Iblt b(cells, kSeed16);
-  // 64 differing keys cannot fit a 16-cell table (threshold ~cells/1.3).
-  for (int i = 0; i < 64; ++i) a.Insert(rng.NextU64());
-  ASSERT_TRUE(a.Subtract(b).ok());
-  std::vector<std::uint64_t> plus, minus;
-  EXPECT_FALSE(a.Peel(&plus, &minus));
-  EXPECT_TRUE(plus.empty());
-  EXPECT_TRUE(minus.empty());
+  const std::vector<std::uint64_t> keys = RandomKeys(&rng, 64);
+  SymbolDecoder decoder({});
+  decoder.Add(EncodeSymbols(keys, 0, 16));
+  EXPECT_FALSE(decoder.decoded());
+  EXPECT_FALSE(decoder.failed());
+  EXPECT_EQ(decoder.received(), 16u);
+  EXPECT_TRUE(decoder.remote_only().empty());
+  EXPECT_TRUE(decoder.local_only().empty());
 }
 
 TEST(IbltTest, EncodeDecodeRoundTripsByteExactly) {
   Rng rng(9);
-  Iblt t(24, kSeed16);
-  for (int i = 0; i < 12; ++i) t.Insert(rng.NextU64());
+  const std::vector<CodedSymbol> symbols =
+      EncodeSymbols(RandomKeys(&rng, 12), 3, 24);
   serial::Writer w;
-  t.Encode(&w);
+  WriteSymbols(&w, symbols);
   const Bytes raw = w.Take();
   serial::Reader r(raw);
-  auto back = Iblt::Decode(&r, t.seed());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->cell_count(), t.cell_count());
-  EXPECT_TRUE(back->cells() == t.cells());
+  std::vector<CodedSymbol> back;
+  ASSERT_TRUE(ReadSymbols(&r, &back).ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(back, symbols);
   serial::Writer w2;
-  back->Encode(&w2);
+  WriteSymbols(&w2, back);
   EXPECT_EQ(w2.Take(), raw);
 }
 
 TEST(IbltTest, SizingPolicy) {
-  // 2x margin with a floor of 16, clamped to the cap.
-  EXPECT_EQ(CellsForDelta(0, 1u << 16), 16u);
-  EXPECT_EQ(CellsForDelta(4, 1u << 16), 16u);
-  EXPECT_EQ(CellsForDelta(100, 1u << 16), 208u);
-  EXPECT_EQ(CellsForDelta(1u << 20, 1u << 16), std::size_t{1} << 16);
-  EXPECT_EQ(EscalatedCells(16, 1u << 16), 64u);
-  EXPECT_EQ(EscalatedCells(100, 128), 128u);
-  // A new salt (every escalation brings one) re-keys every ID.
+  // 1.5d + 2 sqrt(d) + 1: a single key gets four symbols, and large
+  // differences approach 1.5 symbols per key.
+  EXPECT_EQ(SymbolsFor(0), 1u);
+  EXPECT_EQ(SymbolsFor(1), 4u);
+  EXPECT_EQ(SymbolsFor(2), 6u);
+  EXPECT_EQ(SymbolsFor(64), 113u);
+  EXPECT_EQ(SymbolsFor(2000), 3089u);
+  // A new salt re-keys every ID.
   Rng rng(3);
   const BlockHash h = HashFromRng(&rng);
   EXPECT_NE(ShortId(h, 16), ShortId(h, 64));
@@ -187,154 +243,65 @@ TEST(IbltTest, ShortIdMixesEveryLane) {
   EXPECT_EQ(ShortId(h, salt), ShortId(h, salt));
 }
 
-// A forged table in which two cells hand one key back and forth must
-// fail the peel, not loop: a key at +1 in one of its cells and absent
-// from the other two peels into -1 in those two, which peel it back.
+// A forged stream in which symbols hand one key back and forth must
+// fail the peel, not loop: a key left at +1 in symbol 0 and wiped from
+// its other symbols peels into -1 in those, which peel it back.
 TEST(IbltTest, ForgedPingPongTableFailsInsteadOfLooping) {
   const std::uint64_t key = 0x1234;
-  // Find the key's cells by inserting it into an empty table.
-  Iblt probe(16, kSeed16);
-  probe.Insert(key);
-  std::size_t first = 0;
-  while (probe.cells()[first].IsZero()) ++first;
-  serial::Writer w;
-  w.WriteVarint(16);
-  for (std::size_t i = 0; i < 16; ++i) {
-    const IbltCell& c = probe.cells()[i];
-    const bool keep = i == first;
-    w.WriteI64(keep ? c.count : 0);
-    w.WriteU64(keep ? c.key_sum : 0);
-    w.WriteU64(keep ? c.check_sum : 0);
+  std::vector<CodedSymbol> forged = EncodeSymbols({key}, 0, 16);
+  std::size_t holders = 0;
+  for (std::size_t i = 1; i < forged.size(); ++i) {
+    holders += forged[i].IsZero() ? 0 : 1;
   }
-  const Bytes raw = w.Take();
-  serial::Reader r(raw);
-  auto forged = Iblt::Decode(&r, kSeed16);
-  ASSERT_TRUE(forged.ok());
-  std::vector<std::uint64_t> plus, minus;
-  EXPECT_FALSE(forged->Peel(&plus, &minus));
-  EXPECT_TRUE(plus.empty());
-  EXPECT_TRUE(minus.empty());
+  ASSERT_GT(holders, 0u);
+  // Swap symbol 0 with the key's other symbols, so that every peel
+  // of it re-creates the symbol the previous peel emptied.
+  for (std::size_t i = 1; i < forged.size(); ++i) {
+    if (!forged[i].IsZero()) forged[i] = CodedSymbol{};
+  }
+  SymbolDecoder decoder({});
+  decoder.Add(forged);
+  EXPECT_FALSE(decoder.decoded());
+  EXPECT_TRUE(decoder.failed());
+  EXPECT_TRUE(decoder.remote_only().empty());
+  EXPECT_TRUE(decoder.local_only().empty());
 }
 
-// Partitioned subtables: a key's three cells are always distinct
-// (each position draws from its own third of the table). Without
-// this, a key self-colliding on all three positions leaves a count-3
-// cell no table size can peel. Pinned via the public surface: a
-// single-key difference must peel at every table size.
+// Symbol 0 holds every key, so a one-key difference peels from a
+// prefix of any length, and the decoder stops right there.
 TEST(IbltTest, SingleKeyAlwaysPeelsAtAnySize) {
   Rng rng(31);
-  for (const std::size_t cells : {3u, 4u, 5u, 7u, 16u, 33u, 100u}) {
+  for (const std::uint64_t symbols : {1u, 2u, 3u, 7u, 16u, 33u, 100u}) {
     for (int trial = 0; trial < 200; ++trial) {
-      Iblt a(cells, kSeed16 + cells * 1000 + trial);
+      const std::vector<std::uint64_t> shared = RandomKeys(&rng, 5);
+      std::vector<std::uint64_t> remote = shared;
       const std::uint64_t h = rng.NextU64();
-      a.Insert(h);
-      Iblt b(cells, a.seed());
-      ASSERT_TRUE(a.Subtract(b).ok());
-      std::vector<std::uint64_t> plus, minus;
-      ASSERT_TRUE(a.Peel(&plus, &minus))
-          << cells << " cells, trial " << trial;
-      ASSERT_EQ(plus.size(), 1u);
-      EXPECT_EQ(plus[0], h);
-      EXPECT_TRUE(minus.empty());
+      remote.push_back(h);
+      SymbolDecoder decoder(shared);
+      decoder.Add(EncodeSymbols(remote, 0, symbols));
+      ASSERT_TRUE(decoder.decoded())
+          << symbols << " symbols, trial " << trial;
+      ASSERT_EQ(decoder.remote_only().size(), 1u);
+      EXPECT_EQ(decoder.remote_only()[0], h);
+      EXPECT_TRUE(decoder.local_only().empty());
     }
   }
-}
-
-// ----------------------------------------------------- range digest
-
-TEST(RangeDigestTest, IdenticalSetsEstimateZero) {
-  Rng rng(11);
-  RangeDigest a, b;
-  for (int i = 0; i < 100; ++i) {
-    const BlockHash h = HashFromRng(&rng);
-    a.Insert(h);
-    b.Insert(h);
-  }
-  auto est = RangeDigest::EstimateDelta(a, b);
-  ASSERT_TRUE(est.ok());
-  EXPECT_EQ(*est, 0u);
-}
-
-// The nested shape reconciliation actually sees (one side strictly
-// ahead): per-range count mismatches sum to the exact delta.
-TEST(RangeDigestTest, NestedSetsEstimateExactDelta) {
-  Rng rng(13);
-  RangeDigest behind, ahead;
-  for (int i = 0; i < 128; ++i) {
-    const BlockHash h = HashFromRng(&rng);
-    behind.Insert(h);
-    ahead.Insert(h);
-  }
-  for (int i = 0; i < 37; ++i) ahead.Insert(HashFromRng(&rng));
-  auto est = RangeDigest::EstimateDelta(behind, ahead);
-  ASSERT_TRUE(est.ok());
-  EXPECT_EQ(*est, 37u);
-}
-
-TEST(RangeDigestTest, EqualCountsWithDifferentFoldsCountAsSwap) {
-  // Force two different keys into the same range (same leading byte):
-  // counts match, folds differ, so the estimate must report >= 2.
-  // Same leading byte (same range), different bytes inside the fold
-  // lane (bytes 8-15), so the folds must disagree.
-  BlockHash x{}, y{};
-  x.fill(0x00);
-  y.fill(0x00);
-  x[9] = 1;
-  y[9] = 2;
-  RangeDigest a, b;
-  a.Insert(x);
-  b.Insert(y);
-  auto est = RangeDigest::EstimateDelta(a, b);
-  ASSERT_TRUE(est.ok());
-  EXPECT_EQ(*est, 2u);
-}
-
-TEST(RangeDigestTest, ShapeMismatchIsLoud) {
-  // A digest with a non-standard range count can only arrive over the
-  // wire (protocol evolution); estimating against it must error, not
-  // fabricate a delta.
-  serial::Writer w;
-  w.WriteVarint(32);
-  for (int i = 0; i < 32; ++i) {
-    w.WriteVarint(0);
-    w.WriteU64(0);
-  }
-  const Bytes raw = w.Take();
-  serial::Reader r(raw);
-  auto narrow = RangeDigest::Decode(&r);
-  ASSERT_TRUE(narrow.ok());
-  EXPECT_FALSE(RangeDigest::EstimateDelta(RangeDigest{}, *narrow).ok());
-}
-
-TEST(RangeDigestTest, EncodeDecodeRoundTripsByteExactly) {
-  Rng rng(17);
-  RangeDigest d;
-  for (int i = 0; i < 40; ++i) d.Insert(HashFromRng(&rng));
-  serial::Writer w;
-  d.Encode(&w);
-  const Bytes raw = w.Take();
-  serial::Reader r(raw);
-  auto back = RangeDigest::Decode(&r);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(*back == d);
-  serial::Writer w2;
-  back->Encode(&w2);
-  EXPECT_EQ(w2.Take(), raw);
 }
 
 // ------------------------------------------------- wire messages
 
 TEST(DiffMessagesTest, ProbeRoundTripsByteExactly) {
-  Rng rng(19);
   recon::DiffProbe probe;
-  probe.requested_cells = 256;
-  for (int i = 0; i < 25; ++i) probe.digest.Insert(HashFromRng(&rng));
+  probe.begin = 113;
+  probe.set_size = 2'000;
+  probe.missing = 8;
   const Bytes raw = recon::EncodeMessage(probe);
   ASSERT_EQ(*recon::PeekType(raw), recon::MessageType::kDiffProbe);
   recon::DiffProbe out;
   ASSERT_TRUE(recon::DecodeMessage(raw, &out).ok());
-  EXPECT_EQ(out.requested_cells, 256u);
-  EXPECT_TRUE(out.digest == probe.digest);
+  EXPECT_EQ(out.begin, 113u);
+  EXPECT_EQ(out.set_size, 2'000u);
+  EXPECT_EQ(out.missing, 8u);
   EXPECT_EQ(recon::EncodeMessage(out), raw);
 }
 
@@ -343,41 +310,40 @@ TEST(DiffMessagesTest, SketchRoundTripsByteExactly) {
   recon::DiffSketch sketch;
   sketch.seed = rng.NextU64();
   sketch.set_size = 9;
-  sketch.estimated_delta = 3;
-  sketch.sketch = Iblt(48, sketch.seed);
+  sketch.begin = 48;
+  std::vector<std::uint64_t> keys;
   for (int i = 0; i < 9; ++i) {
-    sketch.sketch.Insert(ShortId(HashFromRng(&rng), sketch.seed));
+    keys.push_back(ShortId(HashFromRng(&rng), sketch.seed));
   }
+  sketch.symbols = EncodeSymbols(keys, sketch.begin, 48);
   const Bytes raw = recon::EncodeMessage(sketch);
   ASSERT_EQ(*recon::PeekType(raw), recon::MessageType::kDiffSketch);
   recon::DiffSketch out;
   ASSERT_TRUE(recon::DecodeMessage(raw, &out).ok());
   EXPECT_EQ(out.seed, sketch.seed);
   EXPECT_EQ(out.set_size, 9u);
-  EXPECT_EQ(out.estimated_delta, 3u);
-  EXPECT_TRUE(out.sketch.cells() == sketch.sketch.cells());
+  EXPECT_EQ(out.begin, 48u);
+  EXPECT_EQ(out.symbols, sketch.symbols);
   EXPECT_EQ(recon::EncodeMessage(out), raw);
 }
 
-// The short-ID wire pin: with every cell count fitting one varint
-// byte, an n-cell sketch costs 17 bytes per cell plus a small fixed
-// header (type, salt, set size, estimate, cell count).
+// The short-ID wire pin: with every symbol count fitting one varint
+// byte, an n-symbol chunk costs 17 bytes per symbol plus a small fixed
+// header (type, salt, set size, position, symbol count).
 TEST(DiffMessagesTest, SketchCostsSeventeenBytesPerCell) {
   Rng rng(37);
-  for (const std::size_t cells : {16u, 64u, 1000u, 16384u}) {
+  for (const std::uint64_t symbols : {16u, 64u, 1000u, 16384u}) {
     recon::DiffSketch sketch;
     sketch.seed = rng.NextU64();
     sketch.set_size = 1u << 20;
-    sketch.estimated_delta = cells / 2;
-    sketch.sketch = Iblt(cells, sketch.seed);
-    for (std::size_t i = 0; i < cells / 2; ++i) {
-      sketch.sketch.Insert(rng.NextU64());
-    }
-    for (const IbltCell& c : sketch.sketch.cells()) {
+    sketch.begin = 30;  // past the symbols whose counts need two bytes
+    sketch.symbols =
+        EncodeSymbols(RandomKeys(&rng, 200), sketch.begin, symbols);
+    for (const CodedSymbol& c : sketch.symbols) {
       ASSERT_LT(c.count, 64);  // one zigzag varint byte
     }
-    EXPECT_LE(recon::EncodeMessage(sketch).size(), 17 * cells + 32)
-        << cells << " cells";
+    EXPECT_LE(recon::EncodeMessage(sketch).size(), 17 * symbols + 32)
+        << symbols << " symbols";
   }
 }
 
@@ -495,9 +461,9 @@ TEST(SetdiffSessionTest, BytesTrackDeltaNotDepth) {
       << "bytes grew with depth: " << bytes_at[0] << " -> " << bytes_at[1];
 }
 
-// Force a peel failure (cell ceiling far below the delta) and check
-// the declared ladder: one escalation, then fallback to level
-// escalation, and the replicas still reconverge exactly.
+// Force a peel failure (symbol cap far below the delta) and check the
+// declared ladder: the stream stops at the cap, the session falls back
+// to level escalation, and the replicas still reconverge exactly.
 TEST(SetdiffSessionTest, DecodeFailureFallsBackAndReconverges) {
   Rig rig;
   auto behind = rig.MakeNode();
@@ -505,14 +471,13 @@ TEST(SetdiffSessionTest, DecodeFailureFallsBackAndReconverges) {
   rig.Diverge(behind.get(), ahead.get(), 16, 80);
   recon::ReconConfig cfg;
   cfg.mode = recon::ReconConfig::Mode::kSetDiff;
-  cfg.max_iblt_cells = 16;  // 80 differing keys cannot peel
+  cfg.max_symbols = 16;  // 80 differing keys cannot peel
   recon::SessionStats stats;
   ASSERT_EQ(recon::RunLocalSession(behind.get(), ahead.get(), cfg, &stats),
             recon::SessionState::kDone);
   EXPECT_TRUE(SameBlocks(*behind, *ahead));
   const auto& metrics = behind->telemetry()->metrics;
-  EXPECT_GE(metrics.CounterValue("setdiff.decode_failure"), 1u);
-  EXPECT_EQ(metrics.CounterValue("setdiff.escalations"), 1u);
+  EXPECT_EQ(metrics.CounterValue("setdiff.decode_failure"), 1u);
   EXPECT_EQ(metrics.CounterValue("setdiff.fallbacks"), 1u);
 }
 
@@ -541,34 +506,54 @@ std::vector<Bytes> RunRecordingReplies(node::Node* initiator_host,
   return replies_seen;
 }
 
-// Every sketch carries its own salt: the escalation retry must not
-// rebuild the table that just failed, even when the cell ceiling
-// keeps the cell count the same.
-TEST(SetdiffSessionTest, EscalatedSketchHasAFreshSalt) {
+// A difference the first chunk cannot peel is read over several
+// chunks of one stream: each picks up where the last ended, all carry
+// the salt the first one fixed, and each is twice as long as the
+// prefix before it. Here each side holds 20 blocks the other lacks:
+// the set sizes match and the level-1 gap is one tip, so the bound
+// the first chunk is sized from is a few keys, not the 39 that
+// differ.
+TEST(SetdiffSessionTest, StreamKeepsOneSaltAcrossChunks) {
   Rig rig;
-  auto behind = rig.MakeNode();
-  auto ahead = rig.MakeNode();
-  rig.Diverge(behind.get(), ahead.get(), 16, 80);
+  auto a = rig.MakeNode();
+  auto b = rig.MakeNode();
+  rig.Diverge(a.get(), b.get(), 16, 20);
+  a->SetTime(2'000'000);
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(a->AddWitnessBlock().ok());
   recon::ReconConfig cfg;
   cfg.mode = recon::ReconConfig::Mode::kSetDiff;
-  cfg.max_iblt_cells = 16;  // both sketches get 16 cells
   recon::SessionState state;
-  std::vector<std::uint64_t> salts;
+  std::vector<recon::DiffSketch> chunks;
   for (const Bytes& reply :
-       RunRecordingReplies(behind.get(), ahead.get(), cfg, &state)) {
+       RunRecordingReplies(a.get(), b.get(), cfg, &state)) {
     if (*recon::PeekType(reply) != recon::MessageType::kDiffSketch) continue;
     recon::DiffSketch sketch;
     ASSERT_TRUE(recon::DecodeMessage(reply, &sketch).ok());
-    EXPECT_EQ(sketch.sketch.cell_count(), 16u);
-    salts.push_back(sketch.seed);
+    chunks.push_back(std::move(sketch));
   }
   EXPECT_EQ(state, recon::SessionState::kDone);
-  ASSERT_EQ(salts.size(), 2u);
-  EXPECT_NE(salts[0], salts[1]);
+  for (const BlockHash& h : b->dag().Hashes()) {
+    EXPECT_TRUE(a->dag().Contains(h));
+  }
+  ASSERT_GE(chunks.size(), 2u);
+  std::uint64_t received = 0;
+  for (const recon::DiffSketch& chunk : chunks) {
+    EXPECT_EQ(chunk.seed, chunks[0].seed);
+    EXPECT_EQ(chunk.begin, received);
+    if (received > 0) {
+      EXPECT_EQ(chunk.symbols.size(), received);
+    }
+    received += chunk.symbols.size();
+  }
+  EXPECT_EQ(a->telemetry()->metrics.CounterValue("setdiff.decode_success"),
+            1u);
+  EXPECT_EQ(a->telemetry()->metrics.CounterValue("setdiff.probes"),
+            chunks.size());
 }
 
-// The post-peel fetch rides in the DiffResult: a decoded sketch is
-// answered by exactly one BlockResponse and no BlockRequest is sent.
+// The post-peel fetch rides in the DiffResult: a decoded stream is
+// answered by exactly one BlockResponse and no BlockRequest is sent
+// after level 1's.
 TEST(SetdiffSessionTest, DecodedResultCarriesTheFetch) {
   Rig rig;
   auto behind = rig.MakeNode();
@@ -581,8 +566,8 @@ TEST(SetdiffSessionTest, DecodedResultCarriesTheFetch) {
       RunRecordingReplies(behind.get(), ahead.get(), cfg, &state);
   EXPECT_EQ(state, recon::SessionState::kDone);
   EXPECT_TRUE(SameBlocks(*behind, *ahead));
-  // Level 1 (hashes, then the tip's body), the sketch, then the
-  // bodies the DiffResult asked for.
+  // Level 1 (hashes, then the tip's body), one chunk of the stream,
+  // then the bodies the DiffResult asked for.
   std::vector<recon::MessageType> types;
   for (const Bytes& r : replies) types.push_back(*recon::PeekType(r));
   EXPECT_EQ(types, (std::vector<recon::MessageType>{
@@ -610,7 +595,7 @@ TEST(SetdiffSessionTest, ResponderServesOnlyWhatItSketched) {
   recon::InitiatorSession initiator(behind.get(), cfg);
   recon::ResponderSession responder(ahead.get(), cfg);
 
-  // Level 1, then the probe, until the responder sends its sketch.
+  // Level 1, then the probe, until the responder sends its chunk.
   std::vector<Bytes> to_responder = {initiator.Start()};
   std::vector<Bytes> replies;
   for (;;) {
@@ -682,7 +667,7 @@ TEST(SetdiffSessionTest, FallbackAfterResumedLevelWalksDeeper) {
   rig.Diverge(behind.get(), ahead.get(), 16, 80);
   recon::ReconConfig cfg;
   cfg.mode = recon::ReconConfig::Mode::kSetDiff;
-  cfg.max_iblt_cells = 16;  // 80 differing keys cannot peel
+  cfg.max_symbols = 16;  // 80 differing keys cannot peel
   cfg.start_level = 3;
   ASSERT_EQ(recon::RunLocalSession(behind.get(), ahead.get(), cfg, nullptr),
             recon::SessionState::kDone);
@@ -716,12 +701,13 @@ TEST(SetdiffSessionTest, MutualDivergenceWithPushBack) {
   EXPECT_EQ(stats.blocks_pushed, 4u);
 }
 
-// A joiner catches up an eight-wide backlog. The DiffResult fetch
+// A joiner catches up an eight-wide backlog. The eight tips fetched at
+// level 1 wait in the session's stash, coded into the joiner's side of
+// the stream, so the fetch leaves them out. The DiffResult fetch
 // serves the responder's blocks in its slot order and the push-back
 // ships the joiner's own blocks in the joiner's slot order. Both are
-// parents first, so the only blocks parked are the eight tips fetched
-// at level 1, before the fetch brings their ancestry and drains them.
-TEST(SetdiffSessionTest, WideBacklogCatchUpParksOnlyLevelOneTips) {
+// parents first, so no block is ever parked.
+TEST(SetdiffSessionTest, WideBacklogCatchUpParksNothing) {
   Rig rig;
   auto joiner = rig.MakeNode();
   auto ahead = rig.MakeNode();
@@ -766,7 +752,7 @@ TEST(SetdiffSessionTest, WideBacklogCatchUpParksOnlyLevelOneTips) {
       joiner->telemetry()->metrics.CounterValue("setdiff.decode_success"), 1u);
   EXPECT_EQ(
       joiner->telemetry()->metrics.CounterValue("node.blocks_quarantined"),
-      tips);
+      0u);
   EXPECT_EQ(
       ahead->telemetry()->metrics.CounterValue("node.blocks_quarantined"), 0u);
   for (const node::Node* n : {joiner.get(), ahead.get()}) {
@@ -774,6 +760,64 @@ TEST(SetdiffSessionTest, WideBacklogCatchUpParksOnlyLevelOneTips) {
     EXPECT_EQ(n->telemetry()->metrics.CounterValue("node.quarantine_expired"),
               0u);
   }
+}
+
+// Total session bytes, both directions, for E1's chain shape
+// (bench_reconciliation): one owner writes a 64-block shared history,
+// then the responder runs `delta` blocks ahead. The owner's key seed
+// picks every block hash, and with them the session salt.
+std::uint64_t E1ChainSessionBytes(std::uint64_t owner_seed, int delta,
+                                  recon::ReconConfig::Mode mode) {
+  const crypto::KeyPair owner = TestKeys(owner_seed);
+  const chain::Block genesis = chain::GenesisBuilder("recon-bench")
+                                   .WithTimestamp(1)
+                                   .Build("owner", owner);
+  node::NodeConfig node_cfg;
+  node_cfg.user_id = "owner";
+  node::Node behind(node_cfg, genesis, owner);
+  node::Node ahead(node_cfg, genesis, owner);
+  behind.SetTime(1'000'000);
+  ahead.SetTime(1'000'000);
+  for (int i = 0; i < 64 + delta; ++i) {
+    const auto h = ahead.AddWitnessBlock();
+    EXPECT_TRUE(h.ok());
+    if (i < 64) (void)behind.OfferBlock(*ahead.dag().Find(*h));
+  }
+  recon::ReconConfig cfg;
+  cfg.mode = mode;
+  recon::SessionStats stats;
+  EXPECT_EQ(recon::RunLocalSession(&behind, &ahead, cfg, &stats),
+            recon::SessionState::kDone);
+  EXPECT_TRUE(SameBlocks(behind, ahead));
+  return stats.bytes_sent + stats.bytes_received;
+}
+
+// E1 chain d=2: level 1 fetches the tip, and the one block behind it
+// costs a few symbols where hash-first walks a second level. Nothing
+// in the exchange is sized by anything but the gap, so setdiff costs
+// no more than hash-first, whatever the hashes.
+TEST(SetdiffSessionTest, TwoBlockChainGapCostsNoMoreThanHashFirst) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    EXPECT_LE(
+        E1ChainSessionBytes(seed, 2, recon::ReconConfig::Mode::kSetDiff),
+        E1ChainSessionBytes(seed, 2, recon::ReconConfig::Mode::kHashFirst))
+        << "owner seed " << seed;
+  }
+}
+
+// E1 chain d=64 under eight owner keys: each changes every hash and
+// so the salt, which decides how many symbols the peel needs. A
+// stream that grows while stuck keeps the session cost within 1.5x
+// across them.
+TEST(SetdiffSessionTest, ChainGapCostVariesLittleWithTheSalt) {
+  std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::uint64_t bytes =
+        E1ChainSessionBytes(seed, 64, recon::ReconConfig::Mode::kSetDiff);
+    lo = std::min(lo, bytes);
+    hi = std::max(hi, bytes);
+  }
+  EXPECT_LE(2 * hi, 3 * lo) << "min " << lo << " B, max " << hi << " B";
 }
 
 // A hash-first initiator never emits a DiffProbe — it closes a gap
@@ -794,7 +838,7 @@ TEST(SetdiffSessionTest, HashFirstInitiatorNeverProbes) {
 // The mode only shapes what an initiator asks for: a block-push
 // responder serves a setdiff probe like any other. The 3-block gap is
 // deeper than level 1, so the opening frontier round leaves it open
-// and the initiator probes; the sketch it gets back peels, and the
+// and the initiator probes; the chunk it gets back peels, and the
 // session converges.
 TEST(SetdiffSessionTest, BlockPushResponderAnswersDiffProbeWithSketch) {
   Rig rig;
