@@ -162,15 +162,9 @@ void EmitSetdiffSeeds(const chain::Block& genesis, const chain::Block& child) {
             recon::EncodeMessage(sketch));
 
   recon::DiffResult ok;
-  ok.decoded = true;
-  ok.peer_missing = {setdiff::ShortId(genesis.hash(), sketch.seed)};
   ok.want = {setdiff::ShortId(child.hash(), sketch.seed)};
   WriteSeed("setdiff_messages", "seed-diff-result-decoded.bin",
             recon::EncodeMessage(ok));
-
-  recon::DiffResult fell_back;
-  WriteSeed("setdiff_messages", "seed-diff-result-fallback.bin",
-            recon::EncodeMessage(fell_back));
 
   // Symbol-count bomb inside a DiffSketch: tag, salt, set_size,
   // position, then the wrap-the-check count.

@@ -84,14 +84,6 @@ std::string Membership::RoleOf(const std::string& user_id) const {
   return it == by_user_.end() ? "" : it->second.cert.role;
 }
 
-std::vector<std::string> Membership::LiveMembers() const {
-  std::vector<std::string> out;
-  for (const auto& [user, rec] : by_user_) {
-    if (!rec.revoked) out.push_back(user);
-  }
-  return out;
-}
-
 std::size_t Membership::LiveCount() const {
   std::size_t n = 0;
   for (const auto& [user, rec] : by_user_) {

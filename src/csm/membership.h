@@ -46,8 +46,7 @@ class Membership final : public chain::MembershipView {
   // The role recorded in a user's certificate ("" if unknown).
   std::string RoleOf(const std::string& user_id) const;
 
-  // Live members: enrolled and not revoked (A \ R).
-  std::vector<std::string> LiveMembers() const;
+  // Live members: enrolled and not revoked (|A \ R|).
   std::size_t LiveCount() const;
 
   bool ca_known() const { return ca_public_key_.has_value(); }

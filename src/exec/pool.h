@@ -1,4 +1,4 @@
-// Deterministic work-stealing thread pool (DESIGN.md §12).
+// Deterministic thread pool (DESIGN.md §12).
 //
 // Vegvisir's hot path is stateless Ed25519 verification; everything
 // stateful (DAG insert, CSM apply) stays on the owning thread. The
@@ -6,12 +6,12 @@
 // whose results land behind a lock or an atomic — which is what makes
 // `threads=N` observably identical to `threads=1`.
 //
-// Shape: one bounded MPMC injection queue plus a per-worker deque.
-// Workers drain their own deque LIFO (cache locality), then the
-// global queue, then steal FIFO from a sibling. Tasks here are
-// coarse — one Ed25519 verify is tens of microseconds — so a single
-// flat mutex around the queues costs noise compared to the work and
-// buys obviously-correct wakeup logic.
+// Shape: one bounded FIFO queue behind one flat mutex. Workers, and
+// the submitter while it Wait()s, pop from its front. No task submits
+// another, so a shared FIFO balances the load by itself. Tasks here
+// are coarse — one Ed25519 verify is tens of microseconds — so the
+// mutex costs noise compared to the work and buys obviously-correct
+// wakeup logic.
 //
 // `threads = 1` spawns no workers at all: `Submit` runs the task
 // inline and `Wait` is a no-op, byte-identical to the pre-pool serial
@@ -19,12 +19,9 @@
 // submitter (backpressure without blocking or dropping).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -38,12 +35,15 @@ namespace vegvisir::exec {
 unsigned HardwareConcurrency();
 
 struct ExecConfig {
+  // The second argument is accepted and ignored: the queue's bound is
+  // a constant of the pool (pool.cpp), and bench/e2e still spells the
+  // `{width, 4096}` it once passed.
+  explicit ExecConfig(unsigned width = 1, std::size_t /*unused*/ = 0)
+      : threads(width) {}
+
   // Total execution width. 1 = serial (no worker threads); N >= 2
   // spawns N workers and the submitting thread helps during Wait().
-  unsigned threads = 1;
-  // Bound on the global injection queue; submissions past it run
-  // inline on the submitter.
-  std::size_t queue_capacity = 4096;
+  unsigned threads;
 
   // Reads VEGVISIR_THREADS (clamped to [1, 64]); unset or malformed
   // means serial.
@@ -52,8 +52,8 @@ struct ExecConfig {
 
 class ThreadPool {
  public:
-  // `sink` receives exec.tasks_executed / exec.steals counters and
-  // the exec.threads / exec.pool_utilization gauges; may be null.
+  // `sink` receives the exec.tasks_executed counter and the
+  // exec.threads gauge; may be null.
   explicit ThreadPool(ExecConfig config,
                       telemetry::Telemetry* sink = nullptr);
   ~ThreadPool();
@@ -72,69 +72,48 @@ class ThreadPool {
   void Submit(std::function<void()> task) VEGVISIR_EXCLUDES(mu_);
 
   // Blocks until every submitted task has finished. The calling
-  // thread helps drain the queues while it waits. Scheduler-class
+  // thread helps drain the queue while it waits. Scheduler-class
   // blocking: callers must hold no locks at all.
   void Wait() VEGVISIR_EXCLUDES(mu_);
 
-  // Splits [0, n) into chunks of `grain` and runs `body(begin, end)`
-  // across the pool, returning when all chunks are done. Serial mode
-  // runs body(0, n) inline. Blocks like Wait(): no locks held.
+  // Splits [0, n) into chunks of `grain`, Submits one task per chunk
+  // and Wait()s — the same chunks at every width, so
+  // exec.tasks_executed is a function of the workload. Blocks like
+  // Wait(): no locks held.
   void ParallelFor(std::size_t n, std::size_t grain,
                    const std::function<void(std::size_t, std::size_t)>& body)
       VEGVISIR_EXCLUDES(mu_);
 
-  std::uint64_t TasksExecutedForTest() const {
-    return total_tasks_.load(std::memory_order_relaxed);
-  }
-
  private:
-  struct Worker {
-    // Guarded by the owning pool's mu_ (a nested type cannot name the
-    // outer member in a guarded_by attribute). The only accessors
-    // after construction are TakeTaskLocked, which REQUIRES(mu_), and
-    // ParallelFor, which holds a MutexLock across its enqueue loop.
-    std::deque<std::function<void()>> local;  // owner pops back, thieves front
-    std::thread thread;
-  };
-
-  // All queue access happens under mu_. `self` is the worker index,
-  // or kHelper for the Wait()ing submitter.
-  static constexpr std::size_t kHelper = static_cast<std::size_t>(-1);
-  bool TakeTaskLocked(std::size_t self, std::function<void()>* task)
-      VEGVISIR_REQUIRES(mu_);
-  // Drops mu_ around task(), re-acquires it, then retires the task
-  // from outstanding_ — called and returns with mu_ held.
-  void RunTask(std::function<void()> task, bool on_worker)
-      VEGVISIR_REQUIRES(mu_);
-  void WorkerLoop(std::size_t index);
+  // Pops the front task and runs it with mu_ dropped, then retires it
+  // from outstanding_ — called and returns with mu_ held. False when
+  // the queue is empty.
+  bool RunNextLocked() VEGVISIR_REQUIRES(mu_);
+  // Submit and Wait without their lock-debug checks, so ParallelFor
+  // reports a held lock once, not once per chunk.
+  void Push(std::function<void()> task) VEGVISIR_EXCLUDES(mu_);
+  void Drain() VEGVISIR_EXCLUDES(mu_);
+  void WorkerLoop();
 
   ExecConfig config_;
   telemetry::Counter c_tasks_;
-  telemetry::Counter c_steals_;
   telemetry::Gauge g_threads_;
-  telemetry::Gauge g_utilization_;
 
-  // Rank kExecPool: tasks run with mu_ dropped (RunTask), so nothing
-  // is ever acquired under it. Both condition variables pair with
-  // this one mutex — idle_cv_ has no mutex of its own (lock_ranks.h
-  // documents the pairing).
+  // Rank kExecPool: tasks run with mu_ dropped (RunNextLocked), so
+  // nothing is ever acquired under it. Both condition variables pair
+  // with this one mutex — idle_cv_ has no mutex of its own
+  // (lock_ranks.h documents the pairing).
   mutable util::Mutex mu_{util::LockRank::kExecPool};
   util::ConditionVariable work_cv_;  // workers: "a task was queued"
   util::ConditionVariable idle_cv_;  // Wait(): "outstanding hit zero"
-  // Bounded MPMC injection queue.
-  std::deque<std::function<void()>> global_ VEGVISIR_GUARDED_BY(mu_);
-  // Set once in the constructor, then immutable: pointer loads are
-  // lock-free (parallel() and the steal scan read it unlocked); each
-  // worker's queue contents are guarded by mu_ — see Worker.
-  std::vector<std::unique_ptr<Worker>> workers_;
-  // ParallelFor round-robin cursor.
-  std::size_t next_worker_ VEGVISIR_GUARDED_BY(mu_) = 0;
+  std::deque<std::function<void()>> queue_ VEGVISIR_GUARDED_BY(mu_);
   // Queued + currently running.
   std::size_t outstanding_ VEGVISIR_GUARDED_BY(mu_) = 0;
   bool stop_ VEGVISIR_GUARDED_BY(mu_) = false;
-
-  std::atomic<std::uint64_t> total_tasks_{0};
-  std::atomic<std::uint64_t> worker_tasks_{0};
+  // Filled in the constructor, then immutable: parallel() reads it
+  // unlocked, and no worker touches it. Declared after what the
+  // workers use.
+  std::vector<std::thread> workers_;
 };
 
 // Free-function convenience that tolerates a null pool (serial).

@@ -135,7 +135,7 @@ class Cluster {
   // The shared network's bundle (net.* series).
   telemetry::Telemetry& network_telemetry() { return *net_telem_; }
   // The shared execution pool every node batches Ed25519 checks on
-  // (its exec.tasks_executed/steals land in the network bundle).
+  // (its exec.tasks_executed/threads land in the network bundle).
   exec::ThreadPool& exec_pool() { return *exec_pool_; }
   // One snapshot summing every node's registry plus the network's —
   // the cluster-wide totals a bench dumps to BENCH_<name>.json.

@@ -136,8 +136,6 @@ Bytes EncodeMessage(const DiffSketch& m) {
 Bytes EncodeMessage(const DiffResult& m) {
   serial::Writer w;
   w.WriteU8(static_cast<std::uint8_t>(MessageType::kDiffResult));
-  w.WriteBool(m.decoded);
-  WriteIds(&w, m.peer_missing);
   WriteIds(&w, m.want);
   return w.Take();
 }
@@ -222,8 +220,6 @@ Status DecodeMessage(ByteSpan data, DiffSketch* out) {
 Status DecodeMessage(ByteSpan data, DiffResult* out) {
   serial::Reader r(data);
   VEGVISIR_RETURN_IF_ERROR(ExpectType(&r, MessageType::kDiffResult));
-  VEGVISIR_RETURN_IF_ERROR(r.ReadBool(&out->decoded));
-  VEGVISIR_RETURN_IF_ERROR(ReadIds(&r, &out->peer_missing));
   VEGVISIR_RETURN_IF_ERROR(ReadIds(&r, &out->want));
   return r.ExpectEnd();
 }

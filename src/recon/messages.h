@@ -18,11 +18,11 @@
 // §16). When the level-1 round leaves a gap, the initiator asks for a
 // prefix of the responder's rateless symbol stream (setdiff/iblt.h)
 // over salted 64-bit short IDs, peels it against its own set, and
-// asks for the next chunk while symbol 0 still holds keys. Its
-// DiffResult reports the outcome; a successful peel's result also
-// names the short IDs whose bodies the initiator wants, so the
-// responder answers it with the BlockResponse directly. Failure, or a
-// stream past the symbol cap, falls back to level escalation. There
+// asks for the next chunk while symbol 0 still holds keys. A
+// successful peel that leaves bodies to fetch sends a DiffResult
+// naming their short IDs, and the responder answers it with the
+// BlockResponse directly. Failure, or a stream past the symbol cap,
+// falls back to level escalation without a message. There
 // are no protocol versions: every responder serves every message,
 // whatever its own mode.
 #pragma once
@@ -113,16 +113,10 @@ struct DiffSketch {
   std::vector<setdiff::CodedSymbol> symbols;
 };
 
-// The initiator's verdict on a stream, in its short IDs. On success it
-// names the blocks the responder is missing (the peel's
-// initiator-only side) and `want`, the peer-only IDs whose bodies the
-// initiator still needs; the responder answers a non-empty `want`
-// with one BlockResponse. On failure both lists are empty and the
-// responder just learns the attempt is over (level escalation
-// follows).
+// The initiator's fetch after a successful peel: `want`, the peer-only
+// short IDs whose bodies it still needs. Sent only when `want` is
+// non-empty; the responder answers with one BlockResponse.
 struct DiffResult {
-  bool decoded = false;
-  std::vector<std::uint64_t> peer_missing;
   std::vector<std::uint64_t> want;
 };
 

@@ -440,7 +440,7 @@ Status InitiatorSession::HandleDiffSketch(ByteSpan data,
     return Status::Ok();
   }
   metrics_.setdiff_decode_failure.Inc();
-  return FallBackToLevels(out, /*notify=*/true);
+  return FallBackToLevels(out);
 }
 
 void InitiatorSession::StartDecoder(std::uint64_t salt) {
@@ -466,14 +466,12 @@ Status InitiatorSession::SendDiffResult(std::vector<Bytes>* out) {
     if (host_->HasBlock(h)) held.insert(setdiff::ShortId(h, want_salt_));
   }
   DiffResult result;
-  result.decoded = true;
-  result.peer_missing = decoder_->local_only();
   for (const std::uint64_t id : decoder_->remote_only()) {
     if (held.count(id) == 0) result.want.push_back(id);
   }
-  wanted_ids_.insert(result.want.begin(), result.want.end());
-  out->push_back(Send(EncodeMessage(result)));
   if (!result.want.empty()) {
+    wanted_ids_.insert(result.want.begin(), result.want.end());
+    out->push_back(Send(EncodeMessage(result)));
     diff_phase_ = DiffPhase::kAwaitBlocks;
     return Status::Ok();
   }
@@ -482,18 +480,12 @@ Status InitiatorSession::SendDiffResult(std::vector<Bytes>* out) {
     FinishMaybePush(out);
     return Status::Ok();
   }
-  return FallBackToLevels(out, /*notify=*/false);
+  return FallBackToLevels(out);
 }
 
-Status InitiatorSession::FallBackToLevels(std::vector<Bytes>* out,
-                                          bool notify) {
+Status InitiatorSession::FallBackToLevels(std::vector<Bytes>* out) {
   diff_phase_ = DiffPhase::kFellBack;
   metrics_.setdiff_fallbacks.Inc();
-  if (notify) {
-    DiffResult result;
-    result.decoded = false;
-    out->push_back(Send(EncodeMessage(result)));
-  }
   // The level walk parks what the stream was to complete.
   (void)TryMerge();
   // The opening round already covered the current level; resume the
@@ -520,8 +512,7 @@ Status InitiatorSession::HandleBlockResponse(ByteSpan data,
   // After the stream's fetch, the exact difference arrived but some of
   // it is still parked (e.g. quarantined ancestry): close the rest by
   // level walking.
-  return fetching ? FallBackToLevels(out, /*notify=*/false)
-                  : EscalateOrFail(out);
+  return fetching ? FallBackToLevels(out) : EscalateOrFail(out);
 }
 
 Status InitiatorSession::EscalateOrFail(std::vector<Bytes>* out) {
@@ -686,10 +677,9 @@ Status ResponderSession::HandleDiffProbe(ByteSpan data,
 
 Status ResponderSession::HandleDiffResult(ByteSpan data,
                                           std::vector<Bytes>* out) {
-  // peer_missing is informational (the push-back that follows carries
-  // the bodies) and a failed verdict just means frontier requests are
-  // coming. Only `want` needs an answer: the bodies of the IDs it
-  // names, resolved under the salt of the stream this session sent.
+  // The answer is the bodies of the IDs `want` names, resolved under
+  // the salt of the stream this session sent. The initiator sends no
+  // empty `want`; one is answered with nothing.
   DiffResult result;
   if (Status s = DecodeMessage(data, &result); !s.ok()) {
     metrics_.CountDecodeReject(s);

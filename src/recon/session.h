@@ -223,13 +223,13 @@ class InitiatorSession {
   Status HandleDiffSketch(ByteSpan data, std::vector<Bytes>* out);
   // Peels the stream's first chunk against the DAG and the stash.
   void StartDecoder(std::uint64_t salt);
-  // Reports a peeled difference and asks for the bodies it lacks.
+  // Asks for the bodies a peeled difference lacks (a DiffResult, sent
+  // only when there are some), else merges and finishes.
   Status SendDiffResult(std::vector<Bytes>* out);
   // Abandons the setdiff negotiation for level escalation, resuming
-  // one level below the opening round. `notify` additionally tells
-  // the responder the attempt failed (skipped when a DiffResult for
-  // this attempt was already sent).
-  Status FallBackToLevels(std::vector<Bytes>* out, bool notify);
+  // one level below the opening round. The responder is not told: the
+  // frontier requests that follow speak for themselves.
+  Status FallBackToLevels(std::vector<Bytes>* out);
   Status HandleBlockResponse(ByteSpan data, std::vector<Bytes>* out);
   Status StashBlocks(const std::vector<Bytes>& blocks);
   // Merges the stash into the DAG (fixpoint). Returns true if every

@@ -47,7 +47,6 @@ Status SupportChain::Archive(const std::vector<chain::Block>& batch,
   sb.timestamp_ms = timestamp_ms;
   for (const chain::Block& b : batch) {
     sb.payload.push_back(b.hash());
-    archived_bytes_ += b.EncodedSize();
     bodies_.emplace(b.hash(), b);
   }
   sb.hash = ComputeHash(sb);
@@ -115,7 +114,6 @@ SupportChain::SyncResult SupportChain::SyncFrom(const SupportChain& peer) {
                       }();
   blocks_ = peer.blocks_;
   bodies_ = peer.bodies_;
-  archived_bytes_ = peer.archived_bytes_;
   result.adopted = true;
   return result;
 }

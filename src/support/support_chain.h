@@ -48,7 +48,6 @@ class SupportChain {
 
   std::uint64_t Length() const { return blocks_.size(); }
   std::size_t ArchivedCount() const { return bodies_.size(); }
-  std::size_t ArchivedBytes() const { return archived_bytes_; }
   const std::vector<SupportBlock>& blocks() const { return blocks_; }
 
   // Recomputes every link and hash; false if tampered.
@@ -80,7 +79,6 @@ class SupportChain {
   std::vector<SupportBlock> blocks_;
   std::unordered_map<chain::BlockHash, chain::Block, chain::BlockHashHasher>
       bodies_;
-  std::size_t archived_bytes_ = 0;
 };
 
 }  // namespace vegvisir::support

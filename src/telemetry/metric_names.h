@@ -41,7 +41,6 @@ inline constexpr std::string_view kCounters[] = {
     "exec.batches",
     "exec.presig_hits",
     "exec.presig_misses",
-    "exec.steals",
     "exec.tasks_executed",
     // ---- fault injector (src/sim/faults) ----------------------------
     "fault.acked_blocks_lost",
@@ -170,7 +169,6 @@ inline constexpr std::string_view kCounters[] = {
 };
 
 inline constexpr std::string_view kGauges[] = {
-    "exec.pool_utilization",
     "exec.threads",
     "node.quarantine_size",
     "storage.cold_blocks",

@@ -1,13 +1,15 @@
 // Tests for the parallel execution engine (DESIGN.md §12): the
-// work-stealing pool, the batched signature verifier, and the
+// one-queue FIFO pool, the batched signature verifier, and the
 // end-to-end claim that thread count changes wall-clock time and
 // nothing else — same frontiers, same fingerprints, same metrics.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "crdt/sets.h"
@@ -38,14 +40,15 @@ TEST(ExecConfigTest, FromEnvDefaultsAndClamps) {
 }
 
 TEST(ThreadPoolTest, SerialModeRunsInline) {
-  ThreadPool pool{ExecConfig{}};
+  telemetry::Telemetry sink;
+  ThreadPool pool(ExecConfig{}, &sink);
   EXPECT_FALSE(pool.parallel());
   EXPECT_EQ(pool.thread_count(), 1U);
   int ran = 0;
   pool.Submit([&] { ++ran; });
   // No Wait() needed: serial Submit returns only after the task ran.
   EXPECT_EQ(ran, 1);
-  EXPECT_EQ(pool.TasksExecutedForTest(), 1U);
+  EXPECT_EQ(sink.metrics.CounterValue("exec.tasks_executed"), 1U);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnceAtEveryWidth) {
@@ -74,17 +77,20 @@ TEST(ThreadPoolTest, TaskCountIsThreadCountInvariant) {
   for (const unsigned threads : {1U, 4U}) {
     ExecConfig cfg;
     cfg.threads = threads;
-    ThreadPool pool(cfg);
+    telemetry::Telemetry sink;
+    ThreadPool pool(cfg, &sink);
     std::atomic<int> sum{0};
     pool.ParallelFor(1'000, 64, [&](std::size_t begin, std::size_t end) {
       sum.fetch_add(static_cast<int>(end - begin),
                     std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), 1'000);
+    const std::uint64_t tasks =
+        sink.metrics.CounterValue("exec.tasks_executed");
     if (threads == 1) {
-      serial_tasks = pool.TasksExecutedForTest();
+      serial_tasks = tasks;
     } else {
-      EXPECT_EQ(pool.TasksExecutedForTest(), serial_tasks);
+      EXPECT_EQ(tasks, serial_tasks);
     }
   }
   EXPECT_EQ(serial_tasks, (1'000 + 63) / 64);  // ceil(n / grain) chunks
@@ -129,18 +135,38 @@ TEST(ThreadPoolTest, ParallelForShortRangesStayInBounds) {
   }
 }
 
+// Both workers are held on a flag, so the queue only fills: once it
+// is full, Submit must run the task inline on the submitter, and after
+// the release every task has run exactly once.
 TEST(ThreadPoolTest, TinyQueueBackpressureLosesNothing) {
   ExecConfig cfg;
   cfg.threads = 2;
-  cfg.queue_capacity = 1;  // nearly every Submit overflows inline
-  ThreadPool pool(cfg);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 500; ++i) {
-    pool.Submit([&] { count.fetch_add(1, std::memory_order_relaxed); });
+  telemetry::Telemetry sink;
+  ThreadPool pool(cfg, &sink);
+  std::atomic<bool> release{false};
+  for (unsigned i = 0; i < cfg.threads; ++i) {
+    pool.Submit([&release] {
+      while (!release.load()) std::this_thread::yield();
+    });
   }
+  std::atomic<int> count{0};
+  int submitted = 0;
+  // Nothing can run a counting task but the submitter itself, so the
+  // first increment seen here is the inline overflow path.
+  while (count.load() == 0 && submitted < 100'000) {
+    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    ++submitted;
+  }
+  EXPECT_EQ(count.load(), 1) << "no Submit overflowed inline";
+  for (int i = 0; i < 500; ++i) {
+    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+  }
+  submitted += 500;
+  release.store(true);
   pool.Wait();
-  EXPECT_EQ(count.load(), 500);
-  EXPECT_EQ(pool.TasksExecutedForTest(), 500U);
+  EXPECT_EQ(count.load(), submitted);
+  EXPECT_EQ(sink.metrics.CounterValue("exec.tasks_executed"),
+            static_cast<std::uint64_t>(submitted) + cfg.threads);
 }
 
 TEST(ThreadPoolTest, FreeParallelForToleratesNullPool) {
@@ -319,8 +345,8 @@ TEST(BatchVerifierTest, RekeyedJobNeverAnswersUnderTheNewKey) {
 
 // End to end: the same seeded storm at threads=1 and threads=4 must
 // produce identical frontiers, fingerprints and metrics (modulo the
-// scheduling internals the determinism tool also waives). A compact
-// in-tree version of tools/determinism_check.cpp's third leg.
+// width gauge itself, the one series the determinism tool waives). A
+// compact in-tree version of tools/determinism_check.cpp's third leg.
 struct StormResult {
   std::vector<std::string> frontiers;
   std::vector<std::string> fingerprints;
@@ -354,11 +380,7 @@ StormResult RunStorm(unsigned threads) {
     result.fingerprints.push_back(ToHex(cluster.node(i).Fingerprint()));
   }
   telemetry::Snapshot snap = cluster.AggregateSnapshot();
-  for (const char* waived : {"exec.steals", "exec.pool_utilization",
-                             "exec.threads"}) {
-    snap.counters.erase(waived);
-    snap.gauges.erase(waived);
-  }
+  snap.gauges.erase("exec.threads");
   result.metrics_json = telemetry::ToJson(snap);
   return result;
 }

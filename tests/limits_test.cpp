@@ -101,21 +101,17 @@ TEST(LimitsTest, IbltCellLimitBombRejected) {
   EXPECT_STREQ(recon::DecodeRejectName(status), "count_overflow");
 }
 
-// Both DiffResult ID lists (peer_missing, then want) share the cap.
+// A DiffResult's one ID list, `want`, is capped.
 TEST(LimitsTest, DiffHashLimitBombRejected) {
-  for (const bool in_want : {false, true}) {
-    serial::Writer w;
-    w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffResult));
-    w.WriteBool(true);              // decoded
-    if (in_want) w.WriteVarint(0);  // empty peer_missing
-    const Bytes bomb = WithLimitBomb(&w, limits::kMaxDiffIds,
-                                     sizeof(std::uint64_t));
-    recon::DiffResult out;
-    const Status status = recon::DecodeMessage(bomb, &out);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.message(), "diff id count exceeds limit") << in_want;
-    EXPECT_STREQ(recon::DecodeRejectName(status), "count_overflow");
-  }
+  serial::Writer w;
+  w.WriteU8(static_cast<std::uint8_t>(recon::MessageType::kDiffResult));
+  const Bytes bomb = WithLimitBomb(&w, limits::kMaxDiffIds,
+                                   sizeof(std::uint64_t));
+  recon::DiffResult out;
+  const Status status = recon::DecodeMessage(bomb, &out);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message(), "diff id count exceeds limit");
+  EXPECT_STREQ(recon::DecodeRejectName(status), "count_overflow");
 }
 
 TEST(LimitsTest, DiffProbeRequestedCellsAboveLimitRejected) {

@@ -358,7 +358,6 @@ TEST(ReconRejectTest, WantWithUnknownIdsGetsOnlyResolvableBodies) {
   ResponderSession session(rig.node.get(), ReconConfig{});
   std::vector<Bytes> out;
   DiffResult early;
-  early.decoded = true;
   early.want = {1};
   // No stream sent yet, so there is no salt to resolve under.
   EXPECT_FALSE(session.OnMessage(EncodeMessage(early), &out).ok());
@@ -375,7 +374,6 @@ TEST(ReconRejectTest, WantWithUnknownIdsGetsOnlyResolvableBodies) {
   out.clear();
 
   DiffResult result;
-  result.decoded = true;
   result.want = {setdiff::ShortId(held[0], sketch.seed), 0xDEADBEEF,
                  setdiff::ShortId(held[2], sketch.seed), 0xFEEDFACE};
   ASSERT_TRUE(session.OnMessage(EncodeMessage(result), &out).ok());
@@ -393,8 +391,8 @@ TEST(ReconRejectTest, WantWithUnknownIdsGetsOnlyResolvableBodies) {
                 "setdiff.want_unresolved"),
             2u);
 
-  // An empty `want` (a decoded result with nothing to fetch, or a
-  // failed one) gets no reply at all.
+  // An empty `want`, which initiators never send, gets no reply at
+  // all.
   out.clear();
   ASSERT_TRUE(session.OnMessage(EncodeMessage(DiffResult{}), &out).ok());
   EXPECT_TRUE(out.empty());

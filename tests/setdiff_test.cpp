@@ -350,16 +350,14 @@ TEST(DiffMessagesTest, SketchCostsSeventeenBytesPerCell) {
 TEST(DiffMessagesTest, ResultRoundTripsByteExactly) {
   Rng rng(29);
   recon::DiffResult result;
-  result.decoded = true;
-  result.peer_missing = {rng.NextU64(), rng.NextU64(), rng.NextU64()};
   result.want = {rng.NextU64(), rng.NextU64()};
   const Bytes raw = recon::EncodeMessage(result);
   ASSERT_EQ(*recon::PeekType(raw), recon::MessageType::kDiffResult);
   recon::DiffResult out;
   ASSERT_TRUE(recon::DecodeMessage(raw, &out).ok());
-  EXPECT_TRUE(out.decoded);
-  EXPECT_EQ(out.peer_missing, result.peer_missing);
   EXPECT_EQ(out.want, result.want);
+  // The type byte, the ID count, and eight bytes per ID: nothing else.
+  EXPECT_EQ(raw.size(), 2 + 2 * sizeof(std::uint64_t));
   EXPECT_EQ(recon::EncodeMessage(out), raw);
 }
 
@@ -479,6 +477,9 @@ TEST(SetdiffSessionTest, DecodeFailureFallsBackAndReconverges) {
   const auto& metrics = behind->telemetry()->metrics;
   EXPECT_EQ(metrics.CounterValue("setdiff.decode_failure"), 1u);
   EXPECT_EQ(metrics.CounterValue("setdiff.fallbacks"), 1u);
+  // The fallback sends no DiffResult: the frontier requests that
+  // follow tell the responder the stream is over.
+  EXPECT_EQ(metrics.CounterValue("recon.bytes.diff_result"), 0u);
 }
 
 // Runs one session over a lossless in-process wire, like
@@ -624,7 +625,6 @@ TEST(SetdiffSessionTest, ResponderServesOnlyWhatItSketched) {
   ASSERT_EQ(to_responder.size(), 1u);
   recon::DiffResult result;
   ASSERT_TRUE(recon::DecodeMessage(to_responder[0], &result).ok());
-  ASSERT_TRUE(result.decoded);
   const std::set<std::uint64_t> wanted(result.want.begin(), result.want.end());
   std::vector<BlockHash> expected;
   for (const BlockHash& h : sketched_order) {

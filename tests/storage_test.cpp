@@ -452,6 +452,42 @@ TEST(BlockLogTest, FailedAppendWoundsUntilReopen) {
   EXPECT_TRUE((*log)->Append(Payload(0x77, 64)).ok());
 }
 
+// The short-write twin: the 4th append writes its header and half its
+// payload, so reopen finds a record whose length overruns the file
+// (the "torn record payload" stop) and cuts exactly that record.
+TEST(BlockLogTest, ShortWriteWoundsUntilReopen) {
+  const std::string dir = FreshDir("short_write");
+  telemetry::Telemetry telem;
+  auto opts = LogOpts(dir, &telem);
+  opts.io_faults = sim::IoFaultPlan::ShortWrite(1.0, 3);
+  std::uint64_t synced = 0;
+  {
+    auto log = BlockLog::Open(std::move(opts));
+    ASSERT_TRUE(log.ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*log)->Append(Payload(static_cast<std::uint8_t>(i), 64))
+                      .ok());
+    }
+    ASSERT_TRUE((*log)->Sync().ok());
+    synced = (*log)->record_count();
+    const Status cut = (*log)->Append(Payload(0x99, 64));
+    ASSERT_FALSE(cut.ok());
+    EXPECT_TRUE((*log)->wounded());
+    const Status refused = (*log)->Append(Payload(0x99, 64));
+    EXPECT_EQ(refused.code(), ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(telem.metrics.CounterValue("storage.faults.short_writes"), 1u);
+    EXPECT_EQ(telem.metrics.CounterValue("storage.faults.torn_records"), 0u);
+  }
+  auto log = BlockLog::Open(LogOpts(dir, &telem));
+  ASSERT_TRUE(log.ok());
+  EXPECT_EQ(synced, 3u);
+  EXPECT_EQ((*log)->record_count(), synced);
+  EXPECT_EQ((*log)->recovery().records_truncated, 1u);
+  EXPECT_EQ((*log)->recovery().bytes_dropped, kRecordHeaderBytes + 64 / 2);
+  EXPECT_FALSE((*log)->wounded());
+  EXPECT_TRUE((*log)->Append(Payload(0x77, 64)).ok());
+}
+
 // --------------------------------------------------------- log only
 
 TEST(TieredStoreTest, DuplicateAppendRecoversOnce) {

@@ -82,11 +82,15 @@ def src_pass(mod, name, files, frontend, compile_commands):
         findings = mod.analyze_tree(files, ROOT, tcb, frontend,
                                     compile_commands)
     visible = [f for f in findings if not wt.allowed(f, allows)]
+    stale = wt.stale_entries(findings, tcb, allows, ROOT)
     for finding in sorted(visible, key=lambda f: (f.path, f.line)):
         print(finding)
-    if visible:
+    for entry in stale:
+        print(f"{allow_path}: stale entry: {entry}")
+    if visible or stale:
         print(f"{len(visible)} finding(s) ({len(findings) - len(visible)} "
-              f"suppressed by {allow_path})", file=sys.stderr)
+              f"suppressed by {allow_path}), {len(stale)} stale "
+              f"entry(ies)", file=sys.stderr)
         return 1
     print(f"{name}: {len(files)} files clean "
           f"({len(findings) - len(visible)} suppressed, "

@@ -48,7 +48,9 @@ so the wall is identical on every machine.
 
 Suppressions live ONLY in tools/analyzer/wire_taint_allow.txt (one
 reviewed file, entries carry justifications); inline annotations in
-src/ are rejected by tools/lint/vegvisir_lint.py.
+src/ are rejected by tools/lint/vegvisir_lint.py. A stale entry — an
+`allow` that suppresses no finding, or a `tcb` naming a missing file —
+fails the src sweep, so dead suppressions cannot pile up.
 
 Usage:
   wire_taint.py [--compile-commands build/compile_commands.json]
@@ -711,16 +713,29 @@ def load_allow(path):
     return tcb, allows
 
 
+def matches(entry, finding):
+    path, function, sink = entry[0], entry[1], entry[2]
+    var = entry[3] if len(entry) > 3 else "*"
+    return (path in ("*", finding.path) and
+            function in ("*", finding.function) and
+            sink in ("*", finding.sink) and
+            var in ("*", finding.var))
+
+
 def allowed(finding, allows):
-    for entry in allows:
-        path, function, sink = entry[0], entry[1], entry[2]
-        var = entry[3] if len(entry) > 3 else "*"
-        if (path in ("*", finding.path) and
-                function in ("*", finding.function) and
-                sink in ("*", finding.sink) and
-                var in ("*", finding.var)):
-            return True
-    return False
+    return any(matches(entry, finding) for entry in allows)
+
+
+def stale_entries(findings, tcb, allows, root):
+    """Allow-file entries that no longer do anything: a `tcb` naming a
+    file that is gone, or an `allow` that suppresses no finding. Left
+    in place, either could silence a future finding by accident."""
+    stale = [f"tcb {path}: no such file" for path in sorted(tcb)
+             if not (root / path).is_file()]
+    stale += [f"allow {' '.join(entry)}: suppresses no finding"
+              for entry in allows
+              if not any(matches(entry, f) for f in findings)]
+    return stale
 
 
 def summarize(analyzer, fn):
@@ -789,6 +804,42 @@ def analyze_tree(files, root, tcb, frontend, compile_commands):
 # Fixture self-test
 # ---------------------------------------------------------------------------
 
+def fixture_findings(rel, text):
+    functions = extract_functions(rel, strip_code(text))
+    # fixtures are self-contained: build local summaries too
+    summaries = {}
+    analyzer = Analyzer({})
+    for fn in functions:
+        summary = summarize(analyzer, fn)
+        if not summary.empty():
+            summaries[fn.name] = summary
+    analyzer = Analyzer(summaries)
+    findings = []
+    for fn in functions:
+        findings.extend(analyzer.analyze(fn, seed_params=False)[0])
+    return findings
+
+
+def stale_selftest(fixtures_dir, root):
+    """Failures of the stale-entry check against one bad fixture: only
+    the entry that matches its finding and the file that exists may
+    pass."""
+    path = fixtures_dir / "bad" / "loop_unchecked.cpp"
+    rel = str(path.relative_to(root))
+    findings = fixture_findings(rel, path.read_text())
+    tcb = {rel, "src/no_such_file.cpp"}
+    allows = [(rel, "DecodeEntries", "loop-bound", "*"),
+              (rel, "DecodeEntries", "new-array", "*"),
+              ("*", "NoSuchFunction", "*", "*")]
+    want = ["tcb src/no_such_file.cpp: no such file",
+            f"allow {rel} DecodeEntries new-array *: suppresses no finding",
+            "allow * NoSuchFunction * *: suppresses no finding"]
+    got = stale_entries(findings, tcb, allows, root)
+    if got != want:
+        return [f"stale entries: expected {want}, got {got}"]
+    return []
+
+
 def run_selftest(fixtures_dir, root):
     failures = []
     checked = 0
@@ -801,19 +852,7 @@ def run_selftest(fixtures_dir, root):
                 continue
             spec = expect.group(1).strip()
             rel = str(path.relative_to(root))
-            stripped = strip_code(text)
-            functions = extract_functions(rel, stripped)
-            # fixtures are self-contained: build local summaries too
-            summaries = {}
-            analyzer = Analyzer({})
-            for fn in functions:
-                summary = summarize(analyzer, fn)
-                if not summary.empty():
-                    summaries[fn.name] = summary
-            analyzer = Analyzer(summaries)
-            findings = []
-            for fn in functions:
-                findings.extend(analyzer.analyze(fn, seed_params=False)[0])
+            findings = fixture_findings(rel, text)
             checked += 1
             if spec == "clean":
                 if kind != "good":
@@ -835,6 +874,8 @@ def run_selftest(fixtures_dir, root):
                                     for f in findings) or "no findings"
                     failures.append(
                         f"{rel}: expected {clause.strip()}, got: {got}")
+    failures += stale_selftest(fixtures_dir, root)
+    checked += 1
     for failure in failures:
         print(failure)
     if failures:
@@ -879,6 +920,7 @@ def main():
                             args.compile_commands)
     visible = [f for f in findings if not allowed(f, allows)]
     suppressed = len(findings) - len(visible)
+    stale = stale_entries(findings, tcb, allows, root)
 
     if args.json:
         pathlib.Path(args.json).write_text(json.dumps(
@@ -886,9 +928,12 @@ def main():
 
     for finding in sorted(visible, key=lambda f: (f.path, f.line)):
         print(finding)
-    if visible:
+    for entry in stale:
+        print(f"{allow_path}: stale entry: {entry}")
+    if visible or stale:
         print(f"{len(visible)} finding(s) ({suppressed} suppressed by "
-              f"{allow_path})", file=sys.stderr)
+              f"{allow_path}), {len(stale)} stale entry(ies)",
+              file=sys.stderr)
         return 1
     print(f"wire_taint: {len(files)} files clean under frontend="
           f"{frontend} ({suppressed} suppressed, {len(tcb)} TCB files)")
